@@ -52,9 +52,7 @@ entry cannot express (failure injection, partitioner reuse, sweeps).
 The names exported here — ``__all__`` below — are the frozen v1 public
 surface; ``docs/api.md`` documents each one and a doc-sync test keeps
 the two lists identical.  Symbols deeper in subpackages remain
-importable but carry no stability promise.  v0 call forms
-(``repro.run(..., executor="parallel")`` with loose engine kwargs) keep
-working behind a one-shot deprecation warning.
+importable but carry no stability promise.
 """
 
 from .api import RunSpec, Sharded, SingleEngine, Topology, run

@@ -33,16 +33,10 @@ Both shapes share one entry point::
 :class:`RunSpec` is the typed builder behind :func:`run` — construct
 one directly (or via ``with_*`` methods) to stage, inspect, or reuse a
 fully-specified run.
-
-v0 compatibility: ``repro.run(..., executor="parallel", num_blocks=16)``
-— engine-config fields as loose keyword arguments — still works and
-emits a single :class:`DeprecationWarning` per process pointing at the
-typed form.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Union
 
@@ -161,25 +155,6 @@ class RunSpec:
         return engine.run(self.source, num_batches=self.num_batches)
 
 
-# one warning per process, like any well-behaved deprecation
-_v0_kwargs_warned = False
-
-
-def _warn_v0_kwargs(config: dict[str, Any]) -> None:
-    global _v0_kwargs_warned
-    if _v0_kwargs_warned:
-        return
-    _v0_kwargs_warned = True
-    keys = ", ".join(sorted(config))
-    warnings.warn(
-        f"passing engine-config fields to repro.run as loose keyword "
-        f"arguments ({keys}) is deprecated since v1; pass "
-        f"engine=repro.EngineConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def run(
     source: StreamSource,
     query: Query,
@@ -188,7 +163,6 @@ def run(
     *,
     topology: Topology | None = None,
     engine: EngineConfig | None = None,
-    **engine_config: Any,
 ) -> Union[RunResult, ShardedRunResult]:
     """Run ``query`` over ``num_batches`` batch intervals of ``source``.
 
@@ -203,20 +177,7 @@ def run(
     runs, a :class:`~repro.engine.sharding.ShardedRunResult` for sharded
     ones; either way the engines (and any worker pools) are torn down
     before returning.
-
-    Deprecated v0 form: engine-config fields as loose keyword arguments
-    (``executor="parallel"``, ``num_blocks=16``, ...).  Still accepted —
-    they construct the same ``EngineConfig`` — but warn once per
-    process; they cannot be combined with ``engine=``.
     """
-    if engine_config:
-        if engine is not None:
-            raise TypeError(
-                "pass engine=EngineConfig(...) or v0 loose keyword "
-                "arguments, not both"
-            )
-        _warn_v0_kwargs(engine_config)
-        engine = EngineConfig(**engine_config)
     spec = RunSpec(
         source,
         query,

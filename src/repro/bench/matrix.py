@@ -98,8 +98,6 @@ class MatrixCell:
     fault_profile: str = "none"
     #: 0 = single engine; N >= 1 = sharded topology with N engines
     shards: int = 0
-    #: stream Algorithm 2's plan into Map dispatch (parallel overlap)
-    streaming_dispatch: bool = False
 
     def params(self) -> dict[str, Any]:
         out = {
@@ -110,14 +108,11 @@ class MatrixCell:
             "pipeline_depth": self.pipeline_depth,
             "fault_profile": self.fault_profile,
         }
-        # the shards and streaming_dispatch axes postdate the store's
-        # first trajectories; omitting them at their defaults keeps
-        # every legacy cell's config hash (and therefore its cross-PR
-        # history) intact
+        # the shards axis postdates the store's first trajectories;
+        # omitting it at its default keeps every legacy cell's config
+        # hash (and therefore its cross-PR history) intact
         if self.shards:
             out["shards"] = self.shards
-        if self.streaming_dispatch:
-            out["streaming_dispatch"] = True
         return out
 
     @property
@@ -131,8 +126,6 @@ class MatrixCell:
         )
         if self.shards:
             base = f"{base}/s{self.shards}"
-        if self.streaming_dispatch:
-            base = f"{base}/stream"
         return base
 
 
@@ -149,8 +142,6 @@ class ExperimentGrid:
     fault_profiles: tuple[str, ...] = ("none",)
     #: 0 = single engine; N >= 1 adds a sharded-topology cell at N
     shard_counts: tuple[int, ...] = (0,)
-    #: streaming-dispatch variants to run (False = eager only)
-    streaming_dispatch: tuple[bool, ...] = (False,)
     #: offered rate / batches / key universe for every cell run
     rate: float = 2_000.0
     num_batches: int = 4
@@ -162,10 +153,7 @@ class ExperimentGrid:
         parallel backend's retry machinery, so faulted serial cells are
         pruned rather than recorded as trivially identical runs;
         sharded cells stay on the serial depth-1 clean path — the
-        topology's own axes, not the executor's, are what they track;
-        streaming dispatch only truly overlaps on the parallel backend
-        and is orthogonal to sharding, so streamed cells are parallel,
-        prompt-partitioned and unsharded)."""
+        topology's own axes, not the executor's, are what they track)."""
         out = []
         for combo in product(
             self.workloads,
@@ -175,7 +163,6 @@ class ExperimentGrid:
             self.pipeline_depths,
             self.fault_profiles,
             self.shard_counts,
-            self.streaming_dispatch,
         ):
             cell = MatrixCell(*combo)
             if cell.fault_profile != "none" and cell.backend != "parallel":
@@ -183,13 +170,6 @@ class ExperimentGrid:
             if cell.shards and (
                 cell.backend != "serial"
                 or cell.pipeline_depth != 1
-                or cell.fault_profile != "none"
-                or cell.streaming_dispatch
-            ):
-                continue
-            if cell.streaming_dispatch and (
-                cell.backend != "parallel"
-                or cell.partitioner != "prompt"
                 or cell.fault_profile != "none"
             ):
                 continue
@@ -218,7 +198,6 @@ QUICK_GRID = ExperimentGrid(
     backends=("serial", "parallel"),
     pipeline_depths=(1, 2),
     shard_counts=(0, 2),
-    streaming_dispatch=(False, True),
     rate=2_000.0,
     num_batches=4,
     num_keys=1_000,
@@ -233,7 +212,6 @@ FULL_GRID = ExperimentGrid(
     pipeline_depths=(1, 2),
     fault_profiles=("none", "map-crash"),
     shard_counts=(0, 2, 4),
-    streaming_dispatch=(False, True),
     rate=3_000.0,
     num_batches=5,
     num_keys=2_000,
@@ -268,7 +246,6 @@ def run_cell(
         executor_workers=2 if cell.backend == "parallel" else None,
         pipeline_depth=cell.pipeline_depth,
         ingest_kernel=None if cell.ingest_kernel == "default" else cell.ingest_kernel,
-        streaming_dispatch=cell.streaming_dispatch,
         observability=ObservabilityConfig(enabled=True),
     )
     source_factory = lambda rate: MATRIX_WORKLOADS[cell.workload](  # noqa: E731
@@ -329,7 +306,6 @@ def _run_sharded_cell(
         num_blocks=4,
         num_reducers=4,
         ingest_kernel=None if cell.ingest_kernel == "default" else cell.ingest_kernel,
-        streaming_dispatch=cell.streaming_dispatch,
         observability=ObservabilityConfig(enabled=True),
     )
     engine = ShardedEngine(

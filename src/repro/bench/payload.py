@@ -1,53 +1,24 @@
-"""Driver->worker payload-byte overhead: legacy vs resident-context dispatch.
+"""A query whose run-invariant slice is deliberately heavy to pickle.
 
 The parallel backend's worker-resident :class:`~repro.engine.executors.RunContext`
 exists to stop re-pickling the run-invariant slice of every task — the
 query and whatever it closes over, the reduce-allocation callable, the
-cost model — into every payload.  This bench measures exactly what that
-buys, in bytes, on a workload built to show the effect honestly: the
-query's Map function carries a sizeable broadcast-style lookup table
-(:class:`VocabWeightTable`), the canonical kind of run-invariant state
-(dimension tables, stop-word lists, model weights) that real streaming
-queries ship to workers.
-
-Both dispatch modes run the *same* parallel backend over the same
-seeded SynD workload; the bench asserts byte-identical windowed answers
-and field-equal batch records before reporting a single number, then
-compares driver->worker bytes per launched task attempt:
-
-- ``legacy`` (``resident_context=False``) — every Map payload carries
-  the full query, table included; every Reduce payload carries the
-  aggregator and cost model.
-- ``resident`` (the default) — the invariant slice crosses the process
-  boundary once per pool generation; payloads shrink to per-task
-  deltas (generation stamp + block/bucket + routing info).
-
-Two workload rows mirror the speedup bench: ``wordcount-light`` (the
-IPC-dominated regime where payload bytes are the *whole* dispatch
-story) and ``wordcount-heavy`` (CPU-bound map bodies, where byte
-savings ride along with real compute).  CI gates on the light row:
-bytes/task under resident dispatch must be at least 3x smaller.
+cost model — into every payload.  :class:`VocabWeightTable` is the
+canonical kind of such state (dimension tables, stop-word lists, model
+weights): a sizeable broadcast-style lookup table the query's Map
+function closes over.  The payload-accounting suite uses it to show
+per-task payload bytes do not depend on the table's size, and the
+pipeline bench uses it as a CPU-tunable Map body.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import time
 import zlib
 from typing import Any
 
-from ..engine.engine import EngineConfig, MicroBatchEngine, RunResult
-from ..partitioners.registry import make_partitioner
 from ..queries.base import Query, SumAggregator, WindowSpec
-from ..workloads.arrival import ConstantRate
-from ..workloads.synd import synd_source
 
-__all__ = [
-    "VocabWeightTable",
-    "broadcast_wordcount_query",
-    "bench_payload_overhead",
-]
+__all__ = ["VocabWeightTable", "broadcast_wordcount_query"]
 
 #: rounds of crc32 mixing per tuple in the heavy variant (~10 us/tuple),
 #: matching ``speedup.HEAVY_ROUNDS`` so the two benches probe the same
@@ -60,10 +31,10 @@ class VocabWeightTable:
 
     Module-level and deterministic (weights derive from ``crc32`` of the
     key), so it pickles to worker processes and yields identical
-    contributions under any backend or dispatch mode.  Deliberately
-    heavy to pickle — one dict entry per vocabulary rank — because its
-    job is to *be* the run-invariant state whose shipping cost the
-    payload bench measures.  ``rounds`` adds deterministic CPU-bound
+    contributions under any backend.  Deliberately heavy to pickle — one
+    dict entry per vocabulary rank — because its job is to *be* the
+    run-invariant state that must not ride in per-task payloads.
+    ``rounds`` adds deterministic CPU-bound
     mixing per tuple for the heavy workload row.
     """
 
@@ -96,131 +67,3 @@ def broadcast_wordcount_query(
         window=WindowSpec(length=window_length, slide=window_length / 10),
         map_fn=VocabWeightTable(vocab_size, rounds=rounds),
     )
-
-
-def _timed_run(
-    query: Query,
-    *,
-    resident_context: bool,
-    workers: int | None,
-    rate: float,
-    num_batches: int,
-    num_keys: int,
-    exponent: float,
-    num_blocks: int,
-    seed: int,
-) -> tuple[float, RunResult]:
-    source = synd_source(
-        exponent, num_keys=num_keys, arrival=ConstantRate(rate), seed=seed
-    )
-    config = EngineConfig(
-        batch_interval=1.0,
-        num_blocks=num_blocks,
-        num_reducers=num_blocks,
-        executor="parallel",
-        executor_workers=workers,
-        resident_context=resident_context,
-        run_seed=seed,
-    )
-    engine = MicroBatchEngine(make_partitioner("prompt"), query, config)
-    started = time.perf_counter()
-    result = engine.run(source, num_batches)
-    return time.perf_counter() - started, result
-
-
-def bench_payload_overhead(
-    *,
-    rate: float = 1_200.0,
-    num_batches: int = 5,
-    num_keys: int = 2_000,
-    vocab_size: int = 20_000,
-    exponent: float = 1.4,
-    num_blocks: int = 8,
-    workers: int | None = None,
-    seed: int = 13,
-) -> list[dict[str, Any]]:
-    """Dispatch-byte comparison rows for legacy vs resident-context mode.
-
-    Raises ``AssertionError`` if the two modes disagree on the windowed
-    answers or the (dispatch-blind) batch records — a byte saving that
-    changed the answer would be worthless.
-    """
-    window = 3.0
-    workloads = [
-        ("wordcount-light", 0),
-        ("wordcount-heavy", HEAVY_ROUNDS),
-    ]
-    rows: list[dict[str, Any]] = []
-    for label, rounds in workloads:
-        runs: dict[str, tuple[float, RunResult]] = {}
-        for mode, resident in (("legacy", False), ("resident", True)):
-            query = broadcast_wordcount_query(
-                window, vocab_size, rounds=rounds, name=label
-            )
-            runs[mode] = _timed_run(
-                query,
-                resident_context=resident,
-                workers=workers,
-                rate=rate,
-                num_batches=num_batches,
-                num_keys=num_keys,
-                exponent=exponent,
-                num_blocks=num_blocks,
-                seed=seed,
-            )
-        (legacy_wall, legacy_run) = runs["legacy"]
-        (resident_wall, resident_run) = runs["resident"]
-        # Per-window pickles, as in the speedup bench: list-level
-        # pickling would also encode cross-window object sharing.
-        identical = len(legacy_run.window_answers) == len(
-            resident_run.window_answers
-        ) and all(
-            pickle.dumps(a) == pickle.dumps(b)
-            for a, b in zip(
-                legacy_run.window_answers, resident_run.window_answers
-            )
-        )
-        assert identical, f"{label}: dispatch modes disagree on answers"
-        assert legacy_run.stats.records == resident_run.stats.records, (
-            f"{label}: dispatch modes disagree on batch records"
-        )
-        assert legacy_run.executor_fallbacks == 0
-        assert resident_run.executor_fallbacks == 0
-        legacy_attempts = legacy_run.stats.total_task_attempts()
-        resident_attempts = resident_run.stats.total_task_attempts()
-        legacy_per_task = (
-            legacy_run.executor_payload_bytes / legacy_attempts
-            if legacy_attempts
-            else 0.0
-        )
-        resident_per_task = (
-            resident_run.executor_payload_bytes / resident_attempts
-            if resident_attempts
-            else 0.0
-        )
-        rows.append(
-            {
-                "Workload": label,
-                "CpuCount": os.cpu_count() or 1,
-                "VocabSize": vocab_size,
-                "Tuples": resident_run.stats.total_tuples,
-                "Batches": num_batches,
-                "LegacyTaskAttempts": legacy_attempts,
-                "ResidentTaskAttempts": resident_attempts,
-                "LegacyPayloadBytes": legacy_run.executor_payload_bytes,
-                "ResidentPayloadBytes": resident_run.executor_payload_bytes,
-                "LegacyBytesPerTask": legacy_per_task,
-                "ResidentBytesPerTask": resident_per_task,
-                "BytesPerTaskReduction": (
-                    legacy_per_task / resident_per_task
-                    if resident_per_task
-                    else 0.0
-                ),
-                "ContextInstalls": resident_run.executor_context_installs,
-                "ContextBytes": resident_run.executor_context_bytes,
-                "LegacyWallSeconds": legacy_wall,
-                "ResidentWallSeconds": resident_wall,
-                "OutputsIdentical": identical,
-            }
-        )
-    return rows

@@ -32,7 +32,6 @@ from typing import Any, Callable, Optional
 
 from .bench import (
     bench_parallel_speedup,
-    bench_streaming_dispatch,
     bench_vectorized_ingest,
     fig6_assignment_tradeoffs,
     fig10_partition_metrics,
@@ -48,7 +47,6 @@ from .bench import (
     partitioner_shootout,
     results_dir,
     save_results,
-    streaming_gate,
     table1_dataset_stats,
 )
 from .bench.matrix import GRIDS, fill, render_matrix_report
@@ -196,21 +194,6 @@ def _run_speedup(args: argparse.Namespace) -> tuple[str, Any]:
         format_table(rows, title="Serial vs parallel backend wall-clock"),
         rows,
     )
-
-
-def _run_streaming(args: argparse.Namespace) -> tuple[str, Any]:
-    kwargs: dict[str, Any] = {}
-    if args.quick:
-        kwargs.update(rate=10_000.0, num_batches=3, num_keys=2_000, repeats=2)
-    rows = bench_streaming_dispatch(**kwargs)
-    gate = streaming_gate(rows)
-    text = format_table(
-        rows, title="Streaming dispatch: eager vs streamed wall-clock"
-    )
-    text += "\n\n" + format_table(
-        [gate], title="Gate: streamed wall <= 0.92x eager (multi-core)"
-    )
-    return text, {"rows": rows, "gate": gate}
 
 
 def _run_ingest(args: argparse.Namespace) -> tuple[str, Any]:
@@ -396,7 +379,6 @@ def _run_quickstart(args: argparse.Namespace) -> tuple[str, Any]:
             speculative_execution=getattr(args, "speculate", False),
             pipeline_depth=getattr(args, "pipeline_depth", 1),
             ingest_kernel=getattr(args, "ingest_kernel", None),
-            streaming_dispatch=getattr(args, "streaming_dispatch", False),
             observability=_obs_config(args),
         ),
     )
@@ -541,7 +523,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], tuple[str, Any]
     "fig14b": ("Figure 14b — partitioning overhead", _run_fig14b),
     "ingest": ("Vectorized ingest kernels — python oracle vs numpy wall-clock", _run_ingest),
     "speedup": ("Serial vs parallel execution backend wall-clock", _run_speedup),
-    "streaming": ("Streaming dispatch — eager vs streamed plan→dispatch wall-clock", _run_streaming),
     "shootout": ("Partitioner shoot-out — all techniques head-to-head", _run_shootout),
     "quickstart": ("Quickstart demo — engine run (supports --trace/--metrics)", _run_quickstart),
     "sharded": ("Sharded topology demo — N engines behind a shard router", _run_sharded),
@@ -686,14 +667,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "vectorized batch kernels (bit-identical outputs, falls back to "
         "python with a warning when numpy is absent; default: leave the "
         "partitioner's own choice)",
-    )
-    quick.add_argument(
-        "--streaming-dispatch",
-        action="store_true",
-        help="stream Algorithm 2's plan into Map dispatch: each "
-        "finalized block's Map task launches while the plan tail is "
-        "still running (results stay byte-identical; the parallel "
-        "executor truly overlaps, others drain eagerly)",
     )
 
     bench = sub.add_parser(

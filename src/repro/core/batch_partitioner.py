@@ -35,11 +35,6 @@ from typing import Callable, Sequence
 
 from .batch import BatchInfo, DataBlock, PartitionedBatch
 from .config import PartitionerConfig
-from .plan_stream import (
-    LedgerBlock,
-    PlanGenerator,
-    split_segment_chain,
-)
 from .tuples import Key, KeyGroup, StreamTuple, _order_token
 
 __all__ = ["PromptBatchPartitioner", "split_group_by_weight"]
@@ -165,71 +160,6 @@ class PromptBatchPartitioner:
             partitioner_name="prompt",
         )
 
-    def partition_stream(
-        self,
-        key_groups: Sequence[KeyGroup],
-        num_blocks: int,
-        info: BatchInfo,
-    ) -> PlanGenerator:
-        """Streaming counterpart of :meth:`partition`.
-
-        A generator that runs the same placement passes on
-        :class:`~repro.core.plan_stream.LedgerBlock`\\ s (segment
-        references, no per-pass tuple copies), then yields each
-        materialized block — in block-index order, with its slice of the
-        split-key reference table — and returns the completed
-        :class:`PartitionedBatch`.  Byte-identical to the eager plan;
-        the only difference is *when* blocks become visible.
-
-        The literal ``zigzag`` strategy has no ledger realization; it
-        plans eagerly and replays the finished blocks.
-        """
-        if num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
-        if self.strategy != "greedy":
-            batch = self.partition(key_groups, num_blocks, info)
-            for block in batch.blocks:
-                yield block, {k for k in batch.split_keys if k in block}
-            return batch
-        total_weight = sum(g.size for g in key_groups)
-        if not key_groups or total_weight == 0:
-            empty = [DataBlock(i) for i in range(num_blocks)]
-            for block in empty:
-                yield block, set()
-            return PartitionedBatch(
-                info=info, blocks=empty, split_keys={}, partitioner_name="prompt"
-            )
-        blocks = [LedgerBlock(i) for i in range(num_blocks)]
-        placements: dict[Key, set[int]] = {}
-        p_size = math.ceil(total_weight / num_blocks)
-        p_card = max(1, len(key_groups) // num_blocks)
-        s_cut = max(1, int((p_size / p_card) * self.config.split_cutoff_scale))
-        self._greedy_assign(
-            key_groups,
-            blocks,
-            placements,
-            p_size,
-            s_cut,
-            place_chunk=lambda target, key, tuples, start, end, weight: (
-                target.add_segment(key, tuples, start, end, weight)
-            ),
-            split=split_segment_chain,
-        )
-        split_keys = {
-            k: tuple(sorted(ixs)) for k, ixs in placements.items() if len(ixs) > 1
-        }
-        out_blocks: list[DataBlock] = []
-        for ledger in blocks:
-            block = ledger.materialize()
-            out_blocks.append(block)
-            yield block, {k for k in split_keys if k in block}
-        return PartitionedBatch(
-            info=info,
-            blocks=out_blocks,
-            split_keys=split_keys,
-            partitioner_name="prompt",
-        )
-
     # ------------------------------------------------------------------
     # greedy (LPT split + zigzag) strategy
     # ------------------------------------------------------------------
@@ -240,9 +170,6 @@ class PromptBatchPartitioner:
         placements: dict[Key, set[int]],
         p_size: int,
         s_cut: int,
-        *,
-        place_chunk: Callable[..., None] | None = None,
-        split: Callable = _split_with_weight,
     ) -> None:
         """BestFitDecreasing over split keys, then the zigzag deal.
 
@@ -269,13 +196,6 @@ class PromptBatchPartitioner:
         # the minimal number of blocks.
         chunk_cap = max(1, max(p_size // 2, min(p_size - 1, 2 * s_cut)))
 
-        if place_chunk is None:
-            # eager realization: each chunk is sliced out of the chain;
-            # the ledger path overrides this with a zero-copy segment
-            # reference (same span, same weight)
-            def place_chunk(target, key, tuples, start, end, weight):
-                target.add_fragment(key, tuples[start:end])
-
         split_groups = [g for g in key_groups if g.size > s_cut]
         small_groups = [g for g in key_groups if g.size <= s_cut]
 
@@ -301,7 +221,7 @@ class PromptBatchPartitioner:
                     if acc >= chunk_cap:
                         break
                 target = min(blocks, key=lambda b: (b.size, b.cardinality, b.index))
-                place_chunk(target, group.key, tuples, start, end, acc)
+                target.add_fragment(group.key, tuples[start:end])
                 placed.add(target.index)
                 start = end
 
@@ -315,7 +235,7 @@ class PromptBatchPartitioner:
         # smallest fragments from overfull blocks to underfull ones —
         # cheap (touches only the slack), and only non-split singles
         # move so KSR is unaffected.
-        self._rebalance_sizes(blocks, placements, p_size, split=split)
+        self._rebalance_sizes(blocks, placements, p_size)
 
     def _rebalance_sizes(
         self,

@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .batch import BatchInfo, DataBlock, PartitionedBatch
 from .buffering import AccumulatedBatch, MicroBatchAccumulator
-from .plan_stream import LedgerBlock, PlanGenerator, split_segment_chain
+from .plan_stream import LedgerBlock, split_segment_chain
 from .tuples import Key, KeyGroup, StreamTuple, _order_token
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
@@ -74,7 +74,6 @@ __all__ = [
     "KernelIngest",
     "accumulate_batch",
     "plan_greedy",
-    "plan_greedy_stream",
 ]
 
 _GET_KEY = attrgetter("key")
@@ -449,39 +448,7 @@ def plan_greedy(
     unit_weights: bool = False,
     chain_weights: Optional[Sequence] = None,
 ) -> PartitionedBatch:
-    """Drain :func:`plan_greedy_stream` into a finished batch.
-
-    The eager entry point every existing caller (and the >1000-instance
-    property suite) uses — so the streaming generator underneath is
-    exercised bit-for-bit even by consumers that never stream.
-    """
-    gen = plan_greedy_stream(
-        partitioner,
-        key_groups,
-        num_blocks,
-        info,
-        sizes,
-        unit_weights=unit_weights,
-        chain_weights=chain_weights,
-    )
-    while True:
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return stop.value
-
-
-def plan_greedy_stream(
-    partitioner: "PromptBatchPartitioner",
-    key_groups: Sequence[KeyGroup],
-    num_blocks: int,
-    info: BatchInfo,
-    sizes: Optional["np.ndarray"] = None,
-    *,
-    unit_weights: bool = False,
-    chain_weights: Optional[Sequence] = None,
-) -> PlanGenerator:
-    """Algorithm 2 (greedy strategy) over a sorted size array, streamed.
+    """Algorithm 2 (greedy strategy) over a sorted size array.
 
     Mirrors ``PromptBatchPartitioner.partition(strategy="greedy")``
     phase by phase: LPT dicing of split keys (chunk boundaries via
@@ -489,11 +456,8 @@ def plan_greedy_stream(
     capacity-aware zigzag deal batched one *pass* per numpy step, and
     the partitioner's own rebalance pass — so the output is identical
     by construction, not by approximation.  Placement runs on
-    :class:`~repro.core.plan_stream.LedgerBlock` segment ledgers; once
-    the split-key table is final each block is materialized and yielded
-    (block-index order) so a streaming dispatcher can launch its Map
-    task while later blocks are still being copied out.  The generator
-    returns the completed :class:`PartitionedBatch`.
+    :class:`~repro.core.plan_stream.LedgerBlock` segment ledgers, each
+    materialized into a real block once the placement is final.
 
     ``sizes`` may carry the exact per-group weights (as produced by
     :func:`accumulate_batch`); otherwise they are summed here.  When the
@@ -511,11 +475,11 @@ def plan_greedy_stream(
         sizes = np.fromiter((g.size for g in key_groups), dtype=np.int64, count=num_groups)
     total_weight = int(sizes.sum())
     if not num_groups or total_weight == 0:
-        empty = [DataBlock(i) for i in range(num_blocks)]
-        for block in empty:
-            yield block, set()
         return PartitionedBatch(
-            info=info, blocks=empty, split_keys={}, partitioner_name="prompt"
+            info=info,
+            blocks=[DataBlock(i) for i in range(num_blocks)],
+            split_keys={},
+            partitioner_name="prompt",
         )
     blocks = [LedgerBlock(i) for i in range(num_blocks)]
     placements: dict[Key, set[int]] = {}
@@ -638,14 +602,9 @@ def plan_greedy_stream(
     split_keys = {
         k: tuple(sorted(ixs)) for k, ixs in placements.items() if len(ixs) > 1
     }
-    out_blocks: list[DataBlock] = []
-    for ledger in blocks:
-        block = ledger.materialize()
-        out_blocks.append(block)
-        yield block, {k for k in split_keys if k in block}
     return PartitionedBatch(
         info=info,
-        blocks=out_blocks,
+        blocks=[ledger.materialize() for ledger in blocks],
         split_keys=split_keys,
         partitioner_name="prompt",
     )

@@ -1,57 +1,27 @@
-"""Streaming plan emission: hand finalized blocks to dispatch as they exist.
+"""Zero-copy segment ledgers for the numpy placement kernel.
 
-Algorithm 2's placement passes decide every fragment's destination well
-before the driver historically saw any of it — ``partition`` returned
-only once the whole :class:`~repro.core.batch.PartitionedBatch` was
-materialized, so the first Map task could not launch until the plan
-*tail* (rebalance + split-key table + per-block tuple copies) had run.
-This module splits that boundary:
-
-- planners build the placement on :class:`LedgerBlock`\\ s — blocks that
-  duck-type :class:`~repro.core.batch.DataBlock` for every operation the
-  placement passes use, but record fragments as *segment references*
-  ``(chain, start, stop)`` into the accumulator's existing tuple chains
-  instead of copying tuples around;
-- once the placement is final (after the rebalance pass, when the
-  split-key reference table is known), each block is materialized and
-  **yielded** — in block-index order — so the dispatcher can pickle and
-  launch its Map task while later blocks are still being copied out;
-- the generator's ``return`` value is the completed
-  :class:`PartitionedBatch`, identical byte-for-byte to what the eager
-  planner builds, because materialization replays the exact
-  fragment-insertion and intra-fragment segment order of the eager path.
-
-:class:`PlanStream` is the consumer-facing handle: it times every
-generator resumption (the plan *CPU* time, which is what the
-Early-Batch-Release audit must charge — not the overlapped wall-clock)
-and stamps it onto the finished batch.  :func:`eager_plan_stream` wraps
-an already-complete batch in the same interface so every partitioner
-supports streaming consumers for free.
+Algorithm 2's placement passes move key fragments between blocks several
+times (LPT dicing, the zigzag deal, the rebalance pass) before the plan
+is final.  :func:`~repro.core.kernels.plan_greedy` runs those passes on
+:class:`LedgerBlock`\\ s — blocks that duck-type
+:class:`~repro.core.batch.DataBlock` for every operation the placement
+passes use, but record fragments as *segment references*
+``(chain, start, stop)`` into the accumulator's existing tuple chains
+instead of copying tuples around.  Once the placement is final each
+ledger is materialized into a real :class:`DataBlock` with a single
+per-tuple copy, identical byte-for-byte to what the pure-Python planner
+builds, because materialization replays the exact fragment-insertion
+and intra-fragment segment order of that path.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Generator, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .batch import BatchInfo, DataBlock, PartitionedBatch
+from .batch import DataBlock
 from .tuples import Key, StreamTuple
 
-__all__ = [
-    "LedgerBlock",
-    "PlanStream",
-    "SegmentChain",
-    "eager_plan_stream",
-    "split_segment_chain",
-]
-
-#: what a streaming planner yields per finalized block: the block and
-#: the subset of the batch's split keys present in it (known at yield
-#: time because emission starts only after the reference table exists)
-Emission = tuple[DataBlock, set]
-
-#: the generator protocol streaming planners implement
-PlanGenerator = Generator[Emission, None, PartitionedBatch]
+__all__ = ["LedgerBlock", "SegmentChain", "split_segment_chain"]
 
 
 class SegmentChain:
@@ -149,8 +119,8 @@ class LedgerBlock:
 
     Fragments are :class:`SegmentChain`\\ s; ``size`` / ``cardinality``
     / ``fragment_sizes`` / ``__contains__`` behave identically to the
-    eager block, so ``_zigzag_pass`` and ``_rebalance_sizes`` run on
-    either representation unchanged.
+    eager block, so ``_rebalance_sizes`` runs on either representation
+    unchanged.
     """
 
     __slots__ = ("index", "_fragments", "_weight")
@@ -161,11 +131,6 @@ class LedgerBlock:
         self._weight = 0
 
     # -- mutation (mirrors DataBlock exactly, including empty skips) ----
-    def add_fragment(self, key: Key, tuples: Sequence[StreamTuple]) -> None:
-        if not tuples:
-            return
-        self.add_segment(key, tuples, 0, len(tuples), sum(t.weight for t in tuples))
-
     def add_segment(
         self,
         key: Key,
@@ -225,7 +190,7 @@ class LedgerBlock:
     def materialize(self) -> DataBlock:
         """Copy the planned fragments into a real :class:`DataBlock`.
 
-        This is the single per-tuple copy of the streaming path; it
+        This is the single per-tuple copy of the ledger path; it
         replays fragment-dict insertion order and intra-fragment segment
         order, so the result is indistinguishable from the eager block.
         """
@@ -240,90 +205,3 @@ def split_segment_chain(
 ) -> tuple[SegmentChain, SegmentChain, int]:
     """``_split_with_weight``-shaped adapter over :meth:`SegmentChain.split`."""
     return chain.split(cut)
-
-
-# ----------------------------------------------------------------------
-class PlanStream:
-    """Pull-based handle over a streaming plan generator.
-
-    ``next_emission()`` resumes the generator and returns the next
-    ``(DataBlock, block_split_keys)`` pair, or ``None`` once the plan is
-    complete; ``result()`` drains whatever remains and returns the
-    finished :class:`PartitionedBatch`.  Every resumption is timed, and
-    the accumulated generator-resident seconds are stamped onto the
-    batch as ``plan_elapsed`` — plan *CPU* time, not overlapped
-    wall-clock, which keeps the Fig. 14b overhead attribution and the
-    Early-Batch-Release slack audit honest under streaming dispatch.
-    """
-
-    __slots__ = ("info", "buffer_elapsed", "_gen", "_batch", "_done", "_elapsed", "_stamp")
-
-    def __init__(
-        self,
-        info: BatchInfo,
-        gen: PlanGenerator,
-        *,
-        buffer_elapsed: float = 0.0,
-        stamp_timing: bool = True,
-    ) -> None:
-        self.info = info
-        self.buffer_elapsed = buffer_elapsed
-        self._gen = gen
-        self._batch: PartitionedBatch | None = None
-        self._done = False
-        self._elapsed = 0.0
-        self._stamp = stamp_timing
-
-    @property
-    def batch_index(self) -> int:
-        return self.info.index
-
-    @property
-    def plan_elapsed(self) -> float:
-        """Generator-resident seconds spent planning so far."""
-        return self._elapsed
-
-    def next_emission(self) -> Emission | None:
-        """Resume the plan; returns the next finalized block or ``None``."""
-        if self._done:
-            return None
-        started = time.perf_counter()
-        try:
-            emission = next(self._gen)
-        except StopIteration as stop:
-            self._elapsed += time.perf_counter() - started
-            self._done = True
-            batch = stop.value
-            if batch is None:  # pragma: no cover - planner contract
-                raise RuntimeError("plan generator returned no batch") from None
-            if self._stamp:
-                batch.buffer_elapsed = self.buffer_elapsed
-                batch.plan_elapsed = self._elapsed
-            self._batch = batch
-            return None
-        self._elapsed += time.perf_counter() - started
-        return emission
-
-    def result(self) -> PartitionedBatch:
-        """Drain any remaining emissions and return the finished batch."""
-        while not self._done:
-            self.next_emission()
-        assert self._batch is not None
-        return self._batch
-
-
-def eager_plan_stream(batch: PartitionedBatch) -> PlanStream:
-    """Wrap an already-complete batch in the streaming interface.
-
-    The default ``Partitioner.partition_stream`` path: emissions replay
-    the finished plan's blocks in order, timing fields are left exactly
-    as the eager planner stamped them.
-    """
-
-    def _replay() -> PlanGenerator:
-        split_keys = batch.split_keys
-        for block in batch.blocks:
-            yield block, {k for k in split_keys if k in block}
-        return batch
-
-    return PlanStream(batch.info, _replay(), stamp_timing=False)

@@ -22,7 +22,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..core.batch import BatchInfo
+from ..core.batch import BatchInfo, PartitionedBatch
 from ..core.config import EarlyReleaseConfig, ElasticityConfig
 from ..core.early_release import EarlyReleaseController
 from ..core.elasticity import AutoScaler, ScalingDecision
@@ -92,19 +92,6 @@ class EngineConfig:
     executor: ExecutorKind = ExecutorKind.SERIAL
     #: worker processes for the parallel backend (None = auto)
     executor_workers: Optional[int] = None
-    #: broadcast the run-invariant slice (query, cost model, faults,
-    #: trace flag, run seed) once per pool generation and ship per-task
-    #: deltas; False restores the legacy full-payload-per-task dispatch
-    resident_context: bool = True
-    #: stream Algorithm 2's plan into Map dispatch: the partitioner
-    #: hands the backend a :class:`~repro.core.plan_stream.PlanStream`
-    #: and each finalized block's Map task launches while the plan tail
-    #: (rebalance spillover, later blocks' materialization) is still
-    #: running.  The parallel backend truly overlaps; other backends
-    #: drain the stream eagerly.  Outputs are byte-identical to eager
-    #: dispatch — results always merge in block/bucket order — so the
-    #: knob moves only real wall-clock, never the answer.
-    streaming_dispatch: bool = False
     #: root seed for per-task RNG derivation (run-level determinism)
     run_seed: int = 0
     #: bounded re-execution of transiently-failed task attempts (the
@@ -122,11 +109,11 @@ class EngineConfig:
     max_pool_resurrections: int = 2
     #: bounded two-stage pipelining of the driver (Section 2.1 /
     #: Figure 2: interval k+1 buffers *while* interval k processes).
-    #: 1 (the default) keeps today's strictly sequential
-    #: collect→partition→execute heartbeat; 2 dispatches batch k
-    #: asynchronously (``submit_batch``) and overlaps batch k+1's
-    #: ingest/partition with its execution, joining handles in batch
-    #: order so results stay byte-identical.  Clamped back to 1 (with a
+    #: 1 (the default) submits batch k and joins it in the same
+    #: heartbeat — strictly sequential collect→partition→execute; 2
+    #: parks batch k's handle and overlaps batch k+1's ingest/partition
+    #: with its execution, joining handles in batch order so results
+    #: stay byte-identical.  Clamped back to 1 (with a
     #: warning) when elasticity or batch sizing is configured: those
     #: feedback loops steer batch k+1 from batch k's completion, which
     #: pipelining would hand them late.
@@ -181,32 +168,23 @@ class EngineConfig:
 
 @dataclass(slots=True)
 class _InFlightBatch:
-    """Everything the pipelined driver must retain per dispatched batch
-    until its handle is joined (in batch order) and the completion is
-    fed to windows/state/stats exactly as the sequential path would."""
+    """Everything the driver must retain per submitted batch until its
+    handle is joined (in batch order) and the completion is fed to
+    windows/state/stats."""
 
     index: int
     info: BatchInfo
     tuples: list
-    #: the finished plan — ``None`` while a streaming dispatch is in
-    #: flight (the plan tail runs on the dispatch thread); resolved from
-    #: ``plan`` when the handle joins
-    partitioned: Any
+    partitioned: PartitionedBatch
     handle: BatchHandle
     map_tasks: int
     reduce_tasks: int
     batch_span_id: int
-    #: the in-flight :class:`~repro.core.plan_stream.PlanStream` under
-    #: streaming dispatch (``None`` on the eager path)
-    plan: Any = None
-    #: the receiver's early-release window info, retained so the
-    #: deferred ``early.record`` charges the right window
-    window: Any = None
     #: real stamp of submit_batch *returning* to the driver.  An eager
     #: backend executes inside the call, so completed_at <= dispatched_at
     #: and the overlap accounting correctly collapses to zero; an async
     #: backend returns immediately and overlap measures true concurrency.
-    dispatched_at: float = 0.0
+    dispatched_at: float
 
 
 @dataclass
@@ -287,7 +265,6 @@ class MicroBatchEngine:
             speculative=cfg.speculative_execution,
             max_pool_resurrections=cfg.max_pool_resurrections,
             fault_injector=self.task_fault_injector,
-            resident_context=cfg.resident_context,
         )
         backend.bind_observability(tracer, metrics)
         loop = EventLoop()
@@ -387,135 +364,31 @@ class MicroBatchEngine:
                 labels,
             ).set(quality.ksr)
 
-        def heartbeat(k: int, t_start: float, interval: float) -> None:
-            info = BatchInfo(index=k, t_start=t_start, t_end=t_start + interval)
-            batch_span = tracer.start("batch", index=k)
-            try:
-                with tracer.span("buffer", batch=k):
-                    tuples, window = receiver.collect(info)
-                map_tasks = scaler.map_tasks if scaler else cfg.num_blocks
-                reduce_tasks = scaler.reduce_tasks if scaler else cfg.num_reducers
-                feedback.deliver(self.partitioner, k)
-                if cfg.streaming_dispatch:
-                    # the partition span covers buffering (synchronous)
-                    # and the plan *handoff*; the Algorithm 2 passes run
-                    # under the backend's plan_emit spans instead
-                    with tracer.span(
-                        "partition", batch=k, technique=self.partitioner.name
-                    ):
-                        plan = self.partitioner.partition_stream(
-                            tuples, map_tasks, info
-                        )
-                    handle = backend.submit_batch_stream(
-                        plan,
-                        self.query,
-                        self.partitioner,
-                        reduce_tasks,
-                        cfg.cost_model,
-                        topology=topology,
-                        trace_parent=batch_span.span_id,
-                    )
-                    execution = handle.result()
-                    partitioned = plan.result()
-                    # deferred past the join: record() is pure
-                    # accounting over the plan's *CPU* time (which the
-                    # PlanStream measured), so the audit charges the
-                    # same cost whether or not dispatch overlapped it
-                    early.record(partitioned.plan_elapsed, window)
-                    publish_partition_quality(partitioned)
-                else:
-                    with tracer.span(
-                        "partition", batch=k, technique=self.partitioner.name
-                    ):
-                        partitioned = self.partitioner.partition(
-                            tuples, map_tasks, info
-                        )
-                    early.record(partitioned.plan_elapsed, window)
-                    publish_partition_quality(partitioned)
-                    execution = backend.run_batch(
-                        partitioned,
-                        self.query,
-                        self.partitioner,
-                        reduce_tasks,
-                        cfg.cost_model,
-                        topology=topology,
-                    )
-                if feedback.enabled:
-                    # execution is in hand here (synchronous dispatch),
-                    # but the buffer withholds it until batch k+2's
-                    # heartbeat — the same lag the pipelined driver is
-                    # physically constrained to, so depth never leaks
-                    # into feedback-consuming techniques.
-                    feedback.publish(backend.observed_load(partitioned, execution))
-                processing = (
-                    cluster.stage_makespan(execution.map_durations)
-                    + cluster.stage_makespan(execution.reduce_durations)
-                    + self.partitioner.heartbeat_overhead(partitioned)
-                )
-            finally:
-                tracer.end(batch_span)
-
-            def on_finish(job: ScheduledJob) -> None:
-                self._complete_batch(
-                    k,
-                    info,
-                    tuples,
-                    partitioned.buffer_elapsed,
-                    partitioned.plan_elapsed,
-                    execution,
-                    job,
-                    map_tasks,
-                    reduce_tasks,
-                    scaler=scaler,
-                    windows=windows,
-                    batches_per_window=batches_per_window,
-                    store=store,
-                    monitor=monitor,
-                    stats=stats,
-                    window_answers=window_answers,
-                    scaling_history=scaling_history,
-                    recoveries=recoveries,
-                    sizer=sizer,
-                    obs=obs,
-                    batch_span_id=batch_span.span_id,
-                )
-
-            scheduler.submit(k, processing, on_finish)
-            if k + 1 < num_batches:
-                next_interval = (
-                    sizer.next_interval() if sizer is not None else cfg.batch_interval
-                )
-                loop.schedule(
-                    info.t_end + next_interval,
-                    lambda: heartbeat(k + 1, info.t_end, next_interval),
-                    priority=0,
-                    label=f"heartbeat-{k + 1}",
-                )
-
-        # -- pipelined driver (depth >= 2) ------------------------------
-        # Batch k is dispatched asynchronously (submit_batch) and its
-        # handle parked; batch k+1's ingest/partition then overlaps its
-        # execution.  Handles join strictly in batch order, and the
-        # joined batch's scheduler job is submitted with its *own*
-        # heartbeat as the ready time — the simulated timeline (ready,
-        # start, finish, queue delay) is computed from the same values
-        # in the same order as the sequential path, so depth never
-        # leaks into the determinism contract.
+        # -- in-flight batches -------------------------------------------
+        # Every batch is submitted through submit_batch and its handle
+        # parked here.  Depth 1 joins it in the same heartbeat; depth
+        # >= 2 leaves it parked so batch k+1's ingest/partition overlaps
+        # its execution.  Handles join strictly in batch order, and a
+        # batch's scheduler job always carries its *own* heartbeat as
+        # the ready time — the simulated timeline (ready, start, finish,
+        # queue delay) is computed from the same values in the same
+        # order at every depth, so depth never leaks into the
+        # determinism contract.
         in_flight: deque[_InFlightBatch] = deque()
 
         # -- bounded completion worker (depth >= 2) ---------------------
-        # _complete_batch (output merge, window fold, state put/evict,
-        # stats) used to run inline in drain_one, so a large-window merge
-        # stalled the driver exactly where pipelining was supposed to
-        # buy overlap.  At depth >= 2 completions are handed to a single
-        # worker thread and joined in a bounded queue: one thread +
-        # batch-ordered enqueue keeps windows/state folding in batch
-        # order (the determinism contract), and the bound keeps memory
-        # and completion lag finite.  Everything _complete_batch touches
-        # (windows, store, stats, monitor, recoveries, window_answers)
-        # is owned by the worker while the run is live: the scaler and
-        # sizer are always None at depth >= 2 (clamped above), and the
-        # driver only reads those structures after the final flush.
+        # At depth >= 2 _complete_batch (output merge, window fold,
+        # state put/evict, stats) is handed to a single worker thread
+        # and joined in a bounded queue, so a large-window merge does
+        # not stall the driver exactly where pipelining buys overlap:
+        # one thread + batch-ordered enqueue keeps windows/state folding
+        # in batch order (the determinism contract), and the bound keeps
+        # memory and completion lag finite.  Everything _complete_batch
+        # touches (windows, store, stats, monitor, recoveries,
+        # window_answers) is owned by the worker while the run is live:
+        # the scaler and sizer are always None at depth >= 2 (clamped
+        # above), and the driver only reads those structures after the
+        # final flush.
         completer: Optional[ThreadPoolExecutor] = None
         completions: deque["Future[None]"] = deque()
         completion_bound = max(2, depth)
@@ -525,9 +398,6 @@ class MicroBatchEngine:
             )
 
         def enqueue_completion(complete) -> None:
-            if completer is None:
-                complete()
-                return
             enqueued_at = time.perf_counter()
 
             def run_completion() -> None:
@@ -549,62 +419,45 @@ class MicroBatchEngine:
             while completions:
                 completions.popleft().result()
 
-        def drain_one() -> None:
+        def join_oldest() -> None:
             entry = in_flight.popleft()
-            k = entry.index
-            wait_started = time.perf_counter()
-            wait_span = tracer.start(
-                "pipeline_wait", parent=entry.batch_span_id, batch=k
-            )
-            try:
+            k, partitioned = entry.index, entry.partitioned
+            pipeline_wait = overlap = 0.0
+            if depth == 1:
                 execution = entry.handle.result()
-            finally:
-                tracer.end(wait_span)
-            pipeline_wait = time.perf_counter() - wait_started
-            if entry.partitioned is None:
-                # streaming dispatch: the plan finished on the dispatch
-                # thread before the handle resolved.  Resolve the batch
-                # and run the accounting the eager path did at heartbeat
-                # time — record() is pure accounting over the PlanStream's
-                # measured plan CPU time, so deferring it past the join
-                # charges the same cost and perturbs nothing.
-                entry.partitioned = entry.plan.result()
-                early.record(entry.partitioned.plan_elapsed, entry.window)
-                publish_partition_quality(entry.partitioned)
-            if feedback.enabled:
-                # feedback from batch k-1 (or earlier) published while
-                # later batches are in flight; the buffer's fixed lag
-                # releases it before batch k+1's partition step
-                feedback.publish(
-                    backend.observed_load(entry.partitioned, execution)
+            else:
+                wait_started = time.perf_counter()
+                with tracer.span(
+                    "pipeline_wait", parent=entry.batch_span_id, batch=k
+                ):
+                    execution = entry.handle.result()
+                pipeline_wait = time.perf_counter() - wait_started
+                if metrics.enabled:
+                    metrics.histogram(
+                        "prompt_pipeline_stall_seconds",
+                        "Real time the driver stalled joining an in-flight batch",
+                    ).observe(pipeline_wait)
+                # execution time that elapsed after submit_batch returned
+                # control to the driver, minus the tail the driver spent
+                # blocked in result(): the wall-clock the pipeline reclaimed.
+                overlap = max(
+                    0.0,
+                    execution.completed_at - entry.dispatched_at - pipeline_wait,
                 )
-            if metrics.enabled:
-                metrics.histogram(
-                    "prompt_pipeline_stall_seconds",
-                    "Real time the driver stalled joining an in-flight batch",
-                ).observe(pipeline_wait)
-            # execution time that elapsed after submit_batch returned
-            # control to the driver, minus the tail the driver spent
-            # blocked in result(): the wall-clock the pipeline reclaimed.
-            overlap = max(
-                0.0,
-                execution.completed_at - entry.dispatched_at - pipeline_wait,
-            )
+            if feedback.enabled:
+                # the buffer withholds this until batch k+2's heartbeat —
+                # the lag a pipelined driver is physically constrained
+                # to — so depth never leaks into feedback-consuming
+                # techniques
+                feedback.publish(backend.observed_load(partitioned, execution))
             processing = (
                 cluster.stage_makespan(execution.map_durations)
                 + cluster.stage_makespan(execution.reduce_durations)
-                + self.partitioner.heartbeat_overhead(entry.partitioned)
+                + self.partitioner.heartbeat_overhead(partitioned)
             )
-            # on_finish=None + synchronous completion: the loop may
-            # already be past this batch's simulated finish instant, so
-            # a finish *event* could land in the past — the completion
-            # work itself depends only on the job's timeline values.
-            job = scheduler.submit(
-                k, processing, ready_at=entry.info.t_end
-            )
-            partitioned = entry.partitioned
-            enqueue_completion(
-                lambda: self._complete_batch(
+
+            def complete(job: ScheduledJob) -> None:
+                self._complete_batch(
                     k,
                     entry.info,
                     entry.tuples,
@@ -629,95 +482,85 @@ class MicroBatchEngine:
                     pipeline_wait=pipeline_wait,
                     pipeline_overlap=overlap,
                 )
-            )
 
-        def pipelined_heartbeat(k: int, t_start: float, interval: float) -> None:
+            if depth == 1:
+                # event-time completion: elasticity and batch sizing read
+                # batch k's completion at its simulated finish instant
+                scheduler.submit(k, processing, complete)
+            else:
+                # joined at a later heartbeat, so the loop may already be
+                # past this batch's simulated finish instant and a finish
+                # *event* could land in the past — the completion work
+                # itself depends only on the job's timeline values.
+                job = scheduler.submit(k, processing, ready_at=entry.info.t_end)
+                enqueue_completion(lambda: complete(job))
+
+        def heartbeat(k: int, t_start: float, interval: float) -> None:
             # Free a pipeline slot first: with the bound reached, the
             # driver must absorb the oldest completion before it may
             # ingest this interval (bounded depth = bounded memory for
             # parked tuples/partitions and bounded completion lag).
             while len(in_flight) >= depth:
-                drain_one()
+                join_oldest()
             info = BatchInfo(index=k, t_start=t_start, t_end=t_start + interval)
             batch_span = tracer.start("batch", index=k)
             try:
                 with tracer.span("buffer", batch=k):
                     tuples, window = receiver.collect(info)
+                map_tasks = scaler.map_tasks if scaler else cfg.num_blocks
+                reduce_tasks = scaler.reduce_tasks if scaler else cfg.num_reducers
                 # with depth 2 the drain loop above has joined batch k-2,
                 # so exactly the feedback the buffer's lag releases is
                 # guaranteed published — same bytes, same order as depth 1
                 feedback.deliver(self.partitioner, k)
-                plan = None
-                if cfg.streaming_dispatch:
-                    with tracer.span(
-                        "partition", batch=k, technique=self.partitioner.name
-                    ):
-                        plan = self.partitioner.partition_stream(
-                            tuples, cfg.num_blocks, info
-                        )
-                    # the plan tail and the early-release/quality
-                    # accounting resolve in drain_one when the handle
-                    # joins; partitioned=None marks the deferral
-                    partitioned = None
-                    handle = backend.submit_batch_stream(
-                        plan,
-                        self.query,
-                        self.partitioner,
-                        cfg.num_reducers,
-                        cfg.cost_model,
-                        topology=topology,
-                        trace_parent=batch_span.span_id,
+                with tracer.span(
+                    "partition", batch=k, technique=self.partitioner.name
+                ):
+                    partitioned = self.partitioner.partition(
+                        tuples, map_tasks, info
                     )
-                else:
-                    with tracer.span(
-                        "partition", batch=k, technique=self.partitioner.name
-                    ):
-                        partitioned = self.partitioner.partition(
-                            tuples, cfg.num_blocks, info
-                        )
-                    early.record(partitioned.plan_elapsed, window)
-                    publish_partition_quality(partitioned)
-                    handle = backend.submit_batch(
-                        partitioned,
-                        self.query,
-                        self.partitioner,
-                        cfg.num_reducers,
-                        cfg.cost_model,
-                        topology=topology,
-                        trace_parent=batch_span.span_id,
+                early.record(partitioned.plan_elapsed, window)
+                publish_partition_quality(partitioned)
+                handle = backend.submit_batch(
+                    partitioned,
+                    self.query,
+                    self.partitioner,
+                    reduce_tasks,
+                    cfg.cost_model,
+                    topology=topology,
+                    trace_parent=batch_span.span_id,
+                )
+                in_flight.append(
+                    _InFlightBatch(
+                        index=k,
+                        info=info,
+                        tuples=tuples,
+                        partitioned=partitioned,
+                        handle=handle,
+                        map_tasks=map_tasks,
+                        reduce_tasks=reduce_tasks,
+                        batch_span_id=batch_span.span_id,
+                        dispatched_at=time.perf_counter(),
                     )
-                dispatched_at = time.perf_counter()
+                )
+                if depth == 1:
+                    join_oldest()
             finally:
                 tracer.end(batch_span)
-            in_flight.append(
-                _InFlightBatch(
-                    index=k,
-                    info=info,
-                    tuples=tuples,
-                    partitioned=partitioned,
-                    handle=handle,
-                    map_tasks=cfg.num_blocks,
-                    reduce_tasks=cfg.num_reducers,
-                    batch_span_id=batch_span.span_id,
-                    plan=plan,
-                    window=window,
-                    dispatched_at=dispatched_at,
-                )
-            )
             if k + 1 < num_batches:
+                next_interval = (
+                    sizer.next_interval() if sizer is not None else cfg.batch_interval
+                )
                 loop.schedule(
-                    info.t_end + cfg.batch_interval,
-                    lambda: pipelined_heartbeat(
-                        k + 1, info.t_end, cfg.batch_interval
-                    ),
+                    info.t_end + next_interval,
+                    lambda: heartbeat(k + 1, info.t_end, next_interval),
                     priority=0,
                     label=f"heartbeat-{k + 1}",
                 )
 
-        entry_heartbeat = heartbeat if depth == 1 else pipelined_heartbeat
         loop.schedule(
             cfg.batch_interval,
-            lambda: entry_heartbeat(0, 0.0, cfg.batch_interval),
+            lambda: heartbeat(0, 0.0, cfg.batch_interval),
             label="heartbeat-0",
         )
         log.debug(
@@ -732,14 +575,14 @@ class MicroBatchEngine:
         )
         try:
             loop.run()
-            # The pipelined driver parks up to `depth` dispatched batches;
-            # the heartbeat chain ends with the last of them still in
-            # flight.  Join them in batch order before the run closes so
-            # stats/windows/state see every batch exactly once — then
-            # join the completion worker's tail so every batch's
-            # windows/state/stats fold lands before results are read.
+            # At depth >= 2 the heartbeat chain ends with up to `depth`
+            # batches still parked.  Join them in batch order before the
+            # run closes so stats/windows/state see every batch exactly
+            # once — then join the completion worker's tail so every
+            # batch's windows/state/stats fold lands before results are
+            # read.
             while in_flight:
-                drain_one()
+                join_oldest()
             flush_completions()
         finally:
             tracer.end(run_span)

@@ -37,10 +37,7 @@ from the resident context.  A pool resurrected after a
 delta stamped with a generation it never saw raises
 :class:`StaleContextError` — classified as an infrastructure failure,
 so the batch degrades to the serial fallback instead of computing from
-the wrong context.  ``resident_context=False`` restores the legacy
-full-payload-per-task dispatch (every task re-ships the whole slice);
-both modes are byte-identical in what they compute and both account
-driver→worker payload bytes.
+the wrong context.
 
 **Task-level fault tolerance.**  Section 8's exactly-once story —
 recompute lost work from replicated input — is applied at task
@@ -79,12 +76,12 @@ Injected faults for testing come from
 in-process execution for the affected batch — serial semantics are the
 reference, so the answer is unchanged; the event is counted on
 ``fallbacks``/noted on ``last_fallback_reason``.  Classification is by
-raise-site: payloads are pickled in the driver, so serialization
-failures are caught there and wrapped in
-:class:`PayloadSerializationError`; an exception raised *by* a task in
-a worker (a query bug — even one whose message mentions "pickle")
-propagates unchanged, because masking it behind the serial fallback
-would hide a real defect.
+raise-site: each payload is pickled in the driver when its first
+attempt is launched, so serialization failures are caught there and
+wrapped in :class:`PayloadSerializationError`; an exception raised *by*
+a task in a worker (a query bug — even one whose message mentions
+"pickle") propagates unchanged, because masking it behind the serial
+fallback would hide a real defect.
 
 Only real wall-clock differs between backends: each task measures its
 body with ``perf_counter`` and the per-batch totals feed
@@ -113,7 +110,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..core.batch import PartitionedBatch
-from ..core.plan_stream import PlanStream
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer, WorkerSpan
 from ..partitioners.base import Partitioner
@@ -177,11 +173,11 @@ class ExecutorKind(str, enum.Enum):
 class PayloadSerializationError(RuntimeError):
     """A task payload could not be pickled on the driver.
 
-    Raised *before* anything is submitted to the pool, which is what
-    makes the infrastructure-vs-application classification a raise-site
-    question: serialization problems are caught here in the driver,
-    so any ``TypeError``/``AttributeError`` coming back from a worker is
-    the query's own and must propagate.
+    Raised synchronously in the driver, before that payload reaches the
+    pool, which is what makes the infrastructure-vs-application
+    classification a raise-site question: serialization problems are
+    caught here, so any ``TypeError``/``AttributeError`` coming back
+    from a worker is the query's own and must propagate.
     """
 
 
@@ -201,10 +197,10 @@ class BatchHandle:
 
     A thin, read-only view over the backend's future: ``done()`` polls,
     ``result()`` blocks until the batch's :class:`BatchExecution` is
-    available (re-raising whatever the execution raised).  The pipelined
-    driver holds one handle per dispatched batch and joins them strictly
-    in batch order, which is what keeps windowing, state, and stats
-    consumption identical to the sequential path.
+    available (re-raising whatever the execution raised).  The driver
+    holds one handle per submitted batch and joins them strictly in
+    batch order, which is what keeps windowing, state, and stats
+    consumption identical at every pipeline depth.
     """
 
     __slots__ = ("batch_index", "submitted_at", "_future")
@@ -284,14 +280,13 @@ class ExecutionBackend(abc.ABC):
     ) -> BatchHandle:
         """Submit one batch for execution and return a joinable handle.
 
-        The base implementation is *eager*: it runs the batch
-        synchronously (the serial reference has no concurrency to
-        exploit) and hands back an already-completed handle — which
-        keeps the pipelined driver's control flow uniform across
-        backends and is exactly what the depth-equivalence suite
-        compares against.  The parallel backend overrides this with a
-        dispatch thread so the call returns while map/reduce futures
-        are still in flight.
+        The driver's only entry point, defined once for every backend:
+        :meth:`run_batch` wrapped in an ``execute`` span and stamped
+        with the real submit/complete instants, handed to
+        :meth:`_dispatch`.  The serial reference dispatches inline (the
+        handle comes back already completed); the parallel backend
+        dispatches on its single dispatch thread, so the call returns
+        while map/reduce futures are still in flight.
 
         ``trace_parent`` is the span id the execution should be
         parented under (the driver's ``batch`` span); submission may
@@ -299,59 +294,36 @@ class ExecutionBackend(abc.ABC):
         explicitly.
         """
         submitted = time.perf_counter()
-        future: Future = Future()
-        span = self.tracer.start(
-            "execute", parent=trace_parent,
-            batch=batch.info.index, backend=self.name,
-        )
-        try:
-            execution = self.run_batch(
-                batch, query, partitioner, num_reducers, cost_model,
-                topology=topology,
+        index = batch.info.index
+
+        def execute() -> BatchExecution:
+            span = self.tracer.start(
+                "execute", parent=trace_parent, batch=index, backend=self.name
             )
-        except BaseException as exc:
-            self.tracer.end(span)
-            future.set_exception(exc)
-        else:
-            self.tracer.end(span)
+            try:
+                execution = self.run_batch(
+                    batch, query, partitioner, num_reducers, cost_model,
+                    topology=topology,
+                )
+            finally:
+                self.tracer.end(span)
             execution.submitted_at = submitted
             execution.completed_at = time.perf_counter()
-            future.set_result(execution)
-        return BatchHandle(batch.info.index, future, submitted)
+            return execution
 
-    def submit_batch_stream(
-        self,
-        plan: PlanStream,
-        query: Query,
-        partitioner: Partitioner,
-        num_reducers: int,
-        cost_model: TaskCostModel,
-        topology: ClusterTopology | None = None,
-        *,
-        trace_parent: int | None = None,
-    ) -> BatchHandle:
-        """Submit a *streaming* plan for execution.
+        return BatchHandle(index, self._dispatch(execute), submitted)
 
-        The base implementation drains the plan to completion first —
-        inside a ``plan_emit`` span so the trace still shows where the
-        plan tail ran — and then submits the finished batch through
-        :meth:`submit_batch`.  Backends with a real dispatch pipeline
-        (the parallel executor) override this to launch each block's Map
-        task as the planner emits it.  Either way the downstream merge
-        consumes results in block/bucket order, so streaming submission
-        is byte-identical to eager submission by construction.
-        """
-        span = self.tracer.start(
-            "plan_emit", parent=trace_parent, batch=plan.batch_index,
-        )
+    def _dispatch(
+        self, execute: Callable[[], BatchExecution]
+    ) -> "Future[BatchExecution]":
+        """Where a submitted batch runs: inline, unless a backend with a
+        dispatch thread overrides this."""
+        future: Future = Future()
         try:
-            batch = plan.result()
-        finally:
-            self.tracer.end(span)
-        return self.submit_batch(
-            batch, query, partitioner, num_reducers, cost_model,
-            topology=topology, trace_parent=trace_parent,
-        )
+            future.set_result(execute())
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
 
     def observed_load(
         self, batch: PartitionedBatch, execution: BatchExecution
@@ -416,54 +388,6 @@ class SerialExecutor(ExecutionBackend):
             run_seed=self.run_seed,
             tracer=self.tracer,
         )
-
-
-def _map_task_worker(payload: bytes, attempt: int = 0) -> MapTaskResult:
-    """Worker entry point for one Map task attempt.
-
-    Payloads arrive pre-pickled by the driver (see
-    :meth:`ParallelExecutor.run_batch` for why) and are unpacked here.
-    An injected :class:`~repro.engine.faults.TaskFault` fires before the
-    task body, gated on the attempt number.  With ``trace`` set, the
-    attempt's wall-clock is measured here — in the process that actually
-    runs it — and rides back on the result for the driver to stitch.
-    """
-    (
-        fault,
-        trace,
-        block,
-        query,
-        allocate,
-        num_reducers,
-        split_keys,
-        cost_model,
-        task_seed,
-    ) = pickle.loads(payload)
-    started = time.time() if trace else 0.0
-    if fault is not None:
-        fault.apply(attempt)
-    result = run_map_task(
-        block, query, allocate, num_reducers, split_keys, cost_model, task_seed
-    )
-    if trace:
-        result.span = WorkerSpan(
-            pid=os.getpid(), start=started, end=time.time()
-        )
-    return result
-
-
-def _reduce_task_worker(payload: bytes, attempt: int = 0) -> ReduceTaskResult:
-    """Worker entry point for one Reduce task attempt (payload pre-pickled)."""
-    fault, trace, bucket, aggregator, cost_model, task_seed = pickle.loads(payload)
-    started = time.time() if trace else 0.0
-    if fault is not None:
-        fault.apply(attempt)
-    result = run_reduce_task(bucket, aggregator, cost_model, task_seed)
-    if trace:
-        result.span = WorkerSpan(
-            pid=os.getpid(), start=started, end=time.time()
-        )
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -538,9 +462,12 @@ def _map_task_delta_worker(payload: bytes, attempt: int = 0) -> MapTaskResult:
     num_reducers, split_keys)``; the query, allocator, cost model, seed
     root, fault table and trace flag all come from the resident
     :class:`RunContext`.  The task seed is derived *here* from the
-    context's run seed — the same
-    :func:`~repro.engine.tasks.derive_task_seed` expression the driver
-    uses on the legacy path, so results stay byte-identical.
+    context's run seed with the same
+    :func:`~repro.engine.tasks.derive_task_seed` expression the serial
+    reference uses, so results stay byte-identical.  With the context's
+    trace flag set, the attempt's wall-clock is measured here — in the
+    process that actually runs it — and rides back on the result for
+    the driver to stitch.
     """
     generation, batch_index, task_id, block, num_reducers, split_keys = (
         pickle.loads(payload)
@@ -640,13 +567,11 @@ class ParallelExecutor(ExecutionBackend):
 
     The pool is created lazily on the first batch and reused for the
     whole run (fork start method where the platform offers it, so
-    workers inherit the loaded modules instead of re-importing).  With
-    ``resident_context`` (the default) the run-invariant slice — query,
-    allocation callable, cost model, fault table, trace flag, run seed —
-    is broadcast once per pool generation as a :class:`RunContext` and
-    each task ships only a generation-stamped delta (its block or
-    bucket); with ``resident_context=False`` every payload re-ships the
-    full slice, the original dispatch path.  Either way payloads never
+    workers inherit the loaded modules instead of re-importing).  The
+    run-invariant slice — query, allocation callable, cost model, fault
+    table, trace flag, run seed — is broadcast once per pool generation
+    as a :class:`RunContext` and each task ships only a
+    generation-stamped delta (its block or bucket).  Payloads never
     carry engine or partitioner state, and they double as the task's
     replicated input: any attempt can be re-run from them
     deterministically (see the module docstring for the
@@ -667,7 +592,6 @@ class ParallelExecutor(ExecutionBackend):
         speculative: bool = False,
         max_pool_resurrections: int = 2,
         fault_injector: TaskFaultInjector | None = None,
-        resident_context: bool = True,
     ) -> None:
         super().__init__(run_seed=run_seed)
         if max_workers is not None and max_workers < 1:
@@ -689,7 +613,6 @@ class ParallelExecutor(ExecutionBackend):
         self.speculative = speculative
         self.max_pool_resurrections = max_pool_resurrections
         self.fault_injector = fault_injector
-        self.resident_context = resident_context
         self._mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         #: single-threaded dispatcher backing submit_batch: one thread
@@ -799,41 +722,49 @@ class ParallelExecutor(ExecutionBackend):
                 ctx = multiprocessing.get_context(
                     "fork" if "fork" in methods else None
                 )
-            if self.resident_context and self._context_blob is not None:
-                # Every worker the pool ever spawns installs the context
-                # via the initializer; the install *task* both confirms
-                # the pool is live before real work goes in and charges
-                # exactly one install per pool generation to the
-                # counters — resurrections re-enter here and pay again.
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    mp_context=ctx,
-                    initializer=_install_context,
-                    initargs=(self._generation, self._context_blob),
+            # Every worker the pool ever spawns installs the context
+            # via the initializer; the install *task* both confirms
+            # the pool is live before real work goes in and charges
+            # exactly one install per pool generation to the
+            # counters — resurrections re-enter here and pay again.
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                mp_context=ctx,
+                initializer=_install_context,
+                initargs=(self._generation, self._context_blob),
+            )
+            # _pool is assigned before the probe so a BrokenProcessPool
+            # raised here is salvaged by the wave loop, not leaked.
+            confirmed = self._pool.submit(
+                _install_context, self._generation, self._context_blob
+            ).result()
+            if confirmed != self._generation:
+                raise StaleContextError(
+                    f"context install returned generation {confirmed}, "
+                    f"expected {self._generation}"
                 )
-                # _pool is assigned before the probe so a BrokenProcessPool
-                # raised here is salvaged by the wave loop, not leaked.
-                confirmed = self._pool.submit(
-                    _install_context, self._generation, self._context_blob
-                ).result()
-                if confirmed != self._generation:
-                    raise StaleContextError(
-                        f"context install returned generation {confirmed}, "
-                        f"expected {self._generation}"
-                    )
-                self._record_install()
-            else:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers, mp_context=ctx
-                )
+            self._record_install()
         return self._pool
 
-    def _ensure_dispatcher(self) -> ThreadPoolExecutor:
+    def _dispatch(
+        self, execute: Callable[[], BatchExecution]
+    ) -> "Future[BatchExecution]":
+        """Run the batch on the single dispatch thread and return at once.
+
+        Pool submission, the retry/resurrection/speculation wave loop,
+        the shuffle, and — if an infrastructure error strikes — the
+        serial fallback all happen on that thread.  One thread means
+        batches execute strictly in submission order, so every
+        run-level counter and the resident context's generation
+        bookkeeping see a single-threaded sequence; while it sleeps in
+        ``wait()`` on pool futures (GIL released), a pipelined driver
+        buffers and partitions the *next* batch.
+        """
         if self._dispatcher is None:
             self._dispatcher = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="prompt-dispatch"
             )
-        return self._dispatcher
+        return self._dispatcher.submit(execute)
 
     def _close_pool(self) -> None:
         """Shut down the process pool only (safe from the dispatch thread)."""
@@ -890,15 +821,15 @@ class ParallelExecutor(ExecutionBackend):
             tracer=self.tracer,
         )
 
-    def _pickle_payloads(self, items: Sequence[tuple]) -> list[bytes]:
+    def _pickle_payload(self, item: tuple) -> bytes:
         # Payloads are pickled *here*, in the driver, and shipped as
         # bytes.  Letting the pool's queue-feeder thread pickle them
         # instead would surface unpicklable payloads asynchronously
         # and leave the pool wedged (its shutdown can deadlock after
-        # a feeder crash); pickling up front makes the failure
+        # a feeder crash); pickling in the wave loop makes the failure
         # synchronous, classifiable by raise-site, and pool-preserving.
         try:
-            return [pickle.dumps(item) for item in items]
+            return pickle.dumps(item)
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             raise PayloadSerializationError(
                 f"task payload is not picklable — {type(exc).__name__}: {exc}"
@@ -908,11 +839,10 @@ class ParallelExecutor(ExecutionBackend):
     def _run_tasks(
         self,
         worker: Callable[[bytes, int], object],
-        payloads: Sequence[bytes],
+        items: Sequence[tuple],
         counters: _WaveCounters,
         kind: str = "task",
         batch_index: int = -1,
-        prelaunched: Sequence[Optional[Future]] | None = None,
     ) -> list:
         """Run one wave of tasks with retries/resurrection/speculation.
 
@@ -924,15 +854,13 @@ class ParallelExecutor(ExecutionBackend):
         of completion races) and retries/timeouts/speculative launches
         are marked with zero-duration events.
 
-        ``prelaunched`` (streaming dispatch) hands over attempt-0
-        futures the dispatcher already put in flight, one slot per task;
-        ``None`` slots (the pool broke mid-stream) are submitted here
-        instead.  Adopted futures join the wave exactly as if this loop
-        had launched them — same accounting, same retry/resurrection/
-        speculation treatment — so a streamed wave and an eager wave are
-        indistinguishable downstream.
+        ``items`` are the unpickled task deltas.  Each is pickled when
+        its first attempt is launched — so task 0 is already running in
+        a worker while task 1's block is being serialized — and the
+        bytes are kept for retries and speculative copies.
         """
-        n = len(payloads)
+        n = len(items)
+        payloads: list[Optional[bytes]] = [None] * n
         results: list = [None] * n
         done = [False] * n
         attempts = [0] * n  # launches so far == next attempt index
@@ -962,19 +890,7 @@ class ParallelExecutor(ExecutionBackend):
             if self.task_timeout is not None:
                 deadlines[tid] = time.monotonic() + self.task_timeout
 
-        to_submit: list[tuple[int, bool]] = []
-        if prelaunched is None:
-            to_submit = [(tid, False) for tid in range(n)]
-        else:
-            for tid, future in enumerate(prelaunched):
-                if future is None:
-                    to_submit.append((tid, False))
-                    continue
-                pending[future] = (tid, False)
-                pending_attempt[future] = 0
-                attempts[tid] = 1
-                outstanding[tid] = 1
-                charge_attempt(tid)
+        to_submit: list[tuple[int, bool]] = [(tid, False) for tid in range(n)]
 
         def record_success(tid: int, future: Future, speculative: bool) -> None:
             nonlocal remaining
@@ -1038,6 +954,8 @@ class ParallelExecutor(ExecutionBackend):
                 if done[tid]:
                     to_submit.pop(0)
                     continue
+                if payloads[tid] is None:
+                    payloads[tid] = self._pickle_payload(items[tid])
                 try:
                     future = self._ensure_pool().submit(
                         worker, payloads[tid], attempts[tid]
@@ -1155,67 +1073,6 @@ class ParallelExecutor(ExecutionBackend):
         return results
 
     # ------------------------------------------------------------------
-    def _reduce_wave(
-        self,
-        map_results: Sequence[MapTaskResult],
-        query: Query,
-        num_reducers: int,
-        cost_model: TaskCostModel,
-        topology: ClusterTopology | None,
-        counters: _WaveCounters,
-        batch_index: int,
-        trace: bool,
-    ) -> list[ReduceTaskResult]:
-        """Shuffle Map results and run the Reduce wave.
-
-        Shared verbatim by the eager and streaming paths: the shuffle
-        consumes Map results in block-id order and Reduce submission is
-        never overlapped with planning, so the two paths converge here
-        on identical bytes.
-        """
-        with self.tracer.span("shuffle", batch=batch_index):
-            buckets: list[BucketInput] = shuffle_map_results(
-                map_results, num_reducers, topology
-            )
-        injector = self.fault_injector
-        if self.resident_context:
-            reduce_worker: Callable = _reduce_task_delta_worker
-            reduce_payloads = self._pickle_payloads(
-                [
-                    (
-                        self._generation,
-                        batch_index,
-                        bucket.bucket_index,
-                        bucket,
-                    )
-                    for bucket in buckets
-                ]
-            )
-        else:
-            reduce_worker = _reduce_task_worker
-            reduce_payloads = self._pickle_payloads(
-                [
-                    (
-                        None if injector is None
-                        else injector.fault_for(
-                            batch_index, "reduce", bucket.bucket_index
-                        ),
-                        trace,
-                        bucket,
-                        query.aggregator,
-                        cost_model,
-                        derive_task_seed(
-                            self.run_seed, batch_index, "reduce", bucket.bucket_index
-                        ),
-                    )
-                    for bucket in buckets
-                ]
-            )
-        return self._run_tasks(
-            reduce_worker, reduce_payloads, counters, "reduce", batch_index
-        )
-
-    # ------------------------------------------------------------------
     def run_batch(
         self,
         batch: PartitionedBatch,
@@ -1230,60 +1087,43 @@ class ParallelExecutor(ExecutionBackend):
         allocate = partitioner.reduce_allocation()
         split = set(batch.split_keys)
         batch_index = batch.info.index
-        injector = self.fault_injector
-
-        def fault_for(kind: str, task_id: int) -> TaskFault | None:
-            if injector is None:
-                return None
-            return injector.fault_for(batch_index, kind, task_id)
-
         counters = _WaveCounters()
-        trace = self.tracer.enabled
         installs_before = self.context_installs
         context_bytes_before = self.context_bytes
         try:
-            if self.resident_context:
-                self._ensure_context(query, allocate, cost_model, trace)
-                map_worker: Callable = _map_task_delta_worker
-                map_payloads = self._pickle_payloads(
-                    [
-                        (
-                            self._generation,
-                            batch_index,
-                            block.index,
-                            block,
-                            num_reducers,
-                            {k for k in split if k in block},
-                        )
-                        for block in batch.blocks
-                    ]
-                )
-            else:
-                map_worker = _map_task_worker
-                map_payloads = self._pickle_payloads(
-                    [
-                        (
-                            fault_for("map", block.index),
-                            trace,
-                            block,
-                            query,
-                            allocate,
-                            num_reducers,
-                            {k for k in split if k in block},
-                            cost_model,
-                            derive_task_seed(
-                                self.run_seed, batch_index, "map", block.index
-                            ),
-                        )
-                        for block in batch.blocks
-                    ]
-                )
+            self._ensure_context(query, allocate, cost_model, self.tracer.enabled)
             map_results: list[MapTaskResult] = self._run_tasks(
-                map_worker, map_payloads, counters, "map", batch_index
+                _map_task_delta_worker,
+                [
+                    (
+                        self._generation,
+                        batch_index,
+                        block.index,
+                        block,
+                        num_reducers,
+                        {k for k in split if k in block},
+                    )
+                    for block in batch.blocks
+                ],
+                counters,
+                "map",
+                batch_index,
             )
-            reduce_results = self._reduce_wave(
-                map_results, query, num_reducers, cost_model, topology,
-                counters, batch_index, trace,
+            # the shuffle runs on the driver from Map results in
+            # block-id order, so bucket partial lists are canonical
+            with self.tracer.span("shuffle", batch=batch_index):
+                buckets: list[BucketInput] = shuffle_map_results(
+                    map_results, num_reducers, topology
+                )
+            reduce_results: list[ReduceTaskResult] = self._run_tasks(
+                _reduce_task_delta_worker,
+                [
+                    (self._generation, batch_index, bucket.bucket_index, bucket)
+                    for bucket in buckets
+                ],
+                counters,
+                "reduce",
+                batch_index,
             )
         except BaseException as exc:
             if isinstance(exc, BrokenProcessPool):
@@ -1309,234 +1149,6 @@ class ParallelExecutor(ExecutionBackend):
             context_bytes=self.context_bytes - context_bytes_before,
         )
 
-    # ------------------------------------------------------------------
-    def submit_batch(
-        self,
-        batch: PartitionedBatch,
-        query: Query,
-        partitioner: Partitioner,
-        num_reducers: int,
-        cost_model: TaskCostModel,
-        topology: ClusterTopology | None = None,
-        *,
-        trace_parent: int | None = None,
-    ) -> BatchHandle:
-        """Dispatch one batch asynchronously and return immediately.
-
-        The batch runs on the single dispatch thread: payload pickling,
-        pool submission, the retry/resurrection/speculation wave loop,
-        the shuffle, and — if an infrastructure error strikes — the
-        serial fallback all happen there, exactly as they would inline.
-        One dispatch thread means batches execute strictly in
-        submission order, so every run-level counter and the resident
-        context's generation bookkeeping see the same single-threaded
-        sequence as the synchronous path.  The real win: while this
-        thread sleeps in ``wait()`` on pool futures (GIL released), the
-        driver buffers and partitions the *next* batch.
-        """
-        submitted = time.perf_counter()
-        index = batch.info.index
-
-        def _execute() -> BatchExecution:
-            span = self.tracer.start(
-                "execute", parent=trace_parent, batch=index, backend=self.name
-            )
-            try:
-                execution = self.run_batch(
-                    batch, query, partitioner, num_reducers, cost_model,
-                    topology=topology,
-                )
-            finally:
-                self.tracer.end(span)
-            execution.submitted_at = submitted
-            execution.completed_at = time.perf_counter()
-            return execution
-
-        return BatchHandle(index, self._ensure_dispatcher().submit(_execute), submitted)
-
-    # ------------------------------------------------------------------
-    def _run_batch_stream(
-        self,
-        plan: PlanStream,
-        query: Query,
-        partitioner: Partitioner,
-        num_reducers: int,
-        cost_model: TaskCostModel,
-        topology: ClusterTopology | None = None,
-    ) -> BatchExecution:
-        """Interleave plan emissions with Map dispatch (dispatch thread).
-
-        Each ``plan_emit`` resumes Algorithm 2 until the next block is
-        final; each ``map_dispatch`` pickles that block's payload and
-        puts its attempt-0 future in flight immediately, so early blocks
-        execute while the plan tail (rebalance spillover, later blocks'
-        materialization) is still running.  The wave loop then *adopts*
-        the prelaunched futures, which keeps retries, pool resurrection
-        and speculation — and therefore the produced bytes — identical
-        to the eager path.  A pool that breaks mid-stream stops further
-        prelaunching (pickling continues); the unlaunched tasks are
-        submitted by the wave loop, whose salvage path rebuilds the pool
-        exactly as it does for an eager wave.
-        """
-        if num_reducers < 1:
-            raise ValueError(f"num_reducers must be >= 1, got {num_reducers}")
-        allocate = partitioner.reduce_allocation()
-        batch_index = plan.batch_index
-        injector = self.fault_injector
-        counters = _WaveCounters()
-        trace = self.tracer.enabled
-        installs_before = self.context_installs
-        context_bytes_before = self.context_bytes
-        try:
-            if self.resident_context:
-                self._ensure_context(query, allocate, cost_model, trace)
-                map_worker: Callable = _map_task_delta_worker
-            else:
-                map_worker = _map_task_worker
-            map_payloads: list[bytes] = []
-            prelaunched: list[Optional[Future]] = []
-            pool_broken = False
-            first_dispatch_at: float | None = None
-            while True:
-                with self.tracer.span("plan_emit", batch=batch_index):
-                    emission = plan.next_emission()
-                if emission is None:
-                    break
-                block, block_split = emission
-                with self.tracer.span(
-                    "map_dispatch", batch=batch_index, task_id=block.index
-                ):
-                    if self.resident_context:
-                        item: tuple = (
-                            self._generation,
-                            batch_index,
-                            block.index,
-                            block,
-                            num_reducers,
-                            block_split,
-                        )
-                    else:
-                        item = (
-                            None if injector is None
-                            else injector.fault_for(batch_index, "map", block.index),
-                            trace,
-                            block,
-                            query,
-                            allocate,
-                            num_reducers,
-                            block_split,
-                            cost_model,
-                            derive_task_seed(
-                                self.run_seed, batch_index, "map", block.index
-                            ),
-                        )
-                    payload = self._pickle_payloads([item])[0]
-                    map_payloads.append(payload)
-                    future: Optional[Future] = None
-                    if not pool_broken:
-                        try:
-                            future = self._ensure_pool().submit(
-                                map_worker, payload, 0
-                            )
-                        except BrokenProcessPool:
-                            # leave the corpse for the wave loop's
-                            # salvage path, which owns resurrection
-                            pool_broken = True
-                            future = None
-                        else:
-                            if first_dispatch_at is None:
-                                first_dispatch_at = time.perf_counter()
-                            # yield the GIL so the pool's manager thread
-                            # can feed the work item to a worker now —
-                            # without this the plan tail starves it and
-                            # the prelaunched task sits queued in-process
-                            time.sleep(0)
-                    prelaunched.append(future)
-            if first_dispatch_at is not None:
-                # wall-clock during which dispatched Map work and the
-                # plan tail ran concurrently — what streaming reclaims
-                self.metrics.histogram(
-                    "prompt_plan_dispatch_overlap_seconds",
-                    "Wall-clock between the first streamed Map dispatch "
-                    "and the end of the partition plan",
-                ).observe(max(0.0, time.perf_counter() - first_dispatch_at))
-            batch = plan.result()
-            map_results: list[MapTaskResult] = self._run_tasks(
-                map_worker, map_payloads, counters, "map", batch_index,
-                prelaunched=prelaunched,
-            )
-            reduce_results = self._reduce_wave(
-                map_results, query, num_reducers, cost_model, topology,
-                counters, batch_index, trace,
-            )
-        except BaseException as exc:
-            if isinstance(exc, BrokenProcessPool):
-                self._close_pool()
-            if self.fallback_to_serial and _is_infrastructure_error(exc):
-                try:
-                    batch = plan.result()
-                except BaseException:
-                    # the plan itself is broken — that is the real
-                    # error, not the infrastructure hiccup
-                    raise exc from None
-                return self._serial_fallback(
-                    exc, batch, query, partitioner, num_reducers, cost_model,
-                    topology,
-                )
-            raise
-        return BatchExecution(
-            map_results=map_results,
-            reduce_results=reduce_results,
-            backend=self.name,
-            task_attempts=counters.attempts,
-            task_retries=counters.retries,
-            pool_resurrections=counters.resurrections,
-            speculative_wins=counters.speculative_wins,
-            timeout_trips=counters.timeout_trips,
-            payload_bytes=counters.payload_bytes,
-            context_installs=self.context_installs - installs_before,
-            context_bytes=self.context_bytes - context_bytes_before,
-        )
-
-    def submit_batch_stream(
-        self,
-        plan: PlanStream,
-        query: Query,
-        partitioner: Partitioner,
-        num_reducers: int,
-        cost_model: TaskCostModel,
-        topology: ClusterTopology | None = None,
-        *,
-        trace_parent: int | None = None,
-    ) -> BatchHandle:
-        """Dispatch a streaming plan on the dispatch thread.
-
-        The plan generator itself resumes on that thread — the driver
-        already finished buffering (Algorithm 1 is batching-phase work),
-        so handing the Algorithm 2 tail over moves it off the driver's
-        critical path entirely.  One dispatch thread still means batches
-        stream strictly in submission order.
-        """
-        submitted = time.perf_counter()
-        index = plan.batch_index
-
-        def _execute() -> BatchExecution:
-            span = self.tracer.start(
-                "execute", parent=trace_parent, batch=index, backend=self.name
-            )
-            try:
-                execution = self._run_batch_stream(
-                    plan, query, partitioner, num_reducers, cost_model,
-                    topology=topology,
-                )
-            finally:
-                self.tracer.end(span)
-            execution.submitted_at = submitted
-            execution.completed_at = time.perf_counter()
-            return execution
-
-        return BatchHandle(index, self._ensure_dispatcher().submit(_execute), submitted)
-
 
 EXECUTOR_NAMES: tuple[str, ...] = tuple(kind.value for kind in ExecutorKind)
 
@@ -1552,14 +1164,13 @@ def make_executor(
     speculative: bool = False,
     max_pool_resurrections: int = 2,
     fault_injector: TaskFaultInjector | None = None,
-    resident_context: bool = True,
 ) -> ExecutionBackend:
     """Build an execution backend by :class:`ExecutorKind` or its name.
 
     The fault-tolerance knobs (retries, timeout, speculation,
-    resurrection budget, injector) and ``resident_context`` only apply
-    to the parallel backend; the serial reference executes tasks inline
-    where there is nothing to retry, time out, resurrect — or broadcast.
+    resurrection budget, injector) only apply to the parallel backend;
+    the serial reference executes tasks inline where there is nothing
+    to retry, time out or resurrect.
     """
     try:
         kind = ExecutorKind(name)
@@ -1578,5 +1189,4 @@ def make_executor(
         speculative=speculative,
         max_pool_resurrections=max_pool_resurrections,
         fault_injector=fault_injector,
-        resident_context=resident_context,
     )

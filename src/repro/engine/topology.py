@@ -23,16 +23,16 @@ from dataclasses import dataclass
 
 from .cluster import ClusterConfig
 
-__all__ = ["ClusterTopology", "Topology"]
+__all__ = ["ClusterTopology"]
 
 
 @dataclass(frozen=True, slots=True)
 class ClusterTopology:
     """Round-robin placement of blocks and Reduce tasks over nodes.
 
-    Named ``ClusterTopology`` since v1 to leave ``Topology`` to the
-    public run-shape concept (:class:`repro.Topology`: single-engine vs
-    sharded); the old name stays importable as an alias.
+    Named ``ClusterTopology`` to leave ``Topology`` to the public
+    run-shape concept (:class:`repro.Topology`: single-engine vs
+    sharded).
     """
 
     cluster: ClusterConfig
@@ -73,6 +73,3 @@ class ClusterTopology:
         )
         return remote / (num_blocks * num_reducers)
 
-
-#: backward-compatible alias (pre-v1 name of :class:`ClusterTopology`)
-Topology = ClusterTopology

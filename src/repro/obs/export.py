@@ -221,12 +221,6 @@ def summarize_trace(path: str | Path, top_k: int = 5) -> dict[str, Any]:
     (the ``payload_bytes`` attr on ``map_task``/``reduce_task`` spans)
     and run-context broadcasts (``context_install`` events).  Traces
     from serial runs have neither, so every figure reads 0.
-
-    The ``dispatch`` section reconstructs the streaming plan→dispatch
-    timeline from ``plan_emit``/``map_dispatch`` spans: per batch, when
-    the first and last Map task went in flight relative to the plan
-    tail's end, and how much plan time overlapped dispatched work.
-    Eager traces carry neither span, so the section stays empty.
     """
     events = read_chrome_trace(path)
     phases: dict[str, dict[str, float]] = {}
@@ -239,14 +233,6 @@ def summarize_trace(path: str | Path, top_k: int = 5) -> dict[str, Any]:
         "context_installs": 0,
         "context_bytes": 0,
     }
-    dispatch: dict[str, Any] = {
-        "plan_emits": 0,
-        "plan_emit_total_s": 0.0,
-        "map_dispatches": 0,
-        "map_dispatch_total_s": 0.0,
-        "batches": [],
-    }
-    per_batch: dict[Any, dict[str, Any]] = {}
     for ev in events:
         if ev.get("ph") != "X":
             continue
@@ -258,41 +244,6 @@ def summarize_trace(path: str | Path, top_k: int = 5) -> dict[str, Any]:
         agg["count"] += 1
         agg["total_s"] += dur
         agg["max_s"] = max(agg["max_s"], dur)
-        if name in ("plan_emit", "map_dispatch"):
-            batch = ev.get("args", {}).get("batch")
-            row = per_batch.setdefault(
-                batch,
-                {
-                    "batch": batch,
-                    "plan_emit_s": 0.0,
-                    "plan_end_ts_s": None,
-                    "first_dispatch_ts_s": None,
-                    "last_dispatch_ts_s": None,
-                    "blocks_dispatched": 0,
-                },
-            )
-            start_s = float(ev.get("ts", 0.0)) / 1e6
-            end_s = start_s + dur
-            if name == "plan_emit":
-                dispatch["plan_emits"] += 1
-                dispatch["plan_emit_total_s"] += dur
-                row["plan_emit_s"] += dur
-                if row["plan_end_ts_s"] is None or end_s > row["plan_end_ts_s"]:
-                    row["plan_end_ts_s"] = end_s
-            else:
-                dispatch["map_dispatches"] += 1
-                dispatch["map_dispatch_total_s"] += dur
-                row["blocks_dispatched"] += 1
-                if (
-                    row["first_dispatch_ts_s"] is None
-                    or start_s < row["first_dispatch_ts_s"]
-                ):
-                    row["first_dispatch_ts_s"] = start_s
-                if (
-                    row["last_dispatch_ts_s"] is None
-                    or end_s > row["last_dispatch_ts_s"]
-                ):
-                    row["last_dispatch_ts_s"] = end_s
         if name == "context_install":
             payload["context_installs"] += 1
             payload["context_bytes"] += int(ev.get("args", {}).get("bytes", 0))
@@ -321,28 +272,11 @@ def summarize_trace(path: str | Path, top_k: int = 5) -> dict[str, Any]:
         payload["mean_bytes_per_task"] = (
             payload["task_payload_bytes"] / payload["tasks_with_payload"]
         )
-    for row in per_batch.values():
-        # plan time that ran while at least one Map task was already in
-        # flight — the overlap streaming dispatch buys for this batch
-        if (
-            row["plan_end_ts_s"] is not None
-            and row["first_dispatch_ts_s"] is not None
-        ):
-            row["overlap_s"] = max(
-                0.0, row["plan_end_ts_s"] - row["first_dispatch_ts_s"]
-            )
-        else:
-            row["overlap_s"] = 0.0
-    dispatch["batches"] = sorted(
-        per_batch.values(),
-        key=lambda r: (r["batch"] is None, r["batch"]),
-    )
     tasks.sort(key=lambda t: t["duration_s"], reverse=True)
     return {
         "phases": phases,
         "slowest_tasks": tasks[:top_k],
         "payload": payload,
-        "dispatch": dispatch,
     }
 
 
@@ -383,25 +317,4 @@ def format_trace_summary(summary: dict[str, Any]) -> str:
             f"  context installs {payload['context_installs']:>11,} "
             f"({payload['context_bytes']:,} bytes broadcast)"
         )
-    dispatch = summary.get("dispatch")
-    if dispatch and (dispatch["plan_emits"] or dispatch["map_dispatches"]):
-        # only streamed runs emit plan_emit/map_dispatch spans, so eager
-        # (or older) traces render without this section
-        lines.append("dispatch:")
-        lines.append(
-            f"  plan emissions  {dispatch['plan_emits']:>6d} "
-            f"({dispatch['plan_emit_total_s']:.6f}s planned) "
-            f"map dispatches {dispatch['map_dispatches']:>6d} "
-            f"({dispatch['map_dispatch_total_s']:.6f}s dispatching)"
-        )
-        for row in dispatch["batches"]:
-            first = row["first_dispatch_ts_s"]
-            last = row["last_dispatch_ts_s"]
-            lines.append(
-                f"  batch={row['batch']} blocks={row['blocks_dispatched']} "
-                f"plan_emit={row['plan_emit_s']:.6f}s "
-                f"first_dispatch={'-' if first is None else f'{first:.6f}s'} "
-                f"last_dispatch={'-' if last is None else f'{last:.6f}s'} "
-                f"overlap={row['overlap_s']:.6f}s"
-            )
     return "\n".join(lines)

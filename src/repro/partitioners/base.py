@@ -19,7 +19,6 @@ import abc
 from typing import Callable, Collection, Sequence
 
 from ..core.batch import BatchInfo, DataBlock, PartitionedBatch
-from ..core.plan_stream import PlanStream, eager_plan_stream
 from ..core.reduce_allocator import (
     BucketAssignment,
     KeyCluster,
@@ -73,24 +72,6 @@ class Partitioner(abc.ABC):
         ``tuples`` are in arrival (timestamp) order.  Implementations
         must place every tuple exactly once.
         """
-
-    def partition_stream(
-        self,
-        tuples: Sequence[StreamTuple],
-        num_blocks: int,
-        info: BatchInfo,
-    ) -> PlanStream:
-        """Streaming counterpart of :meth:`partition`.
-
-        Returns a :class:`~repro.core.plan_stream.PlanStream` whose
-        emissions are finalized blocks in block-index order and whose
-        ``result()`` is the completed batch — byte-identical to
-        :meth:`partition`.  The default plans eagerly and replays the
-        finished blocks, so every technique supports streaming
-        consumers; techniques with a genuinely incremental plan (Prompt)
-        override this to emit blocks before the plan tail completes.
-        """
-        return eager_plan_stream(self.partition(tuples, num_blocks, info))
 
     def allocate_reduce(
         self,

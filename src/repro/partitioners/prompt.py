@@ -25,7 +25,6 @@ from ..core.batch import BatchInfo, PartitionedBatch
 from ..core.batch_partitioner import PromptBatchPartitioner
 from ..core.buffering import AccumulatedBatch, MicroBatchAccumulator
 from ..core.config import PromptConfig
-from ..core.plan_stream import PlanStream, eager_plan_stream
 from ..core.reduce_allocator import (
     BucketAssignment,
     KeyCluster,
@@ -205,72 +204,6 @@ class PromptPartitioner(Partitioner):
             "Distinct keys the accumulator tracked in the last interval",
         ).set(accumulated.key_count)
         return batch
-
-    def partition_stream(
-        self,
-        tuples: Sequence[StreamTuple],
-        num_blocks: int,
-        info: BatchInfo,
-    ) -> PlanStream:
-        """Stream Algorithm 2's emissions while buffering stays synchronous.
-
-        Algorithm 1 runs to completion on the caller's thread (it is
-        batching-phase work and must finish before any placement
-        decision exists), then the heap-LPT pass is handed back as a
-        :class:`~repro.core.plan_stream.PlanStream` so the dispatcher
-        can launch Map tasks for early blocks while the plan tail
-        (rebalance + materialization of later blocks) is still running.
-        Draining the stream yields a batch byte-identical to
-        :meth:`partition`.  The post-sort ablation deliberately plans
-        eagerly: its entire point is paying the plan inside the critical
-        path, so overlapping it would unmeasure the ablation.
-        """
-        if self.post_sort:
-            return eager_plan_stream(self.partition(tuples, num_blocks, info))
-
-        if self._kernel_active():
-            assert isinstance(self.accumulator, MicroBatchAccumulator)
-            buffering_started = time.perf_counter()
-            ingest = kernels.accumulate_batch(tuples, info, self.accumulator)
-            accumulated = ingest.batch
-            buffer_elapsed = time.perf_counter() - buffering_started
-            self.last_batch = accumulated
-            if self.batch_partitioner.strategy == "greedy":
-                gen = kernels.plan_greedy_stream(
-                    self.batch_partitioner,
-                    accumulated.key_groups,
-                    num_blocks,
-                    info,
-                    sizes=ingest.group_sizes,
-                    unit_weights=ingest.unit_weights,
-                    chain_weights=ingest.chain_weights,
-                )
-            else:
-                gen = self.batch_partitioner.partition_stream(
-                    accumulated.key_groups, num_blocks, info
-                )
-        else:
-            buffering_started = time.perf_counter()
-            self.accumulator.start_interval(info)
-            self.accumulator.accept_all(tuples)
-            accumulated = self.accumulator.finalize()
-            buffer_elapsed = time.perf_counter() - buffering_started
-            self.last_batch = accumulated
-            gen = self.batch_partitioner.partition_stream(
-                accumulated.key_groups, num_blocks, info
-            )
-        # buffering is done, so the accumulator telemetry is final; the
-        # eager path emits these after planning, but the registry is
-        # cumulative so the end-of-run values are identical either way
-        self.metrics.counter(
-            "prompt_tree_updates_total",
-            "CountTree updates spent by Algorithm 1's per-key budget",
-        ).inc(accumulated.tree_updates)
-        self.metrics.gauge(
-            "prompt_accumulator_keys",
-            "Distinct keys the accumulator tracked in the last interval",
-        ).set(accumulated.key_count)
-        return PlanStream(info, gen, buffer_elapsed=buffer_elapsed)
 
     def partition_accumulated(
         self, accumulated: AccumulatedBatch, num_blocks: int

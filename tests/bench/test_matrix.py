@@ -24,10 +24,10 @@ ENV = {"cpu_count": 4, "python": "3.11", "numpy": False}
 # grid declaration
 def test_grid_sizes():
     assert len(TINY_GRID) == 1
-    # 16 single-engine (serial+parallel) + 4 sharded (s2, d1) + 4 streamed
-    assert len(QUICK_GRID) == 24
-    # 72 single-engine + 24 sharded (s2/s4) + 8 streamed (prompt/parallel)
-    assert len(FULL_GRID) == 104
+    # 16 single-engine (serial+parallel) + 4 sharded (s2, d1)
+    assert len(QUICK_GRID) == 20
+    # 72 single-engine + 24 sharded (s2/s4)
+    assert len(FULL_GRID) == 96
     assert set(GRIDS) == {"tiny", "quick", "full"}
 
 
@@ -67,26 +67,20 @@ def test_shards_axis_preserves_legacy_config_hashes():
     assert MatrixCell("synd-z1.4", "hash", shards=2).config_hash != legacy
 
 
-def test_streaming_axis_preserves_legacy_config_hashes():
-    """streaming_dispatch=False must hash identically to a pre-axis cell."""
-    eager = MatrixCell("synd-z1.4", "prompt", backend="parallel")
-    streamed = MatrixCell(
-        "synd-z1.4", "prompt", backend="parallel", streaming_dispatch=True
+def test_retired_streaming_axis_left_eager_hashes_untouched():
+    """Dropping the streaming axis must not move any remaining cell: the
+    literal hashes below are what the store recorded before the axis
+    was retired, so every eager trajectory still lines up."""
+    assert (
+        MatrixCell("synd-z1.4", "prompt", backend="parallel").config_hash
+        == "b335bf44a8e3d85f"
     )
-    assert "streaming_dispatch" not in eager.params()
-    assert streamed.params()["streaming_dispatch"] is True
-    assert eager.config_hash != streamed.config_hash
-    assert streamed.label().endswith("/stream")
-
-
-def test_grid_prunes_streamed_cells_to_parallel_prompt():
-    streamed = [c for c in QUICK_GRID.cells() if c.streaming_dispatch]
-    assert streamed, "quick grid lost its streamed cells"
-    for cell in streamed:
-        assert cell.backend == "parallel"
-        assert cell.partitioner == "prompt"
-        assert cell.fault_profile == "none"
-        assert cell.shards == 0
+    assert (
+        MatrixCell(
+            "synd-z1.4", "prompt", backend="parallel", pipeline_depth=2
+        ).config_hash
+        == "b8ae267088026e96"
+    )
 
 
 def test_cell_hash_stable_and_label():

@@ -115,17 +115,6 @@ def test_make_executor_accepts_enum_members():
     backend.close()
 
 
-def test_make_executor_passes_resident_context_knob():
-    on = make_executor("parallel", max_workers=2)
-    off = make_executor("parallel", max_workers=2, resident_context=False)
-    try:
-        assert on.resident_context is True
-        assert off.resident_context is False
-    finally:
-        on.close()
-        off.close()
-
-
 def test_make_executor_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown executor"):
         make_executor("gpu")
@@ -209,6 +198,39 @@ def test_unpicklable_query_raises_when_fallback_disabled():
         with pytest.raises(Exception):
             backend.run_batch(batch, query, part, 2, TaskCostModel())
     assert backend.fallbacks == 0
+
+
+def test_unpicklable_last_block_falls_back_with_earlier_tasks_in_flight():
+    """Payloads are pickled as each task launches, so a bad value in
+    the *last* block surfaces after the earlier Map tasks went out: the
+    batch must still degrade cleanly and leave the pool serviceable."""
+    probe, part = _batch()
+    last_key = next(iter(probe.blocks[-1].keys))
+    assert all(last_key not in block for block in probe.blocks[:-1])
+    tuples = _tuples()
+    poisoned = next(i for i, t in enumerate(tuples) if t.key == last_key)
+    tuples[poisoned] = StreamTuple(
+        ts=tuples[poisoned].ts, key=last_key, value=lambda: None
+    )
+    batch, _ = _batch(tuples)
+    cm = TaskCostModel()
+    with ParallelExecutor(2) as backend:
+        execution = backend.run_batch(batch, _query(), part, 2, cm)
+        assert backend.task_attempts == len(batch.blocks) - 1  # were in flight
+        assert backend.fallbacks == 1
+        assert "PayloadSerializationError" in backend.last_fallback_reason
+        assert execution.backend == "serial"
+        reference = SerialExecutor().run_batch(batch, _query(), part, 2, cm)
+        assert execution.batch_output() == reference.batch_output()
+        assert execution.map_durations == reference.map_durations
+
+        pool = backend._pool
+        clean = part.partition(_tuples(), 3, BatchInfo(1, 1.0, 2.0))
+        after = backend.run_batch(clean, _query(), part, 2, cm)
+        assert after.backend == "parallel"
+        assert backend._pool is pool
+        assert backend.pool_resurrections == 0
+        assert backend.fallbacks == 1
 
 
 def _raise_for_k3(key, value):

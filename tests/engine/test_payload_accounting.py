@@ -6,7 +6,7 @@ once per pool generation and ships per-task *deltas*.  These tests pin
 the accounting contract around that design:
 
 - delta payloads must not contain the context slice (growing the query
-  grows legacy payloads, not deltas);
+  grows the context blob, never the per-task payloads);
 - the context is installed exactly once per pool generation — one
   install for a clean run, one more per resurrection;
 - byte counters are deterministic: two same-seed runs report identical
@@ -21,10 +21,10 @@ the accounting contract around that design:
 from __future__ import annotations
 
 import pickle
-import zlib
 
 import pytest
 
+from repro.bench.payload import broadcast_wordcount_query
 from repro.core.batch import BatchInfo
 from repro.core.tuples import StreamTuple
 from repro.engine.engine import EngineConfig, MicroBatchEngine
@@ -41,20 +41,6 @@ from repro.workloads.arrival import ConstantRate
 from repro.workloads.synd import synd_source
 
 INFO = BatchInfo(0, 0.0, 1.0)
-
-
-class _TableMap:
-    """Map function closing over a broadcast-style lookup table whose
-    pickled size is controlled by ``entries`` — the knob these tests
-    turn to see *where* the bytes land (context blob vs task payloads)."""
-
-    def __init__(self, entries: int) -> None:
-        self.weights = {
-            i: zlib.crc32(repr(i).encode()) % 5 + 1 for i in range(entries)
-        }
-
-    def __call__(self, key, value):
-        return self.weights.get(hash(key) % max(len(self.weights), 1), 1)
 
 
 def _tuples(n=60, keys=6):
@@ -97,46 +83,34 @@ def _run(config, *, num_batches=3, rate=600.0, seed=7, query=None):
 # ----------------------------------------------------------------------
 def test_delta_payloads_exclude_the_context_slice():
     """Growing the query's broadcast table must grow the *context blob*
-    (and legacy payloads), not the per-task deltas."""
-    small_q = _query(map_fn=_TableMap(50), name="small")
-    big_q = _query(map_fn=_TableMap(20_000), name="big")
+    and leave every per-task payload byte-for-byte the same size."""
+    small_q = broadcast_wordcount_query(3.0, 50, name="small")
+    big_q = broadcast_wordcount_query(3.0, 20_000, name="big")
     blob_growth = len(pickle.dumps(big_q)) - len(pickle.dumps(small_q))
     assert blob_growth > 50_000  # the knob actually moved
 
-    def dispatch_bytes(query, resident):
-        batch, part = _batch()
-        with ParallelExecutor(2, resident_context=resident) as backend:
-            backend.run_batch(batch, query, part, 2, TaskCostModel())
-            assert backend.fallbacks == 0
-            return backend.payload_bytes, backend.context_bytes
+    # integer keys inside both vocabularies, so the table is really
+    # consulted and both queries compute the same weights
+    part = HashPartitioner()
+    batch = part.partition(
+        [StreamTuple(ts=i * 0.01, key=i % 6, value=i) for i in range(60)],
+        3,
+        INFO,
+    )
 
-    small_delta, small_ctx = dispatch_bytes(small_q, True)
-    big_delta, big_ctx = dispatch_bytes(big_q, True)
-    small_legacy, _ = dispatch_bytes(small_q, False)
-    big_legacy, _ = dispatch_bytes(big_q, False)
+    def dispatch_bytes(query):
+        with ParallelExecutor(2) as backend:
+            execution = backend.run_batch(batch, query, part, 2, TaskCostModel())
+            assert backend.fallbacks == 0
+            assert backend.context_installs == 1
+            return execution.payload_bytes, backend.context_bytes
+
+    small_delta, small_ctx = dispatch_bytes(small_q)
+    big_delta, big_ctx = dispatch_bytes(big_q)
 
     # deltas are query-blind: the table shows up in the broadcast blob
-    assert abs(big_delta - small_delta) < 2_048
+    assert big_delta == small_delta > 0
     assert big_ctx - small_ctx > blob_growth // 2
-    # legacy payloads re-ship the table with every map task
-    assert big_legacy - small_legacy > blob_growth  # >= one copy per map task
-    assert big_legacy > 3 * big_delta
-
-
-def test_legacy_and_resident_dispatch_agree_byte_identically():
-    batch, part = _batch()
-    query = _query(map_fn=_TableMap(2_000))
-    cm = TaskCostModel()
-    with ParallelExecutor(2, resident_context=True) as resident:
-        a = resident.run_batch(batch, query, part, 3, cm)
-    with ParallelExecutor(2, resident_context=False) as legacy:
-        b = legacy.run_batch(batch, query, part, 3, cm)
-    assert pickle.dumps(a.batch_output()) == pickle.dumps(b.batch_output())
-    assert a.map_durations == b.map_durations
-    assert a.reduce_durations == b.reduce_durations
-    assert resident.context_installs == 1 and resident.context_bytes > 0
-    assert legacy.context_installs == 0 and legacy.context_bytes == 0
-    assert 0 < a.payload_bytes < b.payload_bytes
 
 
 # ----------------------------------------------------------------------
@@ -216,18 +190,6 @@ def test_same_seed_runs_report_identical_byte_counters():
     ]
     assert a.stats.total_payload_bytes() == a.executor_payload_bytes
     assert a.stats.total_context_bytes() == a.executor_context_bytes
-
-
-def test_engine_runs_agree_across_dispatch_modes():
-    resident = _run(_engine_config(resident_context=True))
-    legacy = _run(_engine_config(resident_context=False))
-    # dispatch fields are compare=False: records must still be equal
-    assert resident.stats.records == legacy.stats.records
-    assert pickle.dumps(resident.final_window_answer()) == pickle.dumps(
-        legacy.final_window_answer()
-    )
-    assert legacy.executor_context_installs == 0
-    assert legacy.executor_payload_bytes > resident.executor_payload_bytes > 0
 
 
 # ----------------------------------------------------------------------

@@ -291,3 +291,23 @@ def test_pipeline_observability_reports_the_overlap():
     )
     names = set(sequential.observability.metrics.as_dict())
     assert not any(n.startswith("prompt_pipeline") for n in names)
+
+
+def test_completion_worker_reports_lag_at_depth2():
+    """The pipelined driver's deferred ``_complete_batch`` work records
+    a completion-lag observation per batch; depth 1 never does."""
+    deep = _run(
+        "synd-skewed", "prompt", "parallel", 2,
+        observability=ObservabilityConfig(),
+    )
+    lag = deep.observability.metrics.as_dict()[
+        "prompt_completion_lag_seconds"
+    ]
+    assert lag["count"] == NUM_BATCHES
+
+    shallow = _run(
+        "synd-skewed", "prompt", "parallel", 1,
+        observability=ObservabilityConfig(),
+    )
+    names = set(shallow.observability.metrics.as_dict())
+    assert "prompt_completion_lag_seconds" not in names

@@ -8,7 +8,7 @@ from repro.core.batch import BatchInfo
 from repro.engine.cluster import ClusterConfig
 from repro.engine.engine import EngineConfig, MicroBatchEngine
 from repro.engine.tasks import TaskCostModel, execute_batch_tasks
-from repro.engine.topology import Topology
+from repro.engine.topology import ClusterTopology
 from repro.partitioners import ShufflePartitioner, make_partitioner
 from repro.queries import wordcount_query
 from repro.queries.base import Query, SumAggregator
@@ -21,7 +21,7 @@ INFO = BatchInfo(0, 0.0, 1.0)
 
 
 def test_round_robin_placement():
-    topo = Topology(ClusterConfig(num_nodes=4, cores_per_node=4))
+    topo = ClusterTopology(ClusterConfig(num_nodes=4, cores_per_node=4))
     assert [topo.node_of_block(i) for i in range(6)] == [0, 1, 2, 3, 0, 1]
     assert topo.node_of_reducer(5) == 1
     assert topo.is_local(0, 4)       # both on node 0
@@ -29,7 +29,7 @@ def test_round_robin_placement():
 
 
 def test_placement_validation():
-    topo = Topology(ClusterConfig(num_nodes=2, cores_per_node=2))
+    topo = ClusterTopology(ClusterConfig(num_nodes=2, cores_per_node=2))
     with pytest.raises(ValueError):
         topo.node_of_block(-1)
     with pytest.raises(ValueError):
@@ -39,9 +39,9 @@ def test_placement_validation():
 
 
 def test_remote_fraction_approaches_all_to_all_floor():
-    topo = Topology(ClusterConfig(num_nodes=4, cores_per_node=4))
+    topo = ClusterTopology(ClusterConfig(num_nodes=4, cores_per_node=4))
     assert topo.remote_fraction(16, 16) == pytest.approx(0.75)
-    single = Topology(ClusterConfig(num_nodes=1, cores_per_node=4))
+    single = ClusterTopology(ClusterConfig(num_nodes=1, cores_per_node=4))
     assert single.remote_fraction(8, 8) == 0.0
 
 
@@ -49,7 +49,7 @@ def test_network_term_counts_remote_fragments():
     tuples = make_tuples(zipfish_freqs(30, 600), shuffle_seed=2)
     part = ShufflePartitioner()
     batch = part.partition(tuples, 4, INFO)
-    topo = Topology(ClusterConfig(num_nodes=2, cores_per_node=2))
+    topo = ClusterTopology(ClusterConfig(num_nodes=2, cores_per_node=2))
     query = Query(name="sum", aggregator=SumAggregator(), map_fn=lambda k, v: 1)
     base = execute_batch_tasks(batch, query, part, 4, TaskCostModel())
     priced = execute_batch_tasks(

@@ -59,16 +59,22 @@ def test_run_produces_expected_span_tree():
         assert batch.parent_id == run_span.span_id
 
     batch_ids = {b.span_id for b in by_name["batch"]}
-    for phase in ("buffer", "partition", "window_merge", "shuffle"):
+    for phase in ("buffer", "partition", "window_merge", "execute"):
         assert len(by_name[phase]) == NUM_BATCHES
         for s in by_name[phase]:
             assert s.parent_id in batch_ids, phase
+    # every batch reaches the backend through submit_batch, so the
+    # task phases nest under its execute span
+    execute_ids = {e.span_id for e in by_name["execute"]}
+    assert len(by_name["shuffle"]) == NUM_BATCHES
+    for s in by_name["shuffle"]:
+        assert s.parent_id in execute_ids
     for kind in ("map_task", "reduce_task"):
         assert len(by_name[kind]) == NUM_BATCHES * 3
         for s in by_name[kind]:
-            assert s.parent_id in batch_ids
+            assert s.parent_id in execute_ids
             assert {"task_id", "batch", "attempt"} <= s.attrs.keys()
-            assert spans[s.parent_id].attrs["index"] == s.attrs["batch"]
+            assert spans[s.parent_id].attrs["batch"] == s.attrs["batch"]
 
 
 def test_same_seed_runs_produce_identical_span_trees():

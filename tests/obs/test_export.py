@@ -134,37 +134,3 @@ def test_summarize_trace_and_format(tmp_path):
     assert "per-phase breakdown:" in text
     assert "slowest tasks:" in text
     assert "map_task[0]" in text
-    # eager traces have no plan_emit/map_dispatch spans: section omitted
-    assert summary["dispatch"]["plan_emits"] == 0
-    assert summary["dispatch"]["batches"] == []
-    assert "dispatch:" not in text
-
-
-def test_summarize_trace_dispatch_section(tmp_path):
-    """A streamed trace yields per-batch first/last dispatch + overlap."""
-    tr = Tracer()
-    with tr.span("run"):
-        with tr.span("batch", index=0):
-            # plan tail interleaved with two block dispatches
-            tr.record("plan_emit", 1.0, 1.2, batch=0)
-            tr.record("map_dispatch", 1.2, 1.25, batch=0, task_id=0)
-            tr.record("plan_emit", 1.25, 1.6, batch=0)
-            tr.record("map_dispatch", 1.6, 1.62, batch=0, task_id=1)
-            tr.record("plan_emit", 1.62, 1.9, batch=0)  # final (None) probe
-    path = write_chrome_trace(tr.spans, tmp_path / "s.json")
-    summary = summarize_trace(path)
-    dispatch = summary["dispatch"]
-    assert dispatch["plan_emits"] == 3
-    assert dispatch["map_dispatches"] == 2
-    assert dispatch["plan_emit_total_s"] == pytest.approx(0.2 + 0.35 + 0.28)
-    [row] = dispatch["batches"]
-    assert row["batch"] == 0
-    assert row["blocks_dispatched"] == 2
-    assert row["first_dispatch_ts_s"] == pytest.approx(1.2)
-    assert row["last_dispatch_ts_s"] == pytest.approx(1.62)
-    # plan ended at 1.9, first Map went in flight at 1.2
-    assert row["overlap_s"] == pytest.approx(0.7)
-    text = format_trace_summary(summary)
-    assert "dispatch:" in text
-    assert "plan emissions" in text
-    assert "batch=0 blocks=2" in text

@@ -1,19 +1,16 @@
-"""The v1 run API: RunSpec builders, topologies, v0 kwargs compat.
+"""The v1 run API: RunSpec builders and topologies.
 
 ``tests/test_public_api.py`` freezes *which* names exist; this suite
 pins *how* they behave: the typed ``engine=``/``topology=`` paths, the
-RunSpec builder semantics, and the v0 loose-kwargs shim (accepted,
-equivalent, warns exactly once per process).
+RunSpec builder semantics, and that engine-config fields are accepted
+only through ``engine=EngineConfig(...)``.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 import repro
-import repro.api
 from repro.queries import wordcount_query
 from repro.workloads import MultiTenantSource, TenantStream, synd_source
 
@@ -32,15 +29,6 @@ def _union():
 
 def _query():
     return wordcount_query(window_length=1.0)
-
-
-@pytest.fixture
-def fresh_deprecation_state():
-    """Reset the warn-once latch so each test observes first-use behaviour."""
-    saved = repro.api._v0_kwargs_warned
-    repro.api._v0_kwargs_warned = False
-    yield
-    repro.api._v0_kwargs_warned = saved
 
 
 # ----------------------------------------------------------------------
@@ -120,60 +108,19 @@ def test_runspec_validates_inputs():
 
 
 # ----------------------------------------------------------------------
-# v0 compatibility shim
-def test_v0_kwargs_still_work_and_warn_once(fresh_deprecation_state):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = repro.run(
-            _source(), _query(), num_batches=2, batch_interval=0.5, num_blocks=2
-        )
-    assert isinstance(result, repro.RunResult)
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert "engine=repro.EngineConfig" in str(deprecations[0].message)
-
-    # second call: same behaviour, no second warning
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        repro.run(_source(), _query(), num_batches=2, batch_interval=0.5)
-    assert not [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-
-
-def test_v0_kwargs_equal_typed_engine_config(fresh_deprecation_state):
-    import pickle
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        loose = repro.run(
-            _source(), _query(), num_batches=3, batch_interval=0.5, num_blocks=2
-        )
-    typed = repro.run(
-        _source(),
-        _query(),
-        num_batches=3,
-        engine=repro.EngineConfig(batch_interval=0.5, num_blocks=2),
-    )
-    assert pickle.dumps(loose.window_answers) == pickle.dumps(
-        typed.window_answers
-    )
+# engine config travels only as a typed object
+def test_loose_engine_kwargs_raise_type_error():
+    with pytest.raises(TypeError, match="num_blocks"):
+        repro.run(_source(), _query(), num_batches=2, num_blocks=2)
 
 
 def test_engine_and_loose_kwargs_are_mutually_exclusive():
-    with pytest.raises(TypeError, match="not both"):
+    with pytest.raises(TypeError, match="num_blocks"):
         repro.run(
-            _source(),
-            _query(),
-            engine=repro.EngineConfig(),
-            num_blocks=4,
+            _source(), _query(), engine=repro.EngineConfig(), num_blocks=4
         )
 
 
-def test_unknown_kwarg_raises_like_engine_config_does(fresh_deprecation_state):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        with pytest.raises(TypeError):
-            repro.run(_source(), _query(), definitely_not_a_field=1)
+def test_unknown_kwarg_raises_like_engine_config_does():
+    with pytest.raises(TypeError):
+        repro.run(_source(), _query(), definitely_not_a_field=1)

@@ -112,21 +112,6 @@ def test_trace_summarize(tmp_path, capsys):
     assert "slowest tasks:" in out
 
 
-def test_trace_summarize_streaming_dispatch_section(tmp_path, capsys):
-    """--streaming-dispatch traces carry plan_emit spans and the
-    summarizer renders its dispatch section from them."""
-    trace = tmp_path / "t.json"
-    assert main(
-        ["quickstart", "--streaming-dispatch", "--trace", str(trace)]
-    ) == 0
-    capsys.readouterr()
-    assert main(["trace", "summarize", str(trace)]) == 0
-    out = capsys.readouterr().out
-    assert "dispatch:" in out
-    assert "plan emissions" in out
-    assert "batch=0" in out
-
-
 def test_log_level_streams_diagnostics_to_stderr(capsys):
     assert main(["quickstart", "--log-level", "info"]) == 0
     captured = capsys.readouterr()

@@ -62,19 +62,27 @@ def test_observability_doc_covers_the_metric_catalog():
         assert f"`{name}`" in doc, f"{name} missing from docs/observability.md"
 
 
-def test_streaming_dispatch_is_documented_everywhere():
-    """The streaming-dispatch surface stays in sync across the docs."""
+def test_single_execution_path_is_documented_everywhere():
+    """The one-path surface stays in sync across the docs, and the
+    retired knobs do not creep back in as live options."""
     arch = _read("docs/architecture.md")
-    assert "## Streaming dispatch (`streaming_dispatch`)" in arch
-    assert "`PlanStream`" in arch
-    assert "submit_batch_stream" in arch
+    assert "**One way to run a batch.**" in arch
+    assert "**Pickle at launch.**" in arch
+    assert "## Streaming dispatch" not in arch
+    assert "resident_context=False" not in arch
     api = _read("docs/api.md")
-    assert "`streaming_dispatch`" in api
-    assert "--streaming-dispatch" in api
-    assert "bench_streaming_dispatch" in api
+    assert "`streaming_dispatch`" not in api
+    assert "--streaming-dispatch" not in api
+    assert "resident_context=" not in api
     obs = _read("docs/observability.md")
-    for needle in ("`plan_emit`", "`map_dispatch`", "dispatch` section"):
-        assert needle in obs, needle
+    assert "execute (batch, backend)" in obs
+    for retired in (
+        "`plan_emit`",
+        "`map_dispatch`",
+        "`prompt_plan_dispatch_overlap_seconds`",
+    ):
+        assert retired in obs, f"{retired} removal note missing"
+    assert "## Retired paths" in _read("EXPERIMENTS.md")
 
 
 def test_observability_doc_is_cross_linked():

@@ -9,17 +9,21 @@ Three-way agreement, so the surface cannot drift silently:
 
 Everything deeper than ``import repro`` (``repro.engine.*``,
 ``repro.core.*``, ...) stays importable but carries no stability
-promise, so it is deliberately not covered here.  The v0 compatibility
-contract (loose engine kwargs on ``repro.run``) is covered by
-``tests/test_api_v1.py``.
+promise, so it is deliberately not covered here — with one exception:
+the *config surface* (``EngineConfig`` fields, ``make_executor``
+keywords) is pinned at the bottom of this file, so a new knob fails a
+test until the list is edited on purpose.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 import repro
+from repro.engine import make_executor
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -150,9 +154,9 @@ def test_run_signature_is_the_documented_one():
     # v1 keyword-only surface
     assert params["topology"].kind is inspect.Parameter.KEYWORD_ONLY
     assert params["engine"].kind is inspect.Parameter.KEYWORD_ONLY
-    assert any(
+    assert not any(
         p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
-    ), "repro.run must keep accepting v0 loose engine kwargs"
+    ), "engine config travels as engine=EngineConfig(...), never **kwargs"
 
 
 def test_runspec_defaults_mirror_run_defaults():
@@ -163,3 +167,60 @@ def test_runspec_defaults_mirror_run_defaults():
     assert run_params["partitioner"].default == "prompt"
     assert spec_fields["partitioner"].default == "prompt"
     assert run_params["num_batches"].default == spec_fields["num_batches"].default
+
+
+# ----------------------------------------------------------------------
+# config surface: every knob is listed here on purpose
+ENGINE_CONFIG_FIELDS = {
+    "batch_interval",
+    "num_blocks",
+    "num_reducers",
+    "cluster",
+    "cost_model",
+    "early_release",
+    "elasticity",
+    "batch_sizing",
+    "lateness",
+    "use_topology",
+    "backpressure",
+    "track_outputs",
+    "replicate_inputs",
+    "executor",
+    "executor_workers",
+    "run_seed",
+    "max_task_retries",
+    "task_timeout",
+    "speculative_execution",
+    "max_pool_resurrections",
+    "pipeline_depth",
+    "observability",
+    "ingest_kernel",
+}
+
+MAKE_EXECUTOR_KEYWORDS = {
+    "max_workers",
+    "run_seed",
+    "fallback_to_serial",
+    "max_task_retries",
+    "task_timeout",
+    "speculative",
+    "max_pool_resurrections",
+    "fault_injector",
+}
+
+
+def test_engine_config_fields_are_pinned():
+    fields = {f.name for f in dataclasses.fields(repro.EngineConfig)}
+    assert fields == ENGINE_CONFIG_FIELDS
+    assert len(fields) == 23
+
+
+def test_make_executor_keywords_are_pinned():
+    params = inspect.signature(make_executor).parameters
+    keywords = {
+        name
+        for name, p in params.items()
+        if p.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+    assert keywords == MAKE_EXECUTOR_KEYWORDS
+    assert [n for n in params if n not in keywords] == ["name"]
