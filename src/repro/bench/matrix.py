@@ -1,8 +1,8 @@
 """Declarative experiment matrix: grid × engine runs × SQLite store.
 
 An :class:`ExperimentGrid` declares experiments as a cross-product of
-the canonical axes (workload × partitioner × backend × ingest_kernel ×
-pipeline_depth × fault_profile); each cell is keyed by a stable config
+the canonical axes (workload × partitioner × backend × pipeline_depth ×
+fault_profile × shards); each cell is keyed by a stable config
 hash and executed through the existing :func:`~repro.bench.harness.
 run_at_rate` harness with observability enabled, so every recorded row
 carries a ``MetricsRegistry.as_dict()`` snapshot alongside its scalar
@@ -93,7 +93,6 @@ class MatrixCell:
     workload: str
     partitioner: str
     backend: str = "serial"
-    ingest_kernel: str = "default"
     pipeline_depth: int = 1
     fault_profile: str = "none"
     #: 0 = single engine; N >= 1 = sharded topology with N engines
@@ -104,7 +103,9 @@ class MatrixCell:
             "workload": self.workload,
             "partitioner": self.partitioner,
             "backend": self.backend,
-            "ingest_kernel": self.ingest_kernel,
+            # a constant, not an axis: the literal keeps every stored
+            # cell's config hash (and its cross-PR history) intact
+            "ingest_kernel": "default",
             "pipeline_depth": self.pipeline_depth,
             "fault_profile": self.fault_profile,
         }
@@ -122,7 +123,7 @@ class MatrixCell:
     def label(self) -> str:
         base = (
             f"{self.workload}/{self.partitioner}/{self.backend}/"
-            f"{self.ingest_kernel}/d{self.pipeline_depth}/{self.fault_profile}"
+            f"default/d{self.pipeline_depth}/{self.fault_profile}"
         )
         if self.shards:
             base = f"{base}/s{self.shards}"
@@ -137,7 +138,6 @@ class ExperimentGrid:
     workloads: tuple[str, ...]
     partitioners: tuple[str, ...]
     backends: tuple[str, ...] = ("serial",)
-    ingest_kernels: tuple[str, ...] = ("default",)
     pipeline_depths: tuple[int, ...] = (1,)
     fault_profiles: tuple[str, ...] = ("none",)
     #: 0 = single engine; N >= 1 adds a sharded-topology cell at N
@@ -159,7 +159,6 @@ class ExperimentGrid:
             self.workloads,
             self.partitioners,
             self.backends,
-            self.ingest_kernels,
             self.pipeline_depths,
             self.fault_profiles,
             self.shard_counts,
@@ -245,7 +244,6 @@ def run_cell(
         executor=cell.backend,
         executor_workers=2 if cell.backend == "parallel" else None,
         pipeline_depth=cell.pipeline_depth,
-        ingest_kernel=None if cell.ingest_kernel == "default" else cell.ingest_kernel,
         observability=ObservabilityConfig(enabled=True),
     )
     source_factory = lambda rate: MATRIX_WORKLOADS[cell.workload](  # noqa: E731
@@ -305,7 +303,6 @@ def _run_sharded_cell(
         batch_interval=0.5,
         num_blocks=4,
         num_reducers=4,
-        ingest_kernel=None if cell.ingest_kernel == "default" else cell.ingest_kernel,
         observability=ObservabilityConfig(enabled=True),
     )
     engine = ShardedEngine(

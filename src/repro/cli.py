@@ -32,7 +32,6 @@ from typing import Any, Callable, Optional
 
 from .bench import (
     bench_parallel_speedup,
-    bench_vectorized_ingest,
     fig6_assignment_tradeoffs,
     fig10_partition_metrics,
     fig11_throughput_vs_interval,
@@ -42,7 +41,6 @@ from .bench import (
     fig14a_post_sort_throughput,
     fig14b_partition_overhead,
     format_table,
-    ingest_gate,
     joint_imbalance_score,
     partitioner_shootout,
     results_dir,
@@ -194,31 +192,6 @@ def _run_speedup(args: argparse.Namespace) -> tuple[str, Any]:
         format_table(rows, title="Serial vs parallel backend wall-clock"),
         rows,
     )
-
-
-def _run_ingest(args: argparse.Namespace) -> tuple[str, Any]:
-    kwargs: dict[str, Any] = {}
-    if args.quick:
-        kwargs.update(rate=10_000.0, num_batches=3, reps=2)
-    rows = bench_vectorized_ingest(**kwargs)
-    gate = ingest_gate(rows)
-    text = format_table(
-        rows,
-        columns=[
-            "Row",
-            "ZipfExponent",
-            "NumKeys",
-            "ExactUpdates",
-            "Tuples",
-            "PythonSeconds",
-            "NumpySeconds",
-            "Speedup",
-            "NumpyTuplesPerSec",
-        ],
-        title="Vectorized ingest kernels: python oracle vs numpy wall-clock",
-    )
-    text += "\n\n" + format_table([gate], title="Gate: geomean >= 3x, per-row floor 2x")
-    return text, {"rows": rows, "gate": gate}
 
 
 def _run_shootout(args: argparse.Namespace) -> tuple[str, Any]:
@@ -378,7 +351,6 @@ def _run_quickstart(args: argparse.Namespace) -> tuple[str, Any]:
             task_timeout=getattr(args, "task_timeout", None),
             speculative_execution=getattr(args, "speculate", False),
             pipeline_depth=getattr(args, "pipeline_depth", 1),
-            ingest_kernel=getattr(args, "ingest_kernel", None),
             observability=_obs_config(args),
         ),
     )
@@ -521,7 +493,6 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], tuple[str, Any]
     "fig13": ("Figure 13 — latency distribution", _run_fig13),
     "fig14a": ("Figure 14a — post-sort throughput", _run_fig14a),
     "fig14b": ("Figure 14b — partitioning overhead", _run_fig14b),
-    "ingest": ("Vectorized ingest kernels — python oracle vs numpy wall-clock", _run_ingest),
     "speedup": ("Serial vs parallel execution backend wall-clock", _run_speedup),
     "shootout": ("Partitioner shoot-out — all techniques head-to-head", _run_shootout),
     "quickstart": ("Quickstart demo — engine run (supports --trace/--metrics)", _run_quickstart),
@@ -658,15 +629,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="batches the driver may keep in flight: 2+ overlaps batch "
         "k+1's ingest/partition with batch k's execution (results stay "
         "byte-identical; default 1 = strictly sequential)",
-    )
-    quick.add_argument(
-        "--ingest-kernel",
-        default=None,
-        choices=["python", "numpy"],
-        help="ingest/placement implementation: 'numpy' enables the "
-        "vectorized batch kernels (bit-identical outputs, falls back to "
-        "python with a warning when numpy is absent; default: leave the "
-        "partitioner's own choice)",
     )
 
     bench = sub.add_parser(

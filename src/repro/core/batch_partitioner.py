@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import AbstractSet, Callable, Sequence
 
 from .batch import BatchInfo, DataBlock, PartitionedBatch
 from .config import PartitionerConfig
@@ -240,7 +240,7 @@ class PromptBatchPartitioner:
     def _rebalance_sizes(
         self,
         blocks: list[DataBlock],
-        placements: dict[Key, set[int]],
+        placements: dict[Key, AbstractSet[int]],
         p_size: int,
         *,
         split: Callable = _split_with_weight,
@@ -257,6 +257,10 @@ class PromptBatchPartitioner:
 
         Terminates when no block exceeds ``p_size`` (always reachable:
         total size <= num_blocks * p_size) or the step guard trips.
+
+        ``placements`` entries are rebound, never mutated in place: the
+        placement kernel points every unsplit key at one shared
+        frozenset per block.
         """
         # Overshoot within the global ceil slack (num_blocks * p_size -
         # total) is already balanced to within a tuple per block; shaving
@@ -318,9 +322,9 @@ class PromptBatchPartitioner:
                     if keep:
                         donor.install_fragment(key, keep, keep_weight)
                     else:
-                        placements[key].discard(donor.index)
+                        placements[key] = placements[key] - {donor.index}
                     shave_receiver.install_fragment(key, move, fsize - keep_weight)
-                    placements[key].add(shave_receiver.index)
+                    placements[key] = placements[key] | {shave_receiver.index}
                     moved = True
                 else:
                     # Indivisible tuple weights: the shave cannot carve

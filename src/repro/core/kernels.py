@@ -24,8 +24,9 @@ numpy, exploiting two structural facts:
 2. **Algorithm 2's zigzag deal is batched.**  With a capacity bound the
    pass order is rebuilt (open blocks ascending, then reversed) at every
    pass boundary, so each pass deals one key per open block in
-   descending block order — expressible as slice assignments over a
-   sorted size array, one numpy step per pass instead of per key.
+   descending block order, and the order only changes once an open block
+   fills — expressible as slice assignments over a sorted size array,
+   one numpy step per run of passes instead of per key.
 
 Both kernels are *bit-compatible* with the pure-Python oracle: identical
 quasi-sort order, tracked counts, tree-update totals, block contents,
@@ -36,7 +37,8 @@ this).  All float comparisons replicate the oracle's exact expressions
 structures is converted back to a Python ``int``/``float``.
 
 numpy is an optional dependency: ``HAVE_NUMPY`` reports availability and
-callers fall back to the pure-Python path (with a warning) when absent.
+``PromptPartitioner`` falls back to the pure-Python path (announced once
+per process by :func:`warn_numpy_missing`) when absent.
 Setting ``REPRO_NUMBA=1`` swaps the per-key simulation for a
 numba-jitted dense loop when numba is importable; the flag is advisory
 and degrades (with a warning) to the pure-numpy kernels otherwise.
@@ -50,12 +52,12 @@ import os
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Optional, Sequence
 
 from .batch import BatchInfo, DataBlock, PartitionedBatch
 from .buffering import AccumulatedBatch, MicroBatchAccumulator
 from .plan_stream import LedgerBlock, split_segment_chain
-from .tuples import Key, KeyGroup, StreamTuple, _order_token
+from .tuples import Key, KeyGroup, StreamTuple, _order_tokens
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
     import numpy as np
@@ -74,11 +76,28 @@ __all__ = [
     "KernelIngest",
     "accumulate_batch",
     "plan_greedy",
+    "warn_numpy_missing",
 ]
 
 _GET_KEY = attrgetter("key")
 _GET_TS = attrgetter("ts")
 _GET_WEIGHT = attrgetter("weight")
+
+_numpy_missing_warned = False
+
+
+def warn_numpy_missing() -> None:
+    """Announce the pure-Python fallback — once per process, not per batch."""
+    global _numpy_missing_warned
+    if _numpy_missing_warned:
+        return
+    _numpy_missing_warned = True
+    warnings.warn(
+        "numpy is not installed; Prompt runs its pure-Python reference "
+        "placement path (identical outputs, several times slower)",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 def _numba_jit():
@@ -351,13 +370,12 @@ def accumulate_batch(
     # -- materialize chains in original-object identity ------------------
     # (fromiter builds the object array ~3x faster than slice-assigning
     # a list into np.empty)
-    arr = np.fromiter(tuples, dtype=object, count=n)[order]
+    ordered = np.fromiter(tuples, dtype=object, count=n)[order].tolist()
     starts_l = starts.tolist()
     counts_l = counts.tolist()
-    chains = [
-        arr[starts_l[c] : starts_l[c] + counts_l[c]].tolist()
-        for c in range(num_keys)
-    ]
+    chains = list(
+        map(ordered.__getitem__, map(slice, starts_l, (starts + counts).tolist()))
+    )
 
     # -- Algorithm 1's budget recurrence, one key at a time --------------
     tree_updates = 0
@@ -367,29 +385,26 @@ def accumulate_batch(
         tracked = counts_l
         tree_updates = int((counts - 1).sum())
     else:
-        tracked = [0] * num_keys
+        # A key seen once is tracked at 1 with no update; only the
+        # repeated keys run the recurrence.
+        tracked = [1] * num_keys
+        repeated = np.flatnonzero(counts > 1).tolist()
         t_end = info.t_end
         if _JITTED_DENSE is not None:  # pragma: no cover - needs numba
             ts_sorted = np.fromiter(map(_GET_TS, tuples), dtype=np.float64, count=n)[
                 order
             ]
-            for c in range(num_keys):
+            for c in repeated:
                 s = starts_l[c]
                 e = s + counts_l[c]
-                if e - s == 1:
-                    tracked[c] = 1
-                    continue
                 count_c, updates_c = _JITTED_DENSE(
                     ts_sorted[s:e], order[s:e], budget, est, f0, t_end
                 )
                 tracked[c] = int(count_c)
                 tree_updates += int(updates_c)
         else:
-            for c in range(num_keys):
+            for c in repeated:
                 m_c = counts_l[c]
-                if m_c == 1:
-                    tracked[c] = 1
-                    continue
                 if m_c >= _LONG_CHAIN_THRESHOLD:
                     chain_ts = np.fromiter(
                         map(_GET_TS, chains[c]), dtype=np.float64, count=m_c
@@ -406,14 +421,21 @@ def accumulate_batch(
 
     # -- quasi-sort: descending (count, order-token) ---------------------
     # The CountTree orders nodes by (count, token) with unique tokens,
-    # so its descending traversal equals this sort exactly.
-    tokens = [_order_token(k) for k in keys]
-    desc = sorted(range(num_keys), key=lambda c: (tracked[c], tokens[c]), reverse=True)
+    # so its descending traversal equals this sort exactly — done as two
+    # stable passes (token, then count) so neither builds a tuple or
+    # enters a Python frame per key.
+    tokens = _order_tokens(keys)
+    desc = sorted(range(num_keys), key=tokens.__getitem__, reverse=True)
+    desc.sort(key=tracked.__getitem__, reverse=True)
 
-    groups = [
-        KeyGroup(key=keys[c], tuples=chains[c], tracked_count=tracked[c])
-        for c in desc
-    ]
+    groups = list(
+        map(
+            KeyGroup,
+            map(keys.__getitem__, desc),
+            map(chains.__getitem__, desc),
+            map(tracked.__getitem__, desc),
+        )
+    )
     batch = AccumulatedBatch(
         info=info,
         key_groups=groups,
@@ -453,7 +475,7 @@ def plan_greedy(
     Mirrors ``PromptBatchPartitioner.partition(strategy="greedy")``
     phase by phase: LPT dicing of split keys (chunk boundaries via
     ``searchsorted`` on each hot chain's cumulative weight), the
-    capacity-aware zigzag deal batched one *pass* per numpy step, and
+    capacity-aware zigzag deal batched one run of passes per numpy step, and
     the partitioner's own rebalance pass — so the output is identical
     by construction, not by approximation.  Placement runs on
     :class:`~repro.core.plan_stream.LedgerBlock` segment ledgers, each
@@ -482,7 +504,7 @@ def plan_greedy(
             partitioner_name="prompt",
         )
     blocks = [LedgerBlock(i) for i in range(num_blocks)]
-    placements: dict[Key, set[int]] = {}
+    placements: dict[Key, AbstractSet[int]] = {}
 
     p_size = math.ceil(total_weight / num_blocks)
     p_card = max(1, num_groups // num_blocks)
@@ -541,10 +563,14 @@ def plan_greedy(
             base = int(cum[end - 1])
             start = end
 
-    # Phase 2: the zigzag deal, one pass per step.  Every pass rebuilds
-    # the open-block order (ascending, then reversed — so always
-    # descending) from sizes *at the pass boundary*, exactly like the
-    # oracle's in-loop rebuild, then deals one key per open block.
+    # Phase 2: the zigzag deal.  Every pass rebuilds the open-block order
+    # (ascending, then reversed — so always descending) from sizes *at
+    # the pass boundary*, exactly like the oracle's in-loop rebuild, then
+    # deals one key per open block.  The order can only change once some
+    # open block reaches ``p_size``; even if every pass handed the
+    # fullest open block the largest key still to come, that takes more
+    # than ``headroom // largest`` passes — so that many passes (plus the
+    # one the current sizes already vouch for) are dealt in one step.
     block_sizes = np.fromiter((b.size for b in blocks), dtype=np.int64, count=num_blocks)
     small_sizes = sizes[small_indices]
     num_small = int(small_indices.size)
@@ -561,37 +587,39 @@ def plan_greedy(
         if open_ixs.size == 0:
             # All blocks are at capacity and can never reopen: every
             # remaining pass deals the same full descending order.
-            tail = np.resize(np.arange(num_blocks)[::-1], remaining)
-            targets[pos:] = tail
+            targets[pos:] = np.resize(np.arange(num_blocks)[::-1], remaining)
             break
         deal_order = open_ixs[::-1]
-        num_open = int(deal_order.size)
-        if remaining > 2 * num_open:
-            # Bulk tail: if even the worst case (every later pass deals
-            # this suffix's largest key to the fullest open block)
-            # cannot close a block before the smalls run out, the open
-            # set — hence the deal order — is constant from here on.
-            passes = -(-remaining // num_open)
-            if (
-                int(block_sizes[open_ixs].max())
-                + passes * int(suffix_max[pos])
-                < p_size
-            ):
-                tail = np.resize(deal_order, remaining)
-                targets[pos:] = tail
-                break
-        take = min(num_open, remaining)
-        sel = deal_order[:take]
-        targets[pos : pos + take] = sel
-        block_sizes[sel] += small_sizes[pos : pos + take]
+        headroom = p_size - 1 - int(block_sizes[open_ixs].max())
+        passes = headroom // max(1, int(suffix_max[pos])) + 1
+        take = min(passes * int(deal_order.size), remaining)
+        dealt = np.resize(deal_order, take)
+        targets[pos : pos + take] = dealt
+        # (float64 weights sum exactly below 2**53)
+        block_sizes += np.bincount(
+            dealt, weights=small_sizes[pos : pos + take], minlength=num_blocks
+        ).astype(np.int64)
         pos += take
-    for i in range(num_small):
-        group = key_groups[int(small_indices[i])]
-        target = int(targets[i])
-        blocks[target].install_fragment(
-            group.key, group.tuples, int(small_sizes[i])
+
+    # Install: a small key's fragment is its whole accumulator chain and
+    # (but for the few the rebalance pass touches) never moves, so each
+    # block takes its share of the deal as plain ledger entries, and the
+    # placement table points every small key at its block's one shared
+    # singleton — no per-key object on either side.
+    small_groups = [key_groups[gi] for gi in small_indices.tolist()]
+    for index, ledger in enumerate(blocks):
+        dealt = np.flatnonzero(targets == index)
+        ledger.install_whole_chains(
+            map(small_groups.__getitem__, dealt.tolist()),
+            small_sizes[dealt].tolist(),
         )
-        placements.setdefault(group.key, set()).add(target)
+    singletons = [frozenset((index,)) for index in range(num_blocks)]
+    placements.update(
+        zip(
+            map(_GET_KEY, small_groups),
+            map(singletons.__getitem__, targets.tolist()),
+        )
+    )
 
     # Phase 3: identical by reuse — the oracle's own rebalance pass runs
     # on the segment ledgers, with the split rule in segment space.

@@ -16,10 +16,10 @@ and intra-fragment segment order of that path.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .batch import DataBlock
-from .tuples import Key, StreamTuple
+from .tuples import Key, KeyGroup, StreamTuple
 
 __all__ = ["LedgerBlock", "SegmentChain", "split_segment_chain"]
 
@@ -117,18 +117,37 @@ class SegmentChain:
 class LedgerBlock:
     """Duck-types :class:`DataBlock` for the placement passes.
 
-    Fragments are :class:`SegmentChain`\\ s; ``size`` / ``cardinality``
-    / ``fragment_sizes`` / ``__contains__`` behave identically to the
-    eager block, so ``_rebalance_sizes`` runs on either representation
-    unchanged.
+    ``size`` / ``cardinality`` / ``fragment_sizes`` / ``__contains__``
+    behave identically to the eager block, so ``_rebalance_sizes`` runs
+    on either representation unchanged.
+
+    A fragment is stored one of two ways in the same insertion-ordered
+    dict.  Almost every key is small, is dealt whole to one block and
+    never moves again, so :meth:`install_whole_chains` records it as a
+    plain ``(chain, weight)`` tuple — no per-key object.  Only when a
+    later pass extends, removes or shaves that fragment is it promoted
+    (in place, keeping its dict position) to a :class:`SegmentChain`.
     """
 
     __slots__ = ("index", "_fragments", "_weight")
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self._fragments: dict[Key, SegmentChain] = {}
+        self._fragments: dict[
+            Key, SegmentChain | tuple[Sequence[StreamTuple], int]
+        ] = {}
         self._weight = 0
+
+    def _segment_chain(self, key: Key) -> SegmentChain:
+        """``key``'s fragment as a :class:`SegmentChain`, created or
+        promoted from a whole-chain entry as needed."""
+        fragment = self._fragments.get(key)
+        if type(fragment) is not SegmentChain:
+            whole = fragment
+            fragment = self._fragments[key] = SegmentChain()
+            if whole is not None:
+                fragment.append(whole[0], 0, len(whole[0]), whole[1])
+        return fragment
 
     # -- mutation (mirrors DataBlock exactly, including empty skips) ----
     def add_segment(
@@ -142,11 +161,25 @@ class LedgerBlock:
         """Append ``chain[start:stop]`` (known ``weight``) to ``key``."""
         if stop <= start:
             return
-        fragment = self._fragments.get(key)
-        if fragment is None:
-            fragment = self._fragments[key] = SegmentChain()
-        fragment.append(chain, start, stop, weight)
+        if start == 0 and stop == len(chain) and key not in self._fragments:
+            self._fragments[key] = (chain, weight)
+        else:
+            self._segment_chain(key).append(chain, start, stop, weight)
         self._weight += weight
+
+    def install_whole_chains(
+        self, groups: Iterable[KeyGroup], weights: Iterable[int]
+    ) -> None:
+        """Record each group's entire chain as this block's fragment of
+        its key, which must be new to the block; ``weights`` are the
+        groups' exact sizes (an empty group is skipped, as everywhere)."""
+        fragments = self._fragments
+        installed = 0
+        for group, weight in zip(groups, weights):
+            if weight:
+                fragments[group.key] = (group.tuples, weight)
+                installed += weight
+        self._weight += installed
 
     def install_fragment(
         self,
@@ -157,18 +190,16 @@ class LedgerBlock:
         if isinstance(tuples, SegmentChain):
             if not tuples.count:
                 return
-            fragment = self._fragments.get(key)
-            if fragment is None:
-                fragment = self._fragments[key] = SegmentChain()
-            fragment.extend(tuples)
+            self._segment_chain(key).extend(tuples)
             self._weight += tuples.weight
             return
         self.add_segment(key, tuples, 0, len(tuples), weight)
 
     def remove_fragment(self, key: Key) -> SegmentChain:
-        fragment = self._fragments.pop(key, None)
-        if fragment is None:
+        if key not in self._fragments:
             return SegmentChain()
+        fragment = self._segment_chain(key)
+        del self._fragments[key]
         self._weight -= fragment.weight
         return fragment
 
@@ -182,7 +213,10 @@ class LedgerBlock:
         return len(self._fragments)
 
     def fragment_sizes(self) -> dict[Key, int]:
-        return {k: f.weight for k, f in self._fragments.items()}
+        return {
+            k: f.weight if type(f) is SegmentChain else f[1]
+            for k, f in self._fragments.items()
+        }
 
     def __contains__(self, key: Key) -> bool:
         return key in self._fragments
@@ -193,10 +227,21 @@ class LedgerBlock:
         This is the single per-tuple copy of the ledger path; it
         replays fragment-dict insertion order and intra-fragment segment
         order, so the result is indistinguishable from the eager block.
+        The block's tables are written directly — every fragment is new
+        to it and carries its exact weight, so ``install_fragment``'s
+        per-key probe-and-merge has nothing to do.
         """
         block = DataBlock(self.index)
+        fragments = block._fragments
+        weights = block._fragment_weights
         for key, fragment in self._fragments.items():
-            block.install_fragment(key, fragment.to_list(), fragment.weight)
+            if type(fragment) is SegmentChain:
+                fragments[key] = fragment.to_list()
+                weights[key] = fragment.weight
+            else:
+                fragments[key] = list(fragment[0])
+                weights[key] = fragment[1]
+        block._weight = self._weight
         return block
 
 

@@ -25,11 +25,12 @@ overall imbalance shrinks (Section 5).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Collection, Mapping, Sequence
 
 from .hashing import hash_to_bucket
-from .tuples import Key, _order_token
+from .tuples import Key, _order_tokens
 
 __all__ = [
     "KeyCluster",
@@ -143,8 +144,14 @@ class ReduceBucketAllocator:
             else:
                 non_split.append(cluster)
 
-        # Line 4: sort non-split clusters by decreasing size.
-        non_split.sort(key=lambda c: (-c.size, _order_token(c.key)))
+        # Line 4: sort non-split clusters by decreasing size, ties on the
+        # key's order token — as two stable passes over C-level keys, so
+        # no tuple is built and no Python frame entered per cluster.
+        tokens = _order_tokens([c.key for c in non_split])
+        sizes = [c.size for c in non_split]
+        order = sorted(range(len(non_split)), key=tokens.__getitem__)
+        order.sort(key=sizes.__getitem__, reverse=True)
+        non_split = [non_split[i] for i in order]
 
         # Zero-size clusters carry no load, so WorstFit has no signal to
         # spread them (with total == 0 every capacity is 0 and the
@@ -161,25 +168,40 @@ class ReduceBucketAllocator:
         # B-BPVC); buckets eroded past their share (e.g. the one owning
         # a hot split key) are excluded until nothing else has room —
         # B-BPVC requirement (1) limits bucket overflow.
+        #
+        # Inside one round the chosen bucket retires and no other
+        # capacity moves, so the round's WorstFit picks are exactly its
+        # open buckets in ascending (load, index) order: sort once per
+        # round, deal the next clusters down that order.
         expected = -(-total // r) if total else 0  # ceil(|C| / |R|)
-
-        def capacity(j: int) -> int:
-            return expected - out.bucket_loads[j]
-
-        candidates = [j for j in range(r) if capacity(j) > 0]
-        for cluster in non_split:
-            if not candidates:
-                candidates = [j for j in range(r) if capacity(j) > 0]
-            if not candidates:
-                # Every bucket is at/over its share: fall back to the
-                # globally least-loaded bucket.
-                best = min(range(r), key=lambda j: (out.bucket_loads[j], j))
-            else:
-                # WorstFit: the candidate with maximum remaining capacity.
-                best = min(candidates, key=lambda j: (-capacity(j), j))
-                candidates.remove(best)
-            out.assignment[cluster.key] = best
-            out.bucket_loads[best] += cluster.size
+        loads = out.bucket_loads
+        assignment = out.assignment
+        dealt = 0
+        while dealt < len(non_split):
+            # stable sort over ascending indexes: ties break on index
+            open_buckets = sorted(
+                [j for j in range(r) if loads[j] < expected],
+                key=loads.__getitem__,
+            )
+            if not open_buckets:
+                break
+            for j, cluster in zip(
+                open_buckets, non_split[dealt : dealt + len(open_buckets)]
+            ):
+                assignment[cluster.key] = j
+                loads[j] += cluster.size
+            dealt += len(open_buckets)
+        if dealt < len(non_split):
+            # Every bucket is at/over its share and loads only grow, so
+            # none reopens: the rest go to the globally least-loaded
+            # bucket, one (load, index) heap step each.
+            heap = [(loads[j], j) for j in range(r)]
+            heapq.heapify(heap)
+            for cluster in non_split[dealt:]:
+                load, j = heap[0]
+                assignment[cluster.key] = j
+                loads[j] = load + cluster.size
+                heapq.heapreplace(heap, (loads[j], j))
         for i, cluster in enumerate(zero_sized):
             out.assignment[cluster.key] = i % r
         return out

@@ -113,6 +113,18 @@ def _order_token(key: Key) -> str:
     return f"{type(key).__name__}:{key!r}"
 
 
+def _order_tokens(keys: Sequence[Key]) -> list[str]:
+    """Strings that order ``keys`` exactly as :func:`_order_token` would.
+
+    Keys of a single type share the token's type prefix, so their bare
+    reprs already compare the same way — one C-level ``map`` instead of
+    a formatted string per key.
+    """
+    if len(set(map(type, keys))) == 1:
+        return list(map(repr, keys))
+    return list(map(_order_token, keys))
+
+
 class TupleBuffer:
     """An append-only buffer of tuples with O(1) size/weight accounting."""
 

@@ -122,12 +122,6 @@ class EngineConfig:
     #: no-op path adds no measurable overhead and never perturbs the
     #: determinism contract — see repro.obs)
     observability: Optional[ObservabilityConfig] = None
-    #: ingest/placement implementation forwarded to the partitioner:
-    #: ``"python"`` runs the pure-Python reference path, ``"numpy"`` the
-    #: vectorized batch kernels (bit-identical outputs; auto-falls back
-    #: with a warning when numpy is absent).  None (the default) leaves
-    #: whatever the partitioner was constructed with untouched.
-    ingest_kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.batch_interval <= 0:
@@ -158,11 +152,6 @@ class EngineConfig:
             raise ValueError(
                 "speculative_execution requires task_timeout (speculation "
                 "triggers on the straggler deadline)"
-            )
-        if self.ingest_kernel not in (None, "python", "numpy"):
-            raise ValueError(
-                "ingest_kernel must be None, 'python' or 'numpy', "
-                f"got {self.ingest_kernel!r}"
             )
 
 
@@ -283,8 +272,6 @@ class MicroBatchEngine:
         )
         receiver.reset()
         self.partitioner.reset()
-        if cfg.ingest_kernel is not None:
-            self.partitioner.configure_ingest(cfg.ingest_kernel)
         # Worker-load feedback channel: only built for techniques that
         # opted in, so the default path neither constructs feedback nor
         # calls into the partitioner — byte-identical to the

@@ -103,17 +103,6 @@ class Partitioner(abc.ABC):
             return hash_reduce_allocation
         return self.allocate_reduce
 
-    def configure_ingest(self, kernel: str) -> None:
-        """Select the ingest/placement implementation for this technique.
-
-        ``kernel`` is ``"python"`` (the reference path) or ``"numpy"``
-        (the vectorized batch kernels of :mod:`repro.core.kernels`).
-        The engine forwards :attr:`EngineConfig.ingest_kernel` here when
-        set.  Techniques without a vectorized path ignore the request —
-        the knob is an implementation selector, never a semantic one, so
-        honoring it is optional while outputs must stay identical.
-        """
-
     def observe_load(self, feedback: WorkerLoadFeedback) -> None:
         """Consume one completed batch's observed per-worker load.
 

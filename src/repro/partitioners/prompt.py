@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from typing import Collection, Sequence
 
 from ..core import kernels
@@ -35,7 +34,7 @@ from ..core.sketch_accumulator import SketchMicroBatchAccumulator
 from ..core.tuples import Key, StreamTuple, sorted_key_groups
 from .base import Partitioner
 
-__all__ = ["PromptPartitioner"]
+__all__ = ["PromptPartitioner", "ReferencePromptPartitioner"]
 
 
 class PromptPartitioner(Partitioner):
@@ -64,7 +63,6 @@ class PromptPartitioner(Partitioner):
         strategy: str = "greedy",
         stats: str = "tree",
         sketch_capacity: int = 256,
-        ingest_kernel: str = "python",
     ) -> None:
         self.config = config or PromptConfig()
         self.post_sort = post_sort
@@ -87,44 +85,22 @@ class PromptPartitioner(Partitioner):
             self.config.partitioner, strategy=strategy
         )
         self.last_batch: AccumulatedBatch | None = None
-        self.ingest_kernel = "python"
-        self.configure_ingest(ingest_kernel)
-
-    def configure_ingest(self, kernel: str) -> None:
-        """Select the ingest path: ``"python"`` (oracle) or ``"numpy"``.
-
-        ``"numpy"`` enables the batch-at-a-time kernels of
-        :mod:`repro.core.kernels` for Algorithm 1 and (with the greedy
-        strategy) Algorithm 2 — bit-compatible with the Python path.
-        When numpy is not installed the request degrades to the Python
-        path with a warning instead of failing the run.
-        """
-        if kernel not in ("python", "numpy"):
-            raise ValueError(
-                f"ingest_kernel must be 'python' or 'numpy', got {kernel!r}"
-            )
-        if kernel == "numpy" and not kernels.HAVE_NUMPY:
-            warnings.warn(
-                "ingest_kernel='numpy' requested but numpy is not installed; "
-                "falling back to the pure-Python ingest path",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            kernel = "python"
-        self.ingest_kernel = kernel
 
     def _kernel_active(self) -> bool:
-        """Whether this call should take the vectorized ingest path.
+        """Whether this call takes the array kernels of :mod:`repro.core.kernels`.
 
         The kernels replicate the CountTree accumulator; the sketch
         accumulator and the post-sort ablation measure *different*
-        mechanisms, so they always run their own (Python) code.
+        mechanisms, so they always run their own (Python) code.  A
+        stdlib-only install falls back to the object-graph reference
+        path — same outputs, slower — with one warning per process.
         """
-        return (
-            self.ingest_kernel == "numpy"
-            and self.stats == "tree"
-            and not self.post_sort
-        )
+        if self.stats != "tree" or self.post_sort:
+            return False
+        if not kernels.HAVE_NUMPY:
+            kernels.warn_numpy_missing()
+            return False
+        return True
 
     def reset(self) -> None:
         """Forget cross-batch state, including the accumulator's adaptive
@@ -160,41 +136,10 @@ class PromptPartitioner(Partitioner):
             return batch
 
         if self._kernel_active():
-            assert isinstance(self.accumulator, MicroBatchAccumulator)
-            buffering_started = time.perf_counter()
-            ingest = kernels.accumulate_batch(tuples, info, self.accumulator)
-            accumulated = ingest.batch
-            buffer_elapsed = time.perf_counter() - buffering_started
-            self.last_batch = accumulated
-            started = time.perf_counter()
-            if self.batch_partitioner.strategy == "greedy":
-                batch = kernels.plan_greedy(
-                    self.batch_partitioner,
-                    accumulated.key_groups,
-                    num_blocks,
-                    info,
-                    sizes=ingest.group_sizes,
-                    unit_weights=ingest.unit_weights,
-                    chain_weights=ingest.chain_weights,
-                )
-            else:
-                batch = self.batch_partitioner.partition(
-                    accumulated.key_groups, num_blocks, info
-                )
-            batch.plan_elapsed = time.perf_counter() - started
+            batch, accumulated = self._partition_kernels(tuples, num_blocks, info)
         else:
-            buffering_started = time.perf_counter()
-            self.accumulator.start_interval(info)
-            self.accumulator.accept_all(tuples)
-            accumulated = self.accumulator.finalize()
-            buffer_elapsed = time.perf_counter() - buffering_started
-            self.last_batch = accumulated
-            started = time.perf_counter()
-            batch = self.batch_partitioner.partition(
-                accumulated.key_groups, num_blocks, info
-            )
-            batch.plan_elapsed = time.perf_counter() - started
-        batch.buffer_elapsed = buffer_elapsed
+            batch, accumulated = self._partition_reference(tuples, num_blocks, info)
+        self.last_batch = accumulated
         self.metrics.counter(
             "prompt_tree_updates_total",
             "CountTree updates spent by Algorithm 1's per-key budget",
@@ -205,17 +150,52 @@ class PromptPartitioner(Partitioner):
         ).set(accumulated.key_count)
         return batch
 
-    def partition_accumulated(
-        self, accumulated: AccumulatedBatch, num_blocks: int
-    ) -> PartitionedBatch:
-        """Algorithm 2 over an already-buffered batch (engine fast path)."""
-        self.last_batch = accumulated
+    def _partition_kernels(
+        self, tuples: Sequence[StreamTuple], num_blocks: int, info: BatchInfo
+    ) -> tuple[PartitionedBatch, AccumulatedBatch]:
+        """Algorithms 1-2 batch-at-a-time on the array kernels."""
+        assert isinstance(self.accumulator, MicroBatchAccumulator)
+        buffering_started = time.perf_counter()
+        ingest = kernels.accumulate_batch(tuples, info, self.accumulator)
+        accumulated = ingest.batch
+        started = time.perf_counter()
+        if self.batch_partitioner.strategy == "greedy":
+            batch = kernels.plan_greedy(
+                self.batch_partitioner,
+                accumulated.key_groups,
+                num_blocks,
+                info,
+                sizes=ingest.group_sizes,
+                unit_weights=ingest.unit_weights,
+                chain_weights=ingest.chain_weights,
+            )
+        else:
+            batch = self.batch_partitioner.partition(
+                accumulated.key_groups, num_blocks, info
+            )
+        batch.plan_elapsed = time.perf_counter() - started
+        batch.buffer_elapsed = started - buffering_started
+        return batch, accumulated
+
+    def _partition_reference(
+        self, tuples: Sequence[StreamTuple], num_blocks: int, info: BatchInfo
+    ) -> tuple[PartitionedBatch, AccumulatedBatch]:
+        """Algorithms 1-2 tuple-at-a-time on HTable + CountTree + DataBlocks.
+
+        The oracle the kernels are differentially tested against, and
+        what every accumulator the kernels do not replicate runs.
+        """
+        buffering_started = time.perf_counter()
+        self.accumulator.start_interval(info)
+        self.accumulator.accept_all(tuples)
+        accumulated = self.accumulator.finalize()
         started = time.perf_counter()
         batch = self.batch_partitioner.partition(
-            accumulated.key_groups, num_blocks, accumulated.info
+            accumulated.key_groups, num_blocks, info
         )
         batch.plan_elapsed = time.perf_counter() - started
-        return batch
+        batch.buffer_elapsed = started - buffering_started
+        return batch, accumulated
 
     def heartbeat_overhead(self, batch: PartitionedBatch) -> float:
         """Post-sort pays an explicit K log K sort inside the heartbeat.
@@ -251,3 +231,15 @@ class PromptPartitioner(Partitioner):
         module-level function instead.
         """
         return bpvc_reduce_allocation
+
+
+class ReferencePromptPartitioner(PromptPartitioner):
+    """Prompt on the object-graph path only — the kernels' test oracle.
+
+    Deliberately absent from the registry, the CLI and ``repro.__all__``:
+    production code gets the reference path solely as the no-numpy
+    fallback inside :class:`PromptPartitioner`.
+    """
+
+    def _kernel_active(self) -> bool:
+        return False

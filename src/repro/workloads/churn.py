@@ -17,7 +17,10 @@ identities enter at the bottom of the popularity order.
 
 from __future__ import annotations
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI step
+    np = None  # type: ignore[assignment]
 
 from ..core.tuples import StreamTuple
 from .arrival import ArrivalProcess, ConstantRate

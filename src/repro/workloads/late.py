@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import heapq
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI step
+    np = None  # type: ignore[assignment]
 
 from ..core.tuples import StreamTuple
 from .source import StreamSource

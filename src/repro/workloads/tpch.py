@@ -11,7 +11,10 @@ proportional to quantity.
 
 from __future__ import annotations
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI step
+    np = None  # type: ignore[assignment]
 
 from .arrival import ArrivalProcess, ConstantRate
 from .source import DatasetProperties, ZipfKeyedSource

@@ -83,6 +83,15 @@ def test_retired_streaming_axis_left_eager_hashes_untouched():
     )
 
 
+def test_retired_ingest_kernel_axis_left_hashes_untouched():
+    """The axis is gone but its literal still enters every hash, so the
+    value the store recorded for this cell before the retirement holds."""
+    cell = MatrixCell("tweets", "prompt")
+    assert not hasattr(cell, "ingest_kernel")
+    assert cell.params()["ingest_kernel"] == "default"
+    assert cell.config_hash == "863719664f7e6f95"
+
+
 def test_cell_hash_stable_and_label():
     cell = MatrixCell(workload="tweets", partitioner="prompt", pipeline_depth=2)
     again = MatrixCell(workload="tweets", partitioner="prompt", pipeline_depth=2)

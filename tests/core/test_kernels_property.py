@@ -36,7 +36,7 @@ import pytest
 from repro.core import kernels
 from repro.core.batch import BatchInfo
 from repro.core.tuples import StreamTuple
-from repro.partitioners.prompt import PromptPartitioner
+from repro.partitioners.prompt import PromptPartitioner, ReferencePromptPartitioner
 
 np = pytest.importorskip("numpy")
 
@@ -101,8 +101,8 @@ def test_kernel_matches_oracle_property(chunk):
         weighted = scenario % 4 == 3
         num_keys = 3 + (scenario * 29) % 120
         num_blocks = 2 + scenario % 7
-        oracle = PromptPartitioner(ingest_kernel="python")
-        kernel = PromptPartitioner(ingest_kernel="numpy")
+        oracle = ReferencePromptPartitioner()
+        kernel = PromptPartitioner()
         key_base = 0
         for index in range(BATCHES_PER_SCENARIO):
             n = 50 + (scenario * 137 + index * 311) % 700
@@ -124,8 +124,25 @@ def test_kernel_matches_oracle_exact_updates():
     """The prompt-exact ablation (no budget) stays bit-identical too."""
     for scenario in range(25):
         rng = random.Random(4400 + scenario)
-        oracle = PromptPartitioner(ingest_kernel="python", exact_updates=True)
-        kernel = PromptPartitioner(ingest_kernel="numpy", exact_updates=True)
+        oracle = ReferencePromptPartitioner(exact_updates=True)
+        kernel = PromptPartitioner(exact_updates=True)
+        for index in range(3):
+            tuples, info = _gen_batch(
+                rng, index, 300, 40, 0, weighted=scenario % 3 == 2
+            )
+            oracle_batch = oracle.partition(tuples, 4, info)
+            kernel_batch = kernel.partition(tuples, 4, info)
+            assert _snapshot(oracle, oracle_batch) == _snapshot(kernel, kernel_batch)
+
+
+def test_kernel_buffering_feeds_the_zigzag_planner_identically():
+    """``strategy="zigzag"`` keeps its Python planner but now buffers
+    through the Algorithm 1 kernel by default: same groups in, same
+    blocks out."""
+    for scenario in range(25):
+        rng = random.Random(5500 + scenario)
+        oracle = ReferencePromptPartitioner(strategy="zigzag")
+        kernel = PromptPartitioner(strategy="zigzag")
         for index in range(3):
             tuples, info = _gen_batch(
                 rng, index, 300, 40, 0, weighted=scenario % 3 == 2
@@ -136,8 +153,8 @@ def test_kernel_matches_oracle_exact_updates():
 
 
 def test_empty_and_single_tuple_batches_match():
-    oracle = PromptPartitioner(ingest_kernel="python")
-    kernel = PromptPartitioner(ingest_kernel="numpy")
+    oracle = ReferencePromptPartitioner()
+    kernel = PromptPartitioner()
     solo = [StreamTuple(ts=0.5, key="only")]
     for tuples in ([], solo):
         info = BatchInfo(index=0, t_start=0.0, t_end=1.0)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from typing import NamedTuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from repro.core.reduce_allocator import (
     ReduceBucketAllocator,
     hash_allocate,
 )
+from repro.core.tuples import _order_token
 
 
 def _clusters(sizes: dict) -> list[KeyCluster]:
@@ -217,3 +221,115 @@ def test_known_retirement_tradeoff_example():
     for b in out.assignment.values():
         counts[b] += 1
     assert counts == [3, 3]  # ...but cluster counts are perfectly even
+
+
+# ----------------------------------------------------------------------
+# differential: sort-once rounds vs the per-cluster WorstFit they replaced
+class _RawCluster(NamedTuple):
+    """A cluster without ``KeyCluster``'s size validation (see the
+    overflow family below)."""
+
+    key: str
+    size: int
+
+
+def _frozen_per_cluster_worstfit(clusters, split_keys, r):
+    """Algorithm 3 exactly as it stood before the sort-once rewrite: one
+    ``min`` over the live candidate list per cluster.  Frozen here as
+    the oracle; do not "tidy" it.  (The overflow-pick counter is the one
+    addition, so the suite can prove the tail family reaches the tail.)"""
+    overflow_picks = 0
+    assignment: dict = {}
+    bucket_loads = [0] * r
+    total = sum(c.size for c in clusters)
+    non_split = []
+    for cluster in clusters:
+        if cluster.key in split_keys:
+            bucket = hash_to_bucket(cluster.key, r)
+            assignment[cluster.key] = bucket
+            bucket_loads[bucket] += cluster.size
+        else:
+            non_split.append(cluster)
+    non_split.sort(key=lambda c: (-c.size, _order_token(c.key)))
+    zero_sized = [c for c in non_split if c.size == 0]
+    non_split = [c for c in non_split if c.size > 0]
+    expected = -(-total // r) if total else 0
+
+    def capacity(j):
+        return expected - bucket_loads[j]
+
+    candidates = [j for j in range(r) if capacity(j) > 0]
+    for cluster in non_split:
+        if not candidates:
+            candidates = [j for j in range(r) if capacity(j) > 0]
+        if not candidates:
+            best = min(range(r), key=lambda j: (bucket_loads[j], j))
+            overflow_picks += 1
+        else:
+            best = min(candidates, key=lambda j: (-capacity(j), j))
+            candidates.remove(best)
+        assignment[cluster.key] = best
+        bucket_loads[best] += cluster.size
+    for i, cluster in enumerate(zero_sized):
+        assignment[cluster.key] = i % r
+    return assignment, bucket_loads, overflow_picks
+
+
+def _random_instance(rng, family):
+    """``(clusters, split_keys, r)`` for one family."""
+    r = 1 if family == "one-bucket" else rng.randint(1, 12)
+    n = rng.randint(0, 60)
+    if family == "unit":
+        sizes = [1] * n
+    elif family == "small":
+        sizes = [rng.randint(1, 5) for _ in range(n)]
+    elif family == "zeros":
+        sizes = [rng.choice((0, 0, 1, 3)) for _ in range(n)]
+    else:
+        sizes = [int(rng.paretovariate(0.9)) for _ in range(n)]
+    keys = [f"k{i}" for i in range(n)]
+    rng.shuffle(keys)
+    clusters = [KeyCluster(key=k, size=s) for k, s in zip(keys, sizes)]
+    split = set(rng.sample(keys, min(n, rng.randint(0, 5))))
+    if family == "hot-split":
+        # a hashed key far past the equal share: its bucket starts as
+        # the fullest and must sit every round out
+        clusters.append(KeyCluster(key="hot", size=10 * (sum(sizes) + 1)))
+        split.add("hot")
+    if family == "overflow":
+        # Valid clusters cannot fill every bucket while one still waits
+        # (placed load < total <= r * expected).  The tail is reachable
+        # only through a negative-size cluster, which both versions
+        # count into ``total`` and then drop: it drags ``expected``
+        # under the loads the first round builds.
+        clusters = [_RawCluster(c.key, c.size) for c in clusters]
+        clusters.append(_RawCluster("ghost", -rng.randint(0, sum(sizes))))
+    rng.shuffle(clusters)
+    return clusters, split, r
+
+
+_FAMILIES = (
+    "unit", "small", "zeros", "skewed", "hot-split", "one-bucket", "overflow"
+)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_sort_once_rounds_match_frozen_per_cluster_worstfit(family):
+    """>= 2000 seeded instances in all: identical ``assignment`` (item
+    order included) and ``bucket_loads``."""
+    overflow_picks = 0
+    for seed in range(300):
+        rng = random.Random(f"{family}-{seed}")
+        clusters, split, r = _random_instance(rng, family)
+        want_assignment, want_loads, picks = _frozen_per_cluster_worstfit(
+            clusters, split, r
+        )
+        got = ReduceBucketAllocator(r).allocate(clusters, split)
+        assert list(got.assignment.items()) == list(want_assignment.items()), (
+            family,
+            seed,
+        )
+        assert got.bucket_loads == want_loads, (family, seed)
+        overflow_picks += picks
+    # the tail family must actually run the tail; no valid family can
+    assert (overflow_picks > 1000) == (family == "overflow")

@@ -1,11 +1,12 @@
-"""Differential harness: ``ingest_kernel="numpy"`` is bit-identical end-to-end.
+"""Differential harness: the placement kernels are bit-identical end-to-end.
 
 The kernel property suite (tests/core) proves the partitioner-level
 contract; this harness closes the loop at the engine level: a full
-windowed run configured with ``EngineConfig(ingest_kernel="numpy")``
-must produce byte-identical windowed answers and equal batch records
-to the same seeded run on the pure-Python path — across workload
-skews, the weighted-tuple path, and the ``prompt-exact`` ablation.
+windowed run on the default ``PromptPartitioner`` (array kernels) must
+produce byte-identical windowed answers and equal batch records to the
+same seeded run on a ``ReferencePromptPartitioner`` (the object-graph
+oracle) — across workload skews, the weighted-tuple path, and the
+``prompt-exact`` ablation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 
 from repro.engine.engine import EngineConfig, MicroBatchEngine
 from repro.partitioners import make_partitioner
-from repro.partitioners.prompt import PromptPartitioner
+from repro.partitioners.prompt import PromptPartitioner, ReferencePromptPartitioner
 from repro.queries import wordcount_query
 from repro.workloads import ConstantRate, synd_source, tweets_source
 
@@ -35,18 +36,10 @@ WORKLOADS = {
 }
 
 
-def _run(workload, ingest_kernel, *, exact_updates=False):
+def _run(workload, partitioner):
     cfg = EngineConfig(
-        batch_interval=1.0,
-        num_blocks=4,
-        num_reducers=4,
-        run_seed=13,
-        ingest_kernel=ingest_kernel,
+        batch_interval=1.0, num_blocks=4, num_reducers=4, run_seed=13
     )
-    if exact_updates:
-        partitioner = PromptPartitioner(exact_updates=True)
-    else:
-        partitioner = make_partitioner("prompt")
     engine = MicroBatchEngine(
         partitioner, wordcount_query(window_length=3.0), cfg
     )
@@ -69,16 +62,15 @@ def _assert_equivalent(python_run, numpy_run):
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_numpy_kernel_matches_python_end_to_end(workload):
-    _assert_equivalent(_run(workload, "python"), _run(workload, "numpy"))
+    kernel = make_partitioner("prompt")
+    assert type(kernel) is PromptPartitioner and kernel._kernel_active()
+    _assert_equivalent(
+        _run(workload, ReferencePromptPartitioner()), _run(workload, kernel)
+    )
 
 
 def test_numpy_kernel_matches_python_exact_updates():
     _assert_equivalent(
-        _run("synd-skewed", "python", exact_updates=True),
-        _run("synd-skewed", "numpy", exact_updates=True),
+        _run("synd-skewed", ReferencePromptPartitioner(exact_updates=True)),
+        _run("synd-skewed", PromptPartitioner(exact_updates=True)),
     )
-
-
-def test_engine_config_rejects_unknown_kernel():
-    with pytest.raises(ValueError, match="ingest_kernel"):
-        EngineConfig(batch_interval=1.0, num_blocks=4, ingest_kernel="fortran")

@@ -76,17 +76,6 @@ def test_allocate_reduce_uses_algorithm3():
     assert counts == [2, 2, 2, 2]  # retirement: even cluster counts
 
 
-def test_partition_accumulated_fast_path():
-    part = PromptPartitioner()
-    part.accumulator.start_interval(INFO)
-    for t in make_tuples({"a": 6, "b": 3}):
-        part.accumulator.accept(t)
-    accumulated = part.accumulator.finalize()
-    batch = part.partition_accumulated(accumulated, 3)
-    batch.validate(expected_tuples=9)
-    assert part.last_batch is accumulated
-
-
 def test_reset_clears_last_batch():
     part = PromptPartitioner()
     part.partition(make_tuples({"a": 3}), 2, INFO)

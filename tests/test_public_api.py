@@ -194,7 +194,6 @@ ENGINE_CONFIG_FIELDS = {
     "max_pool_resurrections",
     "pipeline_depth",
     "observability",
-    "ingest_kernel",
 }
 
 MAKE_EXECUTOR_KEYWORDS = {
@@ -212,7 +211,21 @@ MAKE_EXECUTOR_KEYWORDS = {
 def test_engine_config_fields_are_pinned():
     fields = {f.name for f in dataclasses.fields(repro.EngineConfig)}
     assert fields == ENGINE_CONFIG_FIELDS
-    assert len(fields) == 23
+    assert len(fields) == 22
+
+
+def test_reference_partitioner_is_not_public():
+    """The object-graph oracle is reachable only by its module path."""
+    from repro.partitioners import PARTITIONER_NAMES
+    from repro.partitioners.prompt import ReferencePromptPartitioner
+
+    assert "ReferencePromptPartitioner" not in repro.__all__
+    assert not hasattr(repro, "ReferencePromptPartitioner")
+    assert not hasattr(repro.partitioners, "ReferencePromptPartitioner")
+    for name in PARTITIONER_NAMES:
+        assert not isinstance(
+            repro.make_partitioner(name), ReferencePromptPartitioner
+        ), name
 
 
 def test_make_executor_keywords_are_pinned():
