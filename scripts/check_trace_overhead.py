@@ -11,12 +11,6 @@ export enabled — and checks:
    the untraced run, with an absolute slack floor so sub-second runs on
    noisy CI machines cannot flake the ratio.
 
-The same three checks then repeat for the pipelined driver
-(``pipeline_depth=2``): its artifacts must additionally carry the
-``pipeline_wait``/``execute`` spans and the depth gauge + stall
-histogram, and tracing the pipelined run must stay within the same
-overhead budget against its own untraced baseline.
-
 Exit code 0 on success; prints the failure and exits 1 otherwise.
 Artifacts are left at ``--outdir`` for upload.
 """
@@ -38,11 +32,9 @@ from repro.workloads import tweets_source
 ABSOLUTE_SLACK_SECONDS = 0.75
 
 REQUIRED_SPANS = {
-    "run", "batch", "buffer", "partition",
+    "run", "batch", "buffer", "partition", "execute",
     "map_task", "shuffle", "reduce_task", "window_merge",
 }
-#: additionally required when the driver pipelines (pipeline_depth=2)
-REQUIRED_PIPELINE_SPANS = {"pipeline_wait", "execute"}
 REQUIRED_SAMPLES = (
     "prompt_batches_total",
     "prompt_tuples_total",
@@ -50,15 +42,9 @@ REQUIRED_SAMPLES = (
     "prompt_partition_plan_seconds_count",
     "prompt_task_attempts_total",
 )
-REQUIRED_PIPELINE_SAMPLES = (
-    "prompt_pipeline_depth",
-    "prompt_pipeline_stall_seconds_count",
-)
 
 
-def _run_quickstart(
-    obs: ObservabilityConfig | None, *, pipeline_depth: int = 1
-) -> float:
+def _run_quickstart(obs: ObservabilityConfig | None) -> float:
     engine = MicroBatchEngine(
         make_partitioner("prompt"),
         wordcount_query(window_length=10.0),
@@ -66,7 +52,6 @@ def _run_quickstart(
             batch_interval=1.0,
             num_blocks=8,
             num_reducers=8,
-            pipeline_depth=pipeline_depth,
             observability=obs,
         ),
     )
@@ -166,48 +151,7 @@ def main(argv: list[str] | None = None) -> int:
         f"+ {ABSOLUTE_SLACK_SECONDS}s slack); "
         f"{len(events)} trace events, {len(samples)} metric samples"
     )
-    if traced > budget:
-        return 1
-
-    # -- pipelined driver (pipeline_depth=2) ---------------------------
-    pipe_trace_path = outdir / "quickstart-depth2.trace.json"
-    pipe_metrics_path = outdir / "quickstart-depth2.prom"
-    pipe_untraced = _run_quickstart(None, pipeline_depth=2)
-    pipe_traced = _run_quickstart(
-        ObservabilityConfig(
-            trace_path=str(pipe_trace_path),
-            metrics_path=str(pipe_metrics_path),
-        ),
-        pipeline_depth=2,
-    )
-
-    pipe_events = read_chrome_trace(pipe_trace_path)
-    pipe_names = {e["name"] for e in pipe_events}
-    missing = (REQUIRED_SPANS | REQUIRED_PIPELINE_SPANS) - pipe_names
-    if missing:
-        print(f"FAIL: depth-2 trace is missing span names: {sorted(missing)}")
-        return 1
-
-    pipe_samples = parse_prometheus(pipe_metrics_path.read_text())
-    for required in REQUIRED_SAMPLES + REQUIRED_PIPELINE_SAMPLES:
-        if required not in pipe_samples:
-            print(f"FAIL: depth-2 metrics snapshot is missing {required!r}")
-            return 1
-    if pipe_samples["prompt_pipeline_depth"] != 2:
-        print(
-            f"FAIL: expected depth gauge 2, got "
-            f"{pipe_samples['prompt_pipeline_depth']}"
-        )
-        return 1
-
-    pipe_budget = pipe_untraced * args.max_ratio + ABSOLUTE_SLACK_SECONDS
-    verdict = "ok" if pipe_traced <= pipe_budget else "FAIL"
-    print(
-        f"{verdict} (pipeline_depth=2): untraced={pipe_untraced:.3f}s "
-        f"traced={pipe_traced:.3f}s budget={pipe_budget:.3f}s; "
-        f"{len(pipe_events)} trace events, {len(pipe_samples)} metric samples"
-    )
-    return 0 if pipe_traced <= pipe_budget else 1
+    return 0 if traced <= budget else 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Declarative experiment matrix: grid × engine runs × SQLite store.
 
 An :class:`ExperimentGrid` declares experiments as a cross-product of
-the canonical axes (workload × partitioner × backend × pipeline_depth ×
-fault_profile × shards); each cell is keyed by a stable config
+the canonical axes (workload × partitioner × backend × fault_profile ×
+shards); each cell is keyed by a stable config
 hash and executed through the existing :func:`~repro.bench.harness.
 run_at_rate` harness with observability enabled, so every recorded row
 carries a ``MetricsRegistry.as_dict()`` snapshot alongside its scalar
@@ -93,7 +93,6 @@ class MatrixCell:
     workload: str
     partitioner: str
     backend: str = "serial"
-    pipeline_depth: int = 1
     fault_profile: str = "none"
     #: 0 = single engine; N >= 1 = sharded topology with N engines
     shards: int = 0
@@ -103,10 +102,10 @@ class MatrixCell:
             "workload": self.workload,
             "partitioner": self.partitioner,
             "backend": self.backend,
-            # a constant, not an axis: the literal keeps every stored
+            # constants, not axes: the literals keep every stored
             # cell's config hash (and its cross-PR history) intact
             "ingest_kernel": "default",
-            "pipeline_depth": self.pipeline_depth,
+            "pipeline_depth": 1,
             "fault_profile": self.fault_profile,
         }
         # the shards axis postdates the store's first trajectories;
@@ -123,7 +122,7 @@ class MatrixCell:
     def label(self) -> str:
         base = (
             f"{self.workload}/{self.partitioner}/{self.backend}/"
-            f"default/d{self.pipeline_depth}/{self.fault_profile}"
+            f"default/d1/{self.fault_profile}"
         )
         if self.shards:
             base = f"{base}/s{self.shards}"
@@ -138,7 +137,6 @@ class ExperimentGrid:
     workloads: tuple[str, ...]
     partitioners: tuple[str, ...]
     backends: tuple[str, ...] = ("serial",)
-    pipeline_depths: tuple[int, ...] = (1,)
     fault_profiles: tuple[str, ...] = ("none",)
     #: 0 = single engine; N >= 1 adds a sharded-topology cell at N
     shard_counts: tuple[int, ...] = (0,)
@@ -152,14 +150,13 @@ class ExperimentGrid:
         """The coherent cross-product (fault injection needs the
         parallel backend's retry machinery, so faulted serial cells are
         pruned rather than recorded as trivially identical runs;
-        sharded cells stay on the serial depth-1 clean path — the
+        sharded cells stay on the serial clean path — the
         topology's own axes, not the executor's, are what they track)."""
         out = []
         for combo in product(
             self.workloads,
             self.partitioners,
             self.backends,
-            self.pipeline_depths,
             self.fault_profiles,
             self.shard_counts,
         ):
@@ -167,9 +164,7 @@ class ExperimentGrid:
             if cell.fault_profile != "none" and cell.backend != "parallel":
                 continue
             if cell.shards and (
-                cell.backend != "serial"
-                or cell.pipeline_depth != 1
-                or cell.fault_profile != "none"
+                cell.backend != "serial" or cell.fault_profile != "none"
             ):
                 continue
             out.append(cell)
@@ -195,7 +190,6 @@ QUICK_GRID = ExperimentGrid(
     workloads=("synd-z1.4", "tweets"),
     partitioners=("hash", "prompt"),
     backends=("serial", "parallel"),
-    pipeline_depths=(1, 2),
     shard_counts=(0, 2),
     rate=2_000.0,
     num_batches=4,
@@ -208,7 +202,6 @@ FULL_GRID = ExperimentGrid(
     workloads=("synd-z0.8", "synd-z1.4", "tweets", "churn"),
     partitioners=("hash", "pk2", "prompt"),
     backends=("serial", "parallel"),
-    pipeline_depths=(1, 2),
     fault_profiles=("none", "map-crash"),
     shard_counts=(0, 2, 4),
     rate=3_000.0,
@@ -231,7 +224,7 @@ def run_cell(
 
     Observability is always on for matrix runs: the per-run metrics
     registry snapshot is what lets ``repro bench regress`` *explain* a
-    flagged latency cell (retry spike? resurrection? stall?) instead of
+    flagged latency cell (retry spike? resurrection? fallback?) instead of
     merely pointing at it.
     """
     if cell.shards:
@@ -243,7 +236,6 @@ def run_cell(
         num_reducers=4,
         executor=cell.backend,
         executor_workers=2 if cell.backend == "parallel" else None,
-        pipeline_depth=cell.pipeline_depth,
         observability=ObservabilityConfig(enabled=True),
     )
     source_factory = lambda rate: MATRIX_WORKLOADS[cell.workload](  # noqa: E731

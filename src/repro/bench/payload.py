@@ -7,8 +7,7 @@ cost model — into every payload.  :class:`VocabWeightTable` is the
 canonical kind of such state (dimension tables, stop-word lists, model
 weights): a sizeable broadcast-style lookup table the query's Map
 function closes over.  The payload-accounting suite uses it to show
-per-task payload bytes do not depend on the table's size, and the
-pipeline bench uses it as a CPU-tunable Map body.
+per-task payload bytes do not depend on the table's size.
 """
 
 from __future__ import annotations
@@ -20,11 +19,6 @@ from ..queries.base import Query, SumAggregator, WindowSpec
 
 __all__ = ["VocabWeightTable", "broadcast_wordcount_query"]
 
-#: rounds of crc32 mixing per tuple in the heavy variant (~10 us/tuple),
-#: matching ``speedup.HEAVY_ROUNDS`` so the two benches probe the same
-#: CPU-bound regime.
-HEAVY_ROUNDS = 120
-
 
 class VocabWeightTable:
     """Broadcast-style lookup table: key rank -> small integer weight.
@@ -34,22 +28,15 @@ class VocabWeightTable:
     contributions under any backend.  Deliberately heavy to pickle — one
     dict entry per vocabulary rank — because its job is to *be* the
     run-invariant state that must not ride in per-task payloads.
-    ``rounds`` adds deterministic CPU-bound
-    mixing per tuple for the heavy workload row.
     """
 
-    def __init__(self, vocab_size: int, *, rounds: int = 0) -> None:
-        self.rounds = rounds
+    def __init__(self, vocab_size: int) -> None:
         self.weights = {
             rank: zlib.crc32(repr(rank).encode()) % 5 + 1
             for rank in range(vocab_size)
         }
 
     def __call__(self, key: Any, value: Any) -> int:
-        if self.rounds:
-            digest = zlib.crc32(repr(key).encode())
-            for _ in range(self.rounds):
-                digest = zlib.crc32(digest.to_bytes(4, "little"))
         return self.weights.get(key, 1)
 
 
@@ -57,7 +44,6 @@ def broadcast_wordcount_query(
     window_length: float,
     vocab_size: int,
     *,
-    rounds: int = 0,
     name: str = "wordcount-broadcast",
 ) -> Query:
     """A weighted WordCount whose Map function closes over a big table."""
@@ -65,5 +51,5 @@ def broadcast_wordcount_query(
         name=name,
         aggregator=SumAggregator(),
         window=WindowSpec(length=window_length, slide=window_length / 10),
-        map_fn=VocabWeightTable(vocab_size, rounds=rounds),
+        map_fn=VocabWeightTable(vocab_size),
     )

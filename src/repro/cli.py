@@ -50,6 +50,7 @@ from .bench import (
 from .bench.matrix import GRIDS, fill, render_matrix_report
 from .bench.regress import find_regressions, regression_rows
 from .bench.store import ResultsStore, default_store_path, ingest_artifact
+from .engine.engine import EngineConfig
 from .engine.executors import EXECUTOR_NAMES, ExecutorKind
 from .engine.sharding.router import ROUTER_NAMES
 from .obs import ObservabilityConfig, format_trace_summary, summarize_trace
@@ -326,33 +327,39 @@ def _run_sharded(args: argparse.Namespace) -> tuple[str, Any]:
     return text, payload
 
 
-def _run_quickstart(args: argparse.Namespace) -> tuple[str, Any]:
-    """The quickstart workload, shared by ``quickstart`` and ``run``.
+def _quickstart_config(args: argparse.Namespace) -> EngineConfig:
+    """The quickstart engine config; raises ``ValueError`` on bad flags.
 
     Flags absent from the invoking subparser fall back to the
     ``quickstart`` defaults, so ``repro run quickstart --trace out.json``
     exercises the same engine path with observability attached.
     """
+    return EngineConfig(
+        batch_interval=1.0,
+        num_blocks=8,
+        num_reducers=8,
+        executor=getattr(args, "backend", ExecutorKind.SERIAL),
+        executor_workers=getattr(args, "workers", None),
+        max_task_retries=getattr(args, "task_retries", 2),
+        task_timeout=getattr(args, "task_timeout", None),
+        speculative_execution=getattr(args, "speculate", False),
+        observability=_obs_config(args),
+    )
+
+
+def _run_quickstart(
+    args: argparse.Namespace, config: EngineConfig | None = None
+) -> tuple[str, Any]:
+    """The quickstart workload, shared by ``quickstart`` and ``run``."""
     # Local import: keeps `repro list` fast and the engine optional.
-    from repro import EngineConfig, MicroBatchEngine, make_partitioner
+    from repro import MicroBatchEngine, make_partitioner
     from repro.queries import select_top_k, wordcount_query
     from repro.workloads import tweets_source
 
     engine = MicroBatchEngine(
         make_partitioner(getattr(args, "partitioner", "prompt")),
         wordcount_query(window_length=10.0),
-        EngineConfig(
-            batch_interval=1.0,
-            num_blocks=8,
-            num_reducers=8,
-            executor=getattr(args, "backend", ExecutorKind.SERIAL),
-            executor_workers=getattr(args, "workers", None),
-            max_task_retries=getattr(args, "task_retries", 2),
-            task_timeout=getattr(args, "task_timeout", None),
-            speculative_execution=getattr(args, "speculate", False),
-            pipeline_depth=getattr(args, "pipeline_depth", 1),
-            observability=_obs_config(args),
-        ),
+        config or _quickstart_config(args),
     )
     result = engine.run(tweets_source(rate=5_000.0, seed=42), num_batches=12)
     lines = [f"backend: {result.backend_name}"]
@@ -376,13 +383,6 @@ def _run_quickstart(args: argparse.Namespace) -> tuple[str, Any]:
         )
     lines.append(f"throughput: {result.stats.throughput():,.0f} tuples/s")
     lines.append(f"mean latency: {result.stats.mean_latency():.3f}s")
-    overlap = result.stats.total_pipeline_overlap_seconds()
-    if overlap > 0:  # only the pipelined driver produces overlap
-        lines.append(
-            f"pipeline overlap: {overlap:.3f}s of execution ran while the "
-            f"driver ingested later batches "
-            f"(stalls: {result.stats.total_pipeline_wait_seconds():.3f}s)"
-        )
     top = select_top_k(result.final_window_answer(), 5)
     for word, count in top:
         lines.append(f"  {word:>8}  {count}")
@@ -622,14 +622,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="duplicate stragglers past the deadline and race the copies "
         "(requires --task-timeout)",
     )
-    quick.add_argument(
-        "--pipeline-depth",
-        type=int,
-        default=1,
-        help="batches the driver may keep in flight: 2+ overlaps batch "
-        "k+1's ingest/partition with batch k's execution (results stay "
-        "byte-identical; default 1 = strictly sequential)",
-    )
 
     bench = sub.add_parser(
         "bench",
@@ -741,7 +733,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     reporter = _configure_logging(args)
     if args.command == "list":
         for name, (description, _) in sorted(EXPERIMENTS.items()):
@@ -754,7 +747,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "bench":
         return _bench_main(args, reporter)
     if args.command == "quickstart":
-        text, _ = _run_quickstart(args)
+        try:
+            config = _quickstart_config(args)
+        except ValueError as exc:
+            parser.error(str(exc))
+        text, _ = _run_quickstart(args, config)
         reporter.info("%s", text)
         return 0
 

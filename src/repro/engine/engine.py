@@ -16,13 +16,10 @@ and Reduce tasks used for subsequent batches.
 from __future__ import annotations
 
 import logging
-import time
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..core.batch import BatchInfo, PartitionedBatch
+from ..core.batch import BatchInfo
 from ..core.config import EarlyReleaseConfig, ElasticityConfig
 from ..core.early_release import EarlyReleaseController
 from ..core.elasticity import AutoScaler, ScalingDecision
@@ -31,18 +28,12 @@ from ..core.metrics import evaluate_partition
 from ..extensions.batch_sizing import BatchSizeController, BatchSizingConfig
 from ..obs import ObservabilityConfig, RunObservability
 from ..partitioners.base import Partitioner
-from ..partitioners.feedback import FEEDBACK_LAG, NULL_FEEDBACK, FeedbackBuffer
+from ..partitioners.feedback import NULL_FEEDBACK, FeedbackBuffer
 from ..queries.base import Query
 from ..workloads.source import StreamSource
 from .backpressure import BackpressureConfig, BackpressureMonitor
 from .cluster import Cluster, ClusterConfig
-from .executors import (
-    EXECUTOR_NAMES,
-    BatchHandle,
-    ExecutionBackend,
-    ExecutorKind,
-    make_executor,
-)
+from .executors import EXECUTOR_NAMES, ExecutorKind, make_executor
 from .faults import FailureInjector, RecoveryEvent, TaskFaultInjector
 from .lateness import LatenessConfig, LatenessMonitor
 from .receiver import Receiver
@@ -107,17 +98,6 @@ class EngineConfig:
     #: broken-pool rebuilds allowed per task wave before the batch
     #: degrades to the serial fallback
     max_pool_resurrections: int = 2
-    #: bounded two-stage pipelining of the driver (Section 2.1 /
-    #: Figure 2: interval k+1 buffers *while* interval k processes).
-    #: 1 (the default) submits batch k and joins it in the same
-    #: heartbeat — strictly sequential collect→partition→execute; 2
-    #: parks batch k's handle and overlaps batch k+1's ingest/partition
-    #: with its execution, joining handles in batch order so results
-    #: stay byte-identical.  Clamped back to 1 (with a
-    #: warning) when elasticity or batch sizing is configured: those
-    #: feedback loops steer batch k+1 from batch k's completion, which
-    #: pipelining would hand them late.
-    pipeline_depth: int = 1
     #: span tracing + metrics for this run (None = fully disabled; the
     #: no-op path adds no measurable overhead and never perturbs the
     #: determinism contract — see repro.obs)
@@ -146,34 +126,11 @@ class EngineConfig:
             raise ValueError("task_timeout must be positive when set")
         if self.max_pool_resurrections < 0:
             raise ValueError("max_pool_resurrections must be >= 0")
-        if self.pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
         if self.speculative_execution and self.task_timeout is None:
             raise ValueError(
                 "speculative_execution requires task_timeout (speculation "
                 "triggers on the straggler deadline)"
             )
-
-
-@dataclass(slots=True)
-class _InFlightBatch:
-    """Everything the driver must retain per submitted batch until its
-    handle is joined (in batch order) and the completion is fed to
-    windows/state/stats."""
-
-    index: int
-    info: BatchInfo
-    tuples: list
-    partitioned: PartitionedBatch
-    handle: BatchHandle
-    map_tasks: int
-    reduce_tasks: int
-    batch_span_id: int
-    #: real stamp of submit_batch *returning* to the driver.  An eager
-    #: backend executes inside the call, so completed_at <= dispatched_at
-    #: and the overlap accounting correctly collapses to zero; an async
-    #: backend returns immediately and overlap measures true concurrency.
-    dispatched_at: float
 
 
 @dataclass
@@ -276,8 +233,7 @@ class MicroBatchEngine:
         # opted in, so the default path neither constructs feedback nor
         # calls into the partitioner — byte-identical to the
         # pre-feedback engine.  Delivery lag and ordering are fixed by
-        # the FeedbackBuffer contract (see repro.partitioners.feedback),
-        # which is what keeps depth-1 and depth-2 drivers equivalent.
+        # the FeedbackBuffer contract (see repro.partitioners.feedback).
         feedback = (
             FeedbackBuffer() if self.partitioner.uses_feedback else NULL_FEEDBACK
         )
@@ -293,29 +249,6 @@ class MicroBatchEngine:
         if cfg.batch_sizing is not None:
             sizer = BatchSizeController(cfg.batch_sizing)
             sizer.seed(cfg.batch_interval)
-
-        depth = cfg.pipeline_depth
-        if depth > 1 and (scaler is not None or sizer is not None):
-            log.warning(
-                "pipeline_depth=%d clamped to 1: elasticity/batch-sizing "
-                "feedback steers batch k+1 from batch k's completion, "
-                "which a pipelined driver would deliver too late",
-                depth,
-            )
-            depth = 1
-        if depth > FEEDBACK_LAG and self.partitioner.uses_feedback:
-            log.warning(
-                "pipeline_depth=%d clamped to %d: %s consumes worker-load "
-                "feedback, which is only guaranteed published in time when "
-                "at most %d batches are in flight",
-                depth, FEEDBACK_LAG, self.partitioner.name, FEEDBACK_LAG,
-            )
-            depth = FEEDBACK_LAG
-        if depth > 1 and metrics.enabled:
-            metrics.gauge(
-                "prompt_pipeline_depth",
-                "Bounded pipeline depth the driver ran with (batches in flight)",
-            ).set(depth)
 
         batches_per_window = (
             self.query.window.batches_per_window(cfg.batch_interval)
@@ -351,144 +284,7 @@ class MicroBatchEngine:
                 labels,
             ).set(quality.ksr)
 
-        # -- in-flight batches -------------------------------------------
-        # Every batch is submitted through submit_batch and its handle
-        # parked here.  Depth 1 joins it in the same heartbeat; depth
-        # >= 2 leaves it parked so batch k+1's ingest/partition overlaps
-        # its execution.  Handles join strictly in batch order, and a
-        # batch's scheduler job always carries its *own* heartbeat as
-        # the ready time — the simulated timeline (ready, start, finish,
-        # queue delay) is computed from the same values in the same
-        # order at every depth, so depth never leaks into the
-        # determinism contract.
-        in_flight: deque[_InFlightBatch] = deque()
-
-        # -- bounded completion worker (depth >= 2) ---------------------
-        # At depth >= 2 _complete_batch (output merge, window fold,
-        # state put/evict, stats) is handed to a single worker thread
-        # and joined in a bounded queue, so a large-window merge does
-        # not stall the driver exactly where pipelining buys overlap:
-        # one thread + batch-ordered enqueue keeps windows/state folding
-        # in batch order (the determinism contract), and the bound keeps
-        # memory and completion lag finite.  Everything _complete_batch
-        # touches (windows, store, stats, monitor, recoveries,
-        # window_answers) is owned by the worker while the run is live:
-        # the scaler and sizer are always None at depth >= 2 (clamped
-        # above), and the driver only reads those structures after the
-        # final flush.
-        completer: Optional[ThreadPoolExecutor] = None
-        completions: deque["Future[None]"] = deque()
-        completion_bound = max(2, depth)
-        if depth > 1:
-            completer = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="prompt-complete"
-            )
-
-        def enqueue_completion(complete) -> None:
-            enqueued_at = time.perf_counter()
-
-            def run_completion() -> None:
-                complete()
-                if metrics.enabled:
-                    metrics.histogram(
-                        "prompt_completion_lag_seconds",
-                        "Real time from a batch's join to the end of its "
-                        "deferred completion work",
-                    ).observe(time.perf_counter() - enqueued_at)
-
-            completions.append(completer.submit(run_completion))
-            while len(completions) > completion_bound:
-                # joining the oldest future re-raises anything the
-                # completion work raised, so failures surface promptly
-                completions.popleft().result()
-
-        def flush_completions() -> None:
-            while completions:
-                completions.popleft().result()
-
-        def join_oldest() -> None:
-            entry = in_flight.popleft()
-            k, partitioned = entry.index, entry.partitioned
-            pipeline_wait = overlap = 0.0
-            if depth == 1:
-                execution = entry.handle.result()
-            else:
-                wait_started = time.perf_counter()
-                with tracer.span(
-                    "pipeline_wait", parent=entry.batch_span_id, batch=k
-                ):
-                    execution = entry.handle.result()
-                pipeline_wait = time.perf_counter() - wait_started
-                if metrics.enabled:
-                    metrics.histogram(
-                        "prompt_pipeline_stall_seconds",
-                        "Real time the driver stalled joining an in-flight batch",
-                    ).observe(pipeline_wait)
-                # execution time that elapsed after submit_batch returned
-                # control to the driver, minus the tail the driver spent
-                # blocked in result(): the wall-clock the pipeline reclaimed.
-                overlap = max(
-                    0.0,
-                    execution.completed_at - entry.dispatched_at - pipeline_wait,
-                )
-            if feedback.enabled:
-                # the buffer withholds this until batch k+2's heartbeat —
-                # the lag a pipelined driver is physically constrained
-                # to — so depth never leaks into feedback-consuming
-                # techniques
-                feedback.publish(backend.observed_load(partitioned, execution))
-            processing = (
-                cluster.stage_makespan(execution.map_durations)
-                + cluster.stage_makespan(execution.reduce_durations)
-                + self.partitioner.heartbeat_overhead(partitioned)
-            )
-
-            def complete(job: ScheduledJob) -> None:
-                self._complete_batch(
-                    k,
-                    entry.info,
-                    entry.tuples,
-                    partitioned.buffer_elapsed,
-                    partitioned.plan_elapsed,
-                    execution,
-                    job,
-                    entry.map_tasks,
-                    entry.reduce_tasks,
-                    scaler=scaler,
-                    windows=windows,
-                    batches_per_window=batches_per_window,
-                    store=store,
-                    monitor=monitor,
-                    stats=stats,
-                    window_answers=window_answers,
-                    scaling_history=scaling_history,
-                    recoveries=recoveries,
-                    sizer=sizer,
-                    obs=obs,
-                    batch_span_id=entry.batch_span_id,
-                    pipeline_wait=pipeline_wait,
-                    pipeline_overlap=overlap,
-                )
-
-            if depth == 1:
-                # event-time completion: elasticity and batch sizing read
-                # batch k's completion at its simulated finish instant
-                scheduler.submit(k, processing, complete)
-            else:
-                # joined at a later heartbeat, so the loop may already be
-                # past this batch's simulated finish instant and a finish
-                # *event* could land in the past — the completion work
-                # itself depends only on the job's timeline values.
-                job = scheduler.submit(k, processing, ready_at=entry.info.t_end)
-                enqueue_completion(lambda: complete(job))
-
         def heartbeat(k: int, t_start: float, interval: float) -> None:
-            # Free a pipeline slot first: with the bound reached, the
-            # driver must absorb the oldest completion before it may
-            # ingest this interval (bounded depth = bounded memory for
-            # parked tuples/partitions and bounded completion lag).
-            while len(in_flight) >= depth:
-                join_oldest()
             info = BatchInfo(index=k, t_start=t_start, t_end=t_start + interval)
             batch_span = tracer.start("batch", index=k)
             try:
@@ -496,9 +292,6 @@ class MicroBatchEngine:
                     tuples, window = receiver.collect(info)
                 map_tasks = scaler.map_tasks if scaler else cfg.num_blocks
                 reduce_tasks = scaler.reduce_tasks if scaler else cfg.num_reducers
-                # with depth 2 the drain loop above has joined batch k-2,
-                # so exactly the feedback the buffer's lag releases is
-                # guaranteed published — same bytes, same order as depth 1
                 feedback.deliver(self.partitioner, k)
                 with tracer.span(
                     "partition", batch=k, technique=self.partitioner.name
@@ -508,30 +301,52 @@ class MicroBatchEngine:
                     )
                 early.record(partitioned.plan_elapsed, window)
                 publish_partition_quality(partitioned)
-                handle = backend.submit_batch(
-                    partitioned,
-                    self.query,
-                    self.partitioner,
-                    reduce_tasks,
-                    cfg.cost_model,
-                    topology=topology,
-                    trace_parent=batch_span.span_id,
-                )
-                in_flight.append(
-                    _InFlightBatch(
-                        index=k,
-                        info=info,
-                        tuples=tuples,
-                        partitioned=partitioned,
-                        handle=handle,
-                        map_tasks=map_tasks,
-                        reduce_tasks=reduce_tasks,
-                        batch_span_id=batch_span.span_id,
-                        dispatched_at=time.perf_counter(),
+                with tracer.span("execute", batch=k, backend=backend.name):
+                    execution = backend.run_batch(
+                        partitioned,
+                        self.query,
+                        self.partitioner,
+                        reduce_tasks,
+                        cfg.cost_model,
+                        topology=topology,
                     )
+                if feedback.enabled:
+                    # the buffer withholds this until batch k+2's heartbeat
+                    feedback.publish(backend.observed_load(partitioned, execution))
+                processing = (
+                    cluster.stage_makespan(execution.map_durations)
+                    + cluster.stage_makespan(execution.reduce_durations)
+                    + self.partitioner.heartbeat_overhead(partitioned)
                 )
-                if depth == 1:
-                    join_oldest()
+
+                def complete(job: ScheduledJob) -> None:
+                    self._complete_batch(
+                        k,
+                        info,
+                        tuples,
+                        partitioned.buffer_elapsed,
+                        partitioned.plan_elapsed,
+                        execution,
+                        job,
+                        map_tasks,
+                        reduce_tasks,
+                        scaler=scaler,
+                        windows=windows,
+                        batches_per_window=batches_per_window,
+                        store=store,
+                        monitor=monitor,
+                        stats=stats,
+                        window_answers=window_answers,
+                        scaling_history=scaling_history,
+                        recoveries=recoveries,
+                        sizer=sizer,
+                        obs=obs,
+                        batch_span_id=batch_span.span_id,
+                    )
+
+                # event-time completion: elasticity and batch sizing read
+                # batch k's completion at its simulated finish instant
+                scheduler.submit(k, processing, complete)
             finally:
                 tracer.end(batch_span)
             if k + 1 < num_batches:
@@ -562,19 +377,8 @@ class MicroBatchEngine:
         )
         try:
             loop.run()
-            # At depth >= 2 the heartbeat chain ends with up to `depth`
-            # batches still parked.  Join them in batch order before the
-            # run closes so stats/windows/state see every batch exactly
-            # once — then join the completion worker's tail so every
-            # batch's windows/state/stats fold lands before results are
-            # read.
-            while in_flight:
-                join_oldest()
-            flush_completions()
         finally:
             tracer.end(run_span)
-            if completer is not None:
-                completer.shutdown(wait=True)
             backend.close()
         if monitor.triggered:
             log.warning(
@@ -640,8 +444,6 @@ class MicroBatchEngine:
         sizer: Optional[BatchSizeController] = None,
         obs: Optional[RunObservability] = None,
         batch_span_id: Optional[int] = None,
-        pipeline_wait: float = 0.0,
-        pipeline_overlap: float = 0.0,
     ) -> None:
         """Batch ``k`` finished processing: state, windows, feedback."""
         cfg = self.config
@@ -716,8 +518,6 @@ class MicroBatchEngine:
             payload_bytes=execution.payload_bytes,
             context_installs=execution.context_installs,
             context_bytes=execution.context_bytes,
-            pipeline_wait_seconds=pipeline_wait,
-            pipeline_overlap_seconds=pipeline_overlap,
         )
         stats.add(record)
         monitor.observe(k, record.load, record.queue_delay, record.batch_interval)

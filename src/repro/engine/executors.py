@@ -102,7 +102,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -133,7 +132,6 @@ from .topology import ClusterTopology
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "BatchHandle",
     "ExecutionBackend",
     "ExecutorKind",
     "SerialExecutor",
@@ -192,41 +190,6 @@ class StaleContextError(RuntimeError):
     """
 
 
-class BatchHandle:
-    """An in-flight batch submitted through :meth:`ExecutionBackend.submit_batch`.
-
-    A thin, read-only view over the backend's future: ``done()`` polls,
-    ``result()`` blocks until the batch's :class:`BatchExecution` is
-    available (re-raising whatever the execution raised).  The driver
-    holds one handle per submitted batch and joins them strictly in
-    batch order, which is what keeps windowing, state, and stats
-    consumption identical at every pipeline depth.
-    """
-
-    __slots__ = ("batch_index", "submitted_at", "_future")
-
-    def __init__(
-        self, batch_index: int, future: "Future[BatchExecution]",
-        submitted_at: float,
-    ) -> None:
-        self.batch_index = batch_index
-        #: real ``perf_counter`` stamp of the submit_batch call
-        self.submitted_at = submitted_at
-        self._future = future
-
-    def done(self) -> bool:
-        """Whether the batch's execution has finished (success or error)."""
-        return self._future.done()
-
-    def result(self, timeout: float | None = None) -> BatchExecution:
-        """Block until the execution is available and return it."""
-        return self._future.result(timeout)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.done() else "in-flight"
-        return f"BatchHandle(batch={self.batch_index}, {state})"
-
-
 class ExecutionBackend(abc.ABC):
     """Strategy interface: how one batch's tasks are dispatched."""
 
@@ -266,64 +229,6 @@ class ExecutionBackend(abc.ABC):
         topology: ClusterTopology | None = None,
     ) -> BatchExecution:
         """Execute one batch's Map -> shuffle -> Reduce computation."""
-
-    def submit_batch(
-        self,
-        batch: PartitionedBatch,
-        query: Query,
-        partitioner: Partitioner,
-        num_reducers: int,
-        cost_model: TaskCostModel,
-        topology: ClusterTopology | None = None,
-        *,
-        trace_parent: int | None = None,
-    ) -> BatchHandle:
-        """Submit one batch for execution and return a joinable handle.
-
-        The driver's only entry point, defined once for every backend:
-        :meth:`run_batch` wrapped in an ``execute`` span and stamped
-        with the real submit/complete instants, handed to
-        :meth:`_dispatch`.  The serial reference dispatches inline (the
-        handle comes back already completed); the parallel backend
-        dispatches on its single dispatch thread, so the call returns
-        while map/reduce futures are still in flight.
-
-        ``trace_parent`` is the span id the execution should be
-        parented under (the driver's ``batch`` span); submission may
-        outlive the driver's span stack, so the parent must travel
-        explicitly.
-        """
-        submitted = time.perf_counter()
-        index = batch.info.index
-
-        def execute() -> BatchExecution:
-            span = self.tracer.start(
-                "execute", parent=trace_parent, batch=index, backend=self.name
-            )
-            try:
-                execution = self.run_batch(
-                    batch, query, partitioner, num_reducers, cost_model,
-                    topology=topology,
-                )
-            finally:
-                self.tracer.end(span)
-            execution.submitted_at = submitted
-            execution.completed_at = time.perf_counter()
-            return execution
-
-        return BatchHandle(index, self._dispatch(execute), submitted)
-
-    def _dispatch(
-        self, execute: Callable[[], BatchExecution]
-    ) -> "Future[BatchExecution]":
-        """Where a submitted batch runs: inline, unless a backend with a
-        dispatch thread overrides this."""
-        future: Future = Future()
-        try:
-            future.set_result(execute())
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
 
     def observed_load(
         self, batch: PartitionedBatch, execution: BatchExecution
@@ -615,11 +520,6 @@ class ParallelExecutor(ExecutionBackend):
         self.fault_injector = fault_injector
         self._mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
-        #: single-threaded dispatcher backing submit_batch: one thread
-        #: means submitted batches execute strictly in submission order
-        #: (determinism by construction) while the driver overlaps the
-        #: next batch's ingest/partition with this one's pool waits
-        self._dispatcher: ThreadPoolExecutor | None = None
         #: monotonically increasing context-generation stamp; bumped
         #: whenever the run-invariant slice changes (so a worker can
         #: detect a delta minted for a slice it never received)
@@ -685,10 +585,8 @@ class ParallelExecutor(ExecutionBackend):
             self._context = context
             self._context_signature = signature
             return
-        # workers holding the old slice must not serve the new one.
-        # _close_pool, not close(): this runs on the dispatch thread
-        # under submit_batch, and close() joins that very thread.
-        self._close_pool()
+        # workers holding the old slice must not serve the new one
+        self.close()
         self._generation += 1
         # pinning the context keeps query/cost_model alive, so the id()s
         # in the signature can never be recycled onto different objects
@@ -746,43 +644,11 @@ class ParallelExecutor(ExecutionBackend):
             self._record_install()
         return self._pool
 
-    def _dispatch(
-        self, execute: Callable[[], BatchExecution]
-    ) -> "Future[BatchExecution]":
-        """Run the batch on the single dispatch thread and return at once.
-
-        Pool submission, the retry/resurrection/speculation wave loop,
-        the shuffle, and — if an infrastructure error strikes — the
-        serial fallback all happen on that thread.  One thread means
-        batches execute strictly in submission order, so every
-        run-level counter and the resident context's generation
-        bookkeeping see a single-threaded sequence; while it sleeps in
-        ``wait()`` on pool futures (GIL released), a pipelined driver
-        buffers and partitions the *next* batch.
-        """
-        if self._dispatcher is None:
-            self._dispatcher = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="prompt-dispatch"
-            )
-        return self._dispatcher.submit(execute)
-
-    def _close_pool(self) -> None:
-        """Shut down the process pool only (safe from the dispatch thread)."""
+    def close(self) -> None:
+        """Shut down the worker pool; the next batch rebuilds it lazily."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-
-    def close(self) -> None:
-        """Release the dispatch thread and the worker pool (driver-only).
-
-        Joins the dispatcher, so it must never run *on* the dispatcher —
-        internal paths that retire a pool mid-run (context changes,
-        broken-pool handling) use :meth:`_close_pool` instead.
-        """
-        if self._dispatcher is not None:
-            self._dispatcher.shutdown(wait=True)
-            self._dispatcher = None
-        self._close_pool()
 
     # ------------------------------------------------------------------
     def _serial_fallback(
@@ -923,7 +789,7 @@ class ParallelExecutor(ExecutionBackend):
                     record_success(tid, future, speculative)
             pending.clear()
             outstanding = [0] * n
-            self._close_pool()
+            self.close()
             if not remaining:
                 to_submit.clear()
                 return
@@ -1129,7 +995,7 @@ class ParallelExecutor(ExecutionBackend):
             if isinstance(exc, BrokenProcessPool):
                 # Drop the corpse; the *next* batch rebuilds a fresh pool
                 # lazily instead of pinning the rest of the run to serial.
-                self._close_pool()
+                self.close()
             if self.fallback_to_serial and _is_infrastructure_error(exc):
                 return self._serial_fallback(
                     exc, batch, query, partitioner, num_reducers, cost_model, topology

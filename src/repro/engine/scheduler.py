@@ -58,32 +58,15 @@ class PipelineScheduler:
         index: int,
         duration: float,
         on_finish: Optional[Callable[[ScheduledJob], None]] = None,
-        *,
-        ready_at: Optional[float] = None,
     ) -> ScheduledJob:
         """Submit a batch job at the current simulated instant.
 
         The job starts when the pipeline frees up (FIFO) and finishes
         ``duration`` later; ``on_finish`` is scheduled at that instant.
-
-        ``ready_at`` overrides the job's ready time (default: the loop's
-        current instant).  The pipelined driver needs this: it joins an
-        in-flight batch at a *later* heartbeat, but the batch became
-        ready for the processing pipeline at its own heartbeat — using
-        ``loop.now`` there would inflate every queue-delay figure and
-        break the depth-1/depth-2 equivalence of the simulated timeline.
-        With an explicit ``ready_at``, ``on_finish`` must be None (a
-        completion callback could land in the loop's past).
         """
         if duration < 0:
             raise ValueError(f"duration must be >= 0, got {duration}")
-        if ready_at is not None and on_finish is not None:
-            raise ValueError(
-                "ready_at and on_finish are mutually exclusive: an "
-                "explicit ready time may precede loop.now, where a "
-                "finish event cannot be scheduled"
-            )
-        ready = self.loop.now if ready_at is None else ready_at
+        ready = self.loop.now
         start = max(ready, self._busy_until)
         finish = start + duration
         self._busy_until = finish

@@ -19,8 +19,8 @@ Correctness contract (proven by
 batch-``k`` inputs equals the single-engine batch-``k`` input tenant by
 tenant, so merging per-shard window answers with the query's own
 ``aggregator.merge`` reproduces each tenant's single-engine answers
-byte-for-byte — through router strategies, executors, pipeline depths,
-shard-scoped faults, and mid-run rebalances.
+byte-for-byte — through router strategies, executors, shard-scoped
+faults, and mid-run rebalances.
 """
 
 from __future__ import annotations

@@ -87,14 +87,6 @@ class BatchRecord:
     payload_bytes: int = field(default=0, compare=False)
     context_installs: int = field(default=0, compare=False)
     context_bytes: int = field(default=0, compare=False)
-    #: pipelined-driver overlap accounting (real seconds, compare=False
-    #: like every wall-clock observation): how long the driver stalled
-    #: in ``BatchHandle.result()`` joining this batch, and how much of
-    #: the batch's execution ran while the driver was off doing other
-    #: work (ingesting/partitioning its successor).  Both stay 0.0 at
-    #: ``pipeline_depth=1``, where execution is synchronous.
-    pipeline_wait_seconds: float = field(default=0.0, compare=False)
-    pipeline_overlap_seconds: float = field(default=0.0, compare=False)
 
     @property
     def partition_elapsed(self) -> float:
@@ -258,20 +250,6 @@ class RunStats:
     def total_context_bytes(self) -> int:
         """Bytes shipped by run-context broadcasts (installs × blob size)."""
         return sum(r.context_bytes for r in self.records)
-
-    # -- pipelined driver (overlap accounting) -----------------------------
-    def total_pipeline_wait_seconds(self) -> float:
-        """Real seconds the driver stalled joining in-flight batch handles."""
-        return sum(r.pipeline_wait_seconds for r in self.records)
-
-    def total_pipeline_overlap_seconds(self) -> float:
-        """Real seconds of execution overlapped with driver-side work.
-
-        The wall-clock the pipelined driver reclaimed: execution time
-        that elapsed while the driver was buffering/partitioning a later
-        batch instead of blocking.  Always 0.0 at ``pipeline_depth=1``.
-        """
-        return sum(r.pipeline_overlap_seconds for r in self.records)
 
     # -- figure extracts ----------------------------------------------
     def reduce_time_series(self) -> list[tuple[int, float, float]]:

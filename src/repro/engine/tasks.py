@@ -202,14 +202,6 @@ class BatchExecution:
     payload_bytes: int = 0
     context_installs: int = 0
     context_bytes: int = 0
-    #: real ``perf_counter`` stamps set by the async submission path
-    #: (:meth:`~repro.engine.executors.ExecutionBackend.submit_batch`):
-    #: when the driver handed the batch to the backend and when the
-    #: backend finished computing it.  Pure wall-clock observations —
-    #: the pipelined driver derives its overlap accounting from them;
-    #: both stay 0.0 on the synchronous ``run_batch`` path.
-    submitted_at: float = 0.0
-    completed_at: float = 0.0
 
     @property
     def map_durations(self) -> list[float]:

@@ -49,10 +49,8 @@ def _labelkey(labels: Mapping[str, str] | None) -> Labels:
 class Counter:
     """Monotonically increasing count.
 
-    Updates are guarded by a per-instrument lock: the pipelined driver
-    publishes from two threads (the event loop and the executor's
-    dispatch thread) and an unguarded ``+=`` read-modify-write between
-    them can lose increments.
+    Updates are guarded by a per-instrument lock: an unguarded ``+=``
+    read-modify-write from two publishing threads can lose increments.
     """
 
     kind = "counter"
@@ -100,7 +98,7 @@ class Histogram:
     """Fixed-bucket histogram with cumulative counts, sum and count.
 
     One lock covers sum/count/bucket updates so a concurrent publisher
-    on the dispatch thread can never leave the three views inconsistent.
+    can never leave the three views inconsistent.
     """
 
     kind = "histogram"

@@ -82,11 +82,10 @@ class WorkerSpan:
 class Tracer:
     """Collects a tree of spans for one run.
 
-    Thread-aware to exactly the degree the pipelined driver needs: the
-    open-span stack is *per thread* (the driver's buffer/partition spans
-    and the dispatch thread's execute/shuffle spans nest independently,
-    parented explicitly across the boundary), while span-id allocation
-    and the finished-span list are guarded by a lock so concurrent
+    Thread-aware: the open-span stack is *per thread* (spans opened on
+    different threads nest independently and are parented explicitly
+    across the boundary), while span-id allocation and the
+    finished-span list are guarded by a lock so concurrent
     ``end``/``record`` calls never lose a span.  Worker *processes*
     still never see the tracer — their measurements travel back as
     :class:`WorkerSpan` payloads.
@@ -128,8 +127,7 @@ class Tracer:
         """Close ``span`` (and anything left open inside it) and keep it.
 
         Unwinds the *calling thread's* stack — a span must be ended on
-        the thread that started it (both the driver loop and the
-        dispatch thread obey this by construction).
+        the thread that started it.
         """
         stack = self._stack
         while stack:

@@ -9,19 +9,14 @@ load and per-bucket Reduce load, straight from the executed
 :class:`~repro.engine.tasks.BatchExecution` — and delivers it to the
 partitioner before a later batch is partitioned.
 
-**Determinism contract.**  Delivery must not depend on *when* a batch
-happens to finish: the sequential driver completes batch ``k`` inside
-heartbeat ``k`` while the pipelined driver (``pipeline_depth=2``) only
-joins it while batch ``k+1`` is already in flight.  The
-:class:`FeedbackBuffer` therefore holds published feedback and releases
-it with a fixed lag of :data:`FEEDBACK_LAG` batches: partitioning batch
-``k`` sees the feedback of batches ``<= k - 2``, in batch order, under
-*every* driver and executor.  Both drivers guarantee availability at
-that lag (the sequential heartbeat executes batch ``k-1`` synchronously;
-the depth-2 driver drains batch ``k-2`` before ingesting ``k``), so the
-same bytes flow in the same order everywhere and the differential
-suites stay byte-identical across depths, backends, and injected task
-crashes.
+**Determinism contract.**  Load reports reach the partitioner two
+heartbeats late, and that lag is fixed so results are reproducible: the
+:class:`FeedbackBuffer` holds published feedback and releases it with a
+lag of :data:`FEEDBACK_LAG` batches, so partitioning batch ``k`` sees
+the feedback of batches ``<= k - 2``, in batch order, under every
+executor.  The same bytes flow in the same order everywhere and the
+differential suites stay byte-identical across backends and injected
+task crashes.
 
 Techniques that do not opt in (``uses_feedback = False``, the default)
 are wired to :data:`NULL_FEEDBACK`, whose ``publish``/``deliver`` are
@@ -43,9 +38,9 @@ __all__ = [
 
 #: Batches between a batch completing and its feedback being delivered:
 #: partitioning batch ``k`` sees feedback of batches ``<= k - FEEDBACK_LAG``.
-#: 2 is the smallest lag every driver can honor deterministically (the
-#: depth-2 pipelined driver has not yet joined batch ``k-1`` when it
-#: partitions batch ``k``).
+#: Load reports reach the partitioner two heartbeats late; the value is
+#: fixed (every stored shoot-out and matrix number depends on it) so
+#: results are reproducible.
 FEEDBACK_LAG = 2
 
 
@@ -103,13 +98,12 @@ NULL_FEEDBACK = NullFeedback()
 
 @dataclass
 class FeedbackBuffer:
-    """Orders and lags feedback delivery so drivers cannot race it.
+    """Orders and lags feedback delivery.
 
-    ``publish`` may be called whenever a batch's execution becomes
-    available (synchronously in the sequential heartbeat, at drain time
-    in the pipelined driver); ``deliver(partitioner, k)`` is called just
-    before batch ``k`` is partitioned and hands over — in batch order —
-    every pending feedback with ``batch_index <= k - lag``.
+    ``publish`` is called when a batch's execution becomes available
+    (inside its own heartbeat); ``deliver(partitioner, k)`` is called
+    just before batch ``k`` is partitioned and hands over — in batch
+    order — every pending feedback with ``batch_index <= k - lag``.
     """
 
     lag: int = FEEDBACK_LAG

@@ -24,10 +24,10 @@ ENV = {"cpu_count": 4, "python": "3.11", "numpy": False}
 # grid declaration
 def test_grid_sizes():
     assert len(TINY_GRID) == 1
-    # 16 single-engine (serial+parallel) + 4 sharded (s2, d1)
-    assert len(QUICK_GRID) == 20
-    # 72 single-engine + 24 sharded (s2/s4)
-    assert len(FULL_GRID) == 96
+    # 8 single-engine (serial+parallel) + 4 sharded (s2)
+    assert len(QUICK_GRID) == 12
+    # 36 single-engine + 24 sharded (s2/s4)
+    assert len(FULL_GRID) == 60
     assert set(GRIDS) == {"tiny", "quick", "full"}
 
 
@@ -42,7 +42,6 @@ def test_grid_prunes_sharded_cells_to_the_clean_serial_path():
     assert sharded, "full grid lost its sharded cells"
     for cell in sharded:
         assert cell.backend == "serial"
-        assert cell.pipeline_depth == 1
         assert cell.fault_profile == "none"
 
 
@@ -75,28 +74,25 @@ def test_retired_streaming_axis_left_eager_hashes_untouched():
         MatrixCell("synd-z1.4", "prompt", backend="parallel").config_hash
         == "b335bf44a8e3d85f"
     )
-    assert (
-        MatrixCell(
-            "synd-z1.4", "prompt", backend="parallel", pipeline_depth=2
-        ).config_hash
-        == "b8ae267088026e96"
-    )
 
 
 def test_retired_ingest_kernel_axis_left_hashes_untouched():
     """The axis is gone but its literal still enters every hash, so the
-    value the store recorded for this cell before the retirement holds."""
+    value the store recorded for this cell before the retirement holds
+    (likewise for the retired ``pipeline_depth`` axis)."""
     cell = MatrixCell("tweets", "prompt")
     assert not hasattr(cell, "ingest_kernel")
     assert cell.params()["ingest_kernel"] == "default"
+    assert not hasattr(cell, "pipeline_depth")
+    assert cell.params()["pipeline_depth"] == 1
     assert cell.config_hash == "863719664f7e6f95"
 
 
 def test_cell_hash_stable_and_label():
-    cell = MatrixCell(workload="tweets", partitioner="prompt", pipeline_depth=2)
-    again = MatrixCell(workload="tweets", partitioner="prompt", pipeline_depth=2)
+    cell = MatrixCell(workload="tweets", partitioner="prompt")
+    again = MatrixCell(workload="tweets", partitioner="prompt")
     assert cell.config_hash == again.config_hash
-    assert cell.label() == "tweets/prompt/serial/default/d2/none"
+    assert cell.label() == "tweets/prompt/serial/default/d1/none"
 
 
 def test_grid_hashes_are_unique():

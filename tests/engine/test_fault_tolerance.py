@@ -45,7 +45,9 @@ WORKLOADS = {
     "tweets": lambda: tweets_source(rate=800.0, seed=42),
 }
 
-PARTITIONERS = ("prompt", "hash")
+# "fang" consumes worker-load feedback: its lagged load reports must
+# survive retried and resurrected tasks byte for byte too
+PARTITIONERS = ("prompt", "hash", "fang")
 
 
 def _run(
@@ -108,7 +110,7 @@ def _crash_and_poison_injector() -> TaskFaultInjector:
 @pytest.mark.parametrize("partitioner", PARTITIONERS)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_task_crashes_and_pool_loss_are_invisible(workload, partitioner):
-    """Acceptance case: 2 workloads x 2 partitioners, crashes + a broken
+    """Acceptance case: 2 workloads x 3 partitioners, crashes + a broken
     pool, byte-identical to clean serial, retries > 0, resurrections > 0,
     and the batch after the breakage parallel again."""
     serial = _run(workload, partitioner, "serial")

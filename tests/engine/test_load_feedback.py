@@ -2,16 +2,11 @@
 
 The contract under test: a partitioner with ``uses_feedback = True``
 receives, immediately before batch ``k`` is partitioned, the observed
-load of every batch ``<= k - FEEDBACK_LAG`` in batch order — the same
-sequence under the sequential and pipelined drivers — and a partitioner
-that does not opt in is never called at all.
+load of every batch ``<= k - FEEDBACK_LAG`` in batch order — and a
+partitioner that does not opt in is never called at all.
 """
 
 from __future__ import annotations
-
-import logging
-
-import pytest
 
 from repro.engine.engine import EngineConfig, MicroBatchEngine
 from repro.partitioners import FEEDBACK_LAG
@@ -49,15 +44,12 @@ class DeafPartitioner(RecordingPartitioner):
     uses_feedback = False
 
 
-def _run(partitioner, *, depth: int = 1, executor: str = "serial"):
+def _run(partitioner):
     cfg = EngineConfig(
         batch_interval=1.0,
         num_blocks=4,
         num_reducers=4,
-        executor=executor,
-        executor_workers=2,
         run_seed=13,
-        pipeline_depth=depth,
     )
     engine = MicroBatchEngine(partitioner, wordcount_query(window_length=3.0), cfg)
     source = synd_source(1.2, num_keys=300, arrival=ConstantRate(1_000.0), seed=11)
@@ -75,24 +67,13 @@ def _expected_events(num_batches: int) -> list[tuple[str, int]]:
 
 def test_sequential_driver_delivers_with_fixed_lag():
     spy = RecordingPartitioner()
-    _run(spy, depth=1)
+    _run(spy)
     assert spy.events == _expected_events(NUM_BATCHES)
-
-
-@pytest.mark.parametrize("executor", ("serial", "parallel"))
-def test_pipelined_driver_delivers_the_same_sequence(executor):
-    """Depth 2 reorders *when* work happens, never what the partitioner
-    observes: the interleaving is identical to the sequential driver."""
-    reference = RecordingPartitioner()
-    _run(reference, depth=1)
-    pipelined = RecordingPartitioner()
-    _run(pipelined, depth=2, executor=executor)
-    assert pipelined.events == reference.events
 
 
 def test_feedback_carries_the_executed_batch_load():
     spy = RecordingPartitioner()
-    result = _run(spy, depth=1)
+    result = _run(spy)
     by_index = {r.index: r for r in result.stats.records}
     assert len(spy.feedback) == NUM_BATCHES - FEEDBACK_LAG
     for fb in spy.feedback:
@@ -105,21 +86,5 @@ def test_feedback_carries_the_executed_batch_load():
 
 def test_non_consumers_never_receive_feedback():
     deaf = DeafPartitioner()
-    _run(deaf, depth=2, executor="serial")
+    _run(deaf)
     assert all(kind == "partition" for kind, _ in deaf.events)
-
-
-def test_deep_pipelines_are_clamped_for_feedback_consumers(caplog):
-    """Beyond ``FEEDBACK_LAG`` batches in flight, lag-2 delivery could no
-    longer be honored — the engine clamps the depth and says so."""
-    spy = RecordingPartitioner()
-    with caplog.at_level(logging.WARNING, logger="repro.engine"):
-        _run(spy, depth=4, executor="serial")
-    assert spy.events == _expected_events(NUM_BATCHES)
-    assert any("pipeline_depth" in message for message in caplog.messages)
-
-    deaf = DeafPartitioner()
-    with caplog.at_level(logging.WARNING, logger="repro.engine"):
-        _run(deaf, depth=4, executor="serial")
-    # non-consumers keep their requested depth
-    assert not any("feedback" in m for m in caplog.messages[1:])

@@ -10,7 +10,7 @@ over each tenant's own tagged stream:
 - byte-identical per-tenant window answers (pickled bytes of the
   canonically-ordered mappings, so key order and accumulator types
   match exactly, not just dict equality),
-- coverage across router strategies × executors × pipeline depths,
+- coverage across router strategies × executors,
 - a shard killed mid-run (worker-pool poison, per-shard blast radius),
 - a tenant rebalanced between shards at a batch boundary, with the
   window that spans the handoff reconstructed exactly.
@@ -100,7 +100,7 @@ def _assert_matches_reference(sharded, config: EngineConfig) -> None:
 
 
 # ----------------------------------------------------------------------
-# router strategies x partitioners (serial, depth 1)
+# router strategies x partitioners (serial)
 @pytest.mark.parametrize("router", ["hash", "consistent-hash", "key-range"])
 @pytest.mark.parametrize("partitioner", ["prompt", "hash"])
 def test_sharded_equals_per_tenant_runs(router, partitioner):
@@ -134,7 +134,7 @@ def test_shard_count_does_not_change_answers(num_shards):
 
 
 # ----------------------------------------------------------------------
-# executors x pipeline depths
+# executors
 def test_parallel_executor_shards_match_reference():
     config = _config(executor="parallel", executor_workers=2)
     sharded = ShardedEngine(
@@ -142,14 +142,6 @@ def test_parallel_executor_shards_match_reference():
     ).run(_union(), num_batches=NUM_BATCHES)
     _assert_matches_reference(sharded, config)
     assert all(r.backend_name == "parallel" for r in sharded.shard_results)
-
-
-def test_pipelined_shards_match_reference():
-    config = _config(pipeline_depth=2)
-    sharded = ShardedEngine(
-        "prompt", _query(), config, num_shards=2, router="key-range"
-    ).run(_union(), num_batches=NUM_BATCHES)
-    _assert_matches_reference(sharded, config)
 
 
 # ----------------------------------------------------------------------

@@ -63,8 +63,8 @@ def test_run_produces_expected_span_tree():
         assert len(by_name[phase]) == NUM_BATCHES
         for s in by_name[phase]:
             assert s.parent_id in batch_ids, phase
-    # every batch reaches the backend through submit_batch, so the
-    # task phases nest under its execute span
+    # the driver opens an execute span around every run_batch call, so
+    # the task phases nest under it
     execute_ids = {e.span_id for e in by_name["execute"]}
     assert len(by_name["shuffle"]) == NUM_BATCHES
     for s in by_name["shuffle"]:

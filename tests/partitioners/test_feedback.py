@@ -55,7 +55,7 @@ class TestFeedbackBuffer:
     def test_delivery_is_in_batch_order_regardless_of_publish_order(self):
         buffer = FeedbackBuffer()
         spy = SpyPartitioner()
-        # the pipelined driver can drain out of submission order
+        # delivery order must not depend on publish order
         for index in (2, 0, 1, 3):
             buffer.publish(_fb(index))
         assert buffer.deliver(spy, 5) == 4

@@ -152,6 +152,25 @@ def test_quickstart_rejects_unknown_partitioner():
         main(["quickstart", "--partitioner", "nonesuch"])
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--backend", "parallel", "--workers", "0"], "executor_workers"),
+        (["--speculate"], "requires task_timeout"),
+    ],
+)
+def test_quickstart_bad_config_is_a_usage_error(flags, message, capsys):
+    """An invalid flag combination exits 2 with one ``repro: error:``
+    line on stderr, not a ``ValueError`` traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["quickstart", *flags])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("repro: error: ")
+    assert message in err
+
+
 # ----------------------------------------------------------------------
 # shard routers: the sharded demo's --router axis
 @pytest.mark.parametrize("name", ROUTER_NAMES)

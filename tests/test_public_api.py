@@ -12,18 +12,20 @@ Everything deeper than ``import repro`` (``repro.engine.*``,
 promise, so it is deliberately not covered here — with one exception:
 the *config surface* (``EngineConfig`` fields, ``make_executor``
 keywords) is pinned at the bottom of this file, so a new knob fails a
-test until the list is edited on purpose.
+test until the list is edited on purpose, and so is the driver's one
+call into a backend (``ExecutionBackend``'s public methods).
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
 import re
 from pathlib import Path
 
 import repro
-from repro.engine import make_executor
+from repro.engine import executors, make_executor
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -192,7 +194,6 @@ ENGINE_CONFIG_FIELDS = {
     "task_timeout",
     "speculative_execution",
     "max_pool_resurrections",
-    "pipeline_depth",
     "observability",
 }
 
@@ -211,7 +212,7 @@ MAKE_EXECUTOR_KEYWORDS = {
 def test_engine_config_fields_are_pinned():
     fields = {f.name for f in dataclasses.fields(repro.EngineConfig)}
     assert fields == ENGINE_CONFIG_FIELDS
-    assert len(fields) == 22
+    assert len(fields) == 21
 
 
 def test_reference_partitioner_is_not_public():
@@ -237,3 +238,58 @@ def test_make_executor_keywords_are_pinned():
     }
     assert keywords == MAKE_EXECUTOR_KEYWORDS
     assert [n for n in params if n not in keywords] == ["name"]
+
+
+# ----------------------------------------------------------------------
+# one driver shape: a backend runs a batch, and only a process pool is
+# concurrent under repro.engine
+def test_execution_backend_surface_is_pinned():
+    """The driver's one call into a backend is ``run_batch``; there is
+    no second, asynchronous submission entry point or handle type."""
+    public = {
+        name
+        for name in vars(executors.ExecutionBackend)
+        if not name.startswith("_")
+    }
+    assert public == {
+        "name", "run_batch", "observed_load", "bind_observability", "close",
+    }
+    assert set(executors.__all__) == {
+        "ExecutionBackend",
+        "ExecutorKind",
+        "SerialExecutor",
+        "ParallelExecutor",
+        "RunContext",
+        "PayloadSerializationError",
+        "StaleContextError",
+        "EXECUTOR_NAMES",
+        "make_executor",
+    }
+
+
+def test_engine_package_starts_no_threads():
+    """Nothing under ``repro.engine`` imports ``threading`` or a thread
+    pool, and ``engine.py`` (the driver) imports no futures at all."""
+    allowed = {
+        "FIRST_COMPLETED", "Future", "ProcessPoolExecutor", "wait",
+        "BrokenProcessPool",
+    }
+    engine_dir = Path(repro.__file__).resolve().parent / "engine"
+    for path in sorted(engine_dir.rglob("*.py")):
+        futures: set[str] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                module, names = "", {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            assert "threading" not in names | {module}, path
+            # a bare ``import concurrent.futures`` would hide what is used
+            assert not any(n.startswith("concurrent") for n in names), path
+            if module.startswith("concurrent.futures"):
+                futures |= names
+        assert futures <= allowed, (path, futures - allowed)
+        if path.name == "engine.py":
+            assert not futures, path
