@@ -340,9 +340,6 @@ def _quickstart_config(args: argparse.Namespace) -> EngineConfig:
         num_reducers=8,
         executor=getattr(args, "backend", ExecutorKind.SERIAL),
         executor_workers=getattr(args, "workers", None),
-        max_task_retries=getattr(args, "task_retries", 2),
-        task_timeout=getattr(args, "task_timeout", None),
-        speculative_execution=getattr(args, "speculate", False),
         observability=_obs_config(args),
     )
 
@@ -369,8 +366,6 @@ def _run_quickstart(
             f"{result.executor_task_attempts} attempts, "
             f"{result.executor_task_retries} retries, "
             f"{result.executor_pool_resurrections} pool resurrections, "
-            f"{result.executor_speculative_wins} speculative wins, "
-            f"{result.executor_timeout_trips} timeout trips, "
             f"{result.executor_fallbacks} serial fallbacks"
         )
         attempts = result.executor_task_attempts or 1
@@ -603,24 +598,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="worker processes for the parallel backend (default: auto)",
-    )
-    quick.add_argument(
-        "--task-retries",
-        type=int,
-        default=2,
-        help="retry budget per task for transient failures (parallel backend)",
-    )
-    quick.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        help="straggler deadline in real seconds per task attempt",
-    )
-    quick.add_argument(
-        "--speculate",
-        action="store_true",
-        help="duplicate stragglers past the deadline and race the copies "
-        "(requires --task-timeout)",
     )
 
     bench = sub.add_parser(

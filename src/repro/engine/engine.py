@@ -68,9 +68,6 @@ class EngineConfig:
     #: delay contract for late tuples (Section 2.1 / Section 8); None
     #: means the source is trusted to deliver in timestamp order
     lateness: Optional[LatenessConfig] = None
-    #: model shuffle locality: blocks/reducers placed round-robin over
-    #: nodes and remote fragment fetches pay the cost model's network term
-    use_topology: bool = False
     backpressure: BackpressureConfig = field(default_factory=BackpressureConfig)
     track_outputs: bool = True
     replicate_inputs: bool = False
@@ -85,19 +82,6 @@ class EngineConfig:
     executor_workers: Optional[int] = None
     #: root seed for per-task RNG derivation (run-level determinism)
     run_seed: int = 0
-    #: bounded re-execution of transiently-failed task attempts (the
-    #: parallel backend re-runs a task from its pickled payload under
-    #: the same derived seed, so retried runs stay bit-identical)
-    max_task_retries: int = 2
-    #: real seconds a task attempt may stay outstanding before it trips
-    #: the straggler deadline (None = never)
-    task_timeout: Optional[float] = None
-    #: duplicate the slowest outstanding task once its deadline trips and
-    #: take whichever copy delivers first (requires task_timeout)
-    speculative_execution: bool = False
-    #: broken-pool rebuilds allowed per task wave before the batch
-    #: degrades to the serial fallback
-    max_pool_resurrections: int = 2
     #: span tracing + metrics for this run (None = fully disabled; the
     #: no-op path adds no measurable overhead and never perturbs the
     #: determinism contract — see repro.obs)
@@ -120,17 +104,6 @@ class EngineConfig:
             ) from None
         if self.executor_workers is not None and self.executor_workers < 1:
             raise ValueError("executor_workers must be >= 1 when set")
-        if self.max_task_retries < 0:
-            raise ValueError("max_task_retries must be >= 0")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive when set")
-        if self.max_pool_resurrections < 0:
-            raise ValueError("max_pool_resurrections must be >= 0")
-        if self.speculative_execution and self.task_timeout is None:
-            raise ValueError(
-                "speculative_execution requires task_timeout (speculation "
-                "triggers on the straggler deadline)"
-            )
 
 
 @dataclass
@@ -155,8 +128,6 @@ class RunResult:
     executor_task_attempts: int = 0
     executor_task_retries: int = 0
     executor_pool_resurrections: int = 0
-    executor_speculative_wins: int = 0
-    executor_timeout_trips: int = 0
     #: driver→worker dispatch bytes for the whole run: pickled payload
     #: bytes per launched attempt plus run-context broadcast traffic
     executor_payload_bytes: int = 0
@@ -206,17 +177,16 @@ class MicroBatchEngine:
             cfg.executor,
             max_workers=cfg.executor_workers,
             run_seed=cfg.run_seed,
-            max_task_retries=cfg.max_task_retries,
-            task_timeout=cfg.task_timeout,
-            speculative=cfg.speculative_execution,
-            max_pool_resurrections=cfg.max_pool_resurrections,
             fault_injector=self.task_fault_injector,
         )
         backend.bind_observability(tracer, metrics)
         loop = EventLoop()
         scheduler = PipelineScheduler(loop)
         cluster = Cluster(cfg.cluster)
-        topology = ClusterTopology(cfg.cluster) if cfg.use_topology else None
+        # shuffle locality (blocks/reducers placed round-robin over nodes)
+        # is modelled exactly when remote fragment fetches have a price
+        remote_price = cfg.cost_model.network_per_remote_fragment
+        topology = ClusterTopology(cfg.cluster) if remote_price > 0 else None
         early = EarlyReleaseController(cfg.early_release)
         lateness = (
             LatenessMonitor(cfg.lateness) if cfg.lateness is not None else None
@@ -411,8 +381,6 @@ class MicroBatchEngine:
             executor_task_attempts=backend.task_attempts,
             executor_task_retries=backend.task_retries,
             executor_pool_resurrections=backend.pool_resurrections,
-            executor_speculative_wins=backend.speculative_wins,
-            executor_timeout_trips=backend.timeout_trips,
             executor_payload_bytes=backend.payload_bytes,
             executor_context_installs=backend.context_installs,
             executor_context_bytes=backend.context_bytes,
@@ -513,8 +481,6 @@ class MicroBatchEngine:
             task_attempts=execution.task_attempts,
             task_retries=execution.task_retries,
             pool_resurrections=execution.pool_resurrections,
-            speculative_wins=execution.speculative_wins,
-            timeout_trips=execution.timeout_trips,
             payload_bytes=execution.payload_bytes,
             context_installs=execution.context_installs,
             context_bytes=execution.context_bytes,
@@ -561,12 +527,6 @@ class MicroBatchEngine:
                 ("prompt_pool_resurrections_total",
                  "Broken process pools rebuilt mid-batch",
                  execution.pool_resurrections),
-                ("prompt_speculative_wins_total",
-                 "Straggler duplicates that beat the original copy",
-                 execution.speculative_wins),
-                ("prompt_timeout_trips_total",
-                 "Per-task straggler deadlines that expired",
-                 execution.timeout_trips),
             ):
                 metrics.counter(name, help_text).inc(amount)
         if log.isEnabledFor(logging.DEBUG):

@@ -48,27 +48,28 @@ re-run deterministically:
 
 - **Retries** — an attempt that fails with a
   :class:`~repro.engine.faults.TransientTaskError` (or ``OSError``) is
-  resubmitted, up to ``max_task_retries`` times per task.  The retry
+  resubmitted, up to :data:`MAX_TASK_RETRIES` times per task.  The retry
   reuses the *same payload* and therefore the same derived seed:
   retried runs remain bit-identical to clean runs.
 - **Pool resurrection** — after a ``BrokenProcessPool`` the pool is
   rebuilt and only the still-unfinished tasks are resubmitted; results
-  already gathered are kept.  Up to ``max_pool_resurrections`` rebuilds
-  per task wave; past the budget, the batch degrades to the serial
-  fallback — and the *next* batch tries a fresh pool again instead of
-  pinning the rest of the run to serial.
-- **Straggler speculation** — with a ``task_timeout``, a task whose
-  attempt has been outstanding past the deadline trips a counter; with
-  ``speculative=True`` a duplicate attempt of the slowest outstanding
-  task is launched and whichever copy finishes first wins.  Both copies
-  compute the same bytes (same payload, same seed), so the race is
-  benign by construction.
+  already gathered are kept.  Up to :data:`MAX_POOL_RESURRECTIONS`
+  rebuilds per task wave; past the budget, the batch degrades to the
+  serial fallback — and the *next* batch tries a fresh pool again
+  instead of pinning the rest of the run to serial.
 
-Counters for all of this (attempts, retries, resurrections,
-speculative wins, timeout trips) surface per batch on
-:class:`~repro.engine.tasks.BatchExecution` and per run on the executor
-itself; the engine folds them into ``BatchRecord``/``RunStats`` as
-``compare=False`` fields so differential equality is unaffected.
+Both budgets are fixed policy, not configuration.  A wave runs in
+*rounds* (launch every unfinished task, gather in task-id order, carry
+the failed and voided ones over), so a retry starts once its round has
+been gathered.  There is no per-task deadline and no duplicate attempt:
+a slow task here is slow because of its block (Eqn. 1), and a copy over
+the same block is exactly as slow (retired, see EXPERIMENTS.md).
+
+Counters for all of this (attempts, retries, resurrections) are kept
+per run on the executor itself and surface per batch on
+:class:`~repro.engine.tasks.BatchExecution` as the run totals' change
+across the batch; the engine folds them into ``BatchRecord``/``RunStats``
+as ``compare=False`` fields so differential equality is unaffected.
 Injected faults for testing come from
 :class:`~repro.engine.faults.TaskFaultInjector`.
 
@@ -98,12 +99,7 @@ import multiprocessing
 import os
 import pickle
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -150,6 +146,13 @@ RETRYABLE_TASK_ERRORS: tuple[type[BaseException], ...] = (
     TransientTaskError,
     OSError,
 )
+#: failed attempts of one task that are re-executed before its own
+#: exception propagates, and broken-pool rebuilds per task wave before
+#: the batch degrades to the serial fallback.  Constants, not options:
+#: tests that need an exhausted budget shape the fault plan
+#: (``crash(..., times=3)``, ``poison(..., times=3)``) instead.
+MAX_TASK_RETRIES = 2
+MAX_POOL_RESURRECTIONS = 2
 
 
 class ExecutorKind(str, enum.Enum):
@@ -210,8 +213,6 @@ class ExecutionBackend(abc.ABC):
         self.task_attempts = 0
         self.task_retries = 0
         self.pool_resurrections = 0
-        self.speculative_wins = 0
-        self.timeout_trips = 0
         #: driver→worker dispatch accounting (the parallel backend
         #: advances them; the serial reference ships no bytes anywhere)
         self.payload_bytes = 0
@@ -443,22 +444,16 @@ def _is_infrastructure_error(exc: BaseException) -> bool:
     )
 
 
-def _is_retryable_error(exc: BaseException) -> bool:
-    """Whether a failed task attempt may be re-executed from its payload."""
-    return isinstance(exc, RETRYABLE_TASK_ERRORS)
-
-
-@dataclass(slots=True)
-class _WaveCounters:
-    """Per-batch fault-tolerance tallies, filled by the task waves."""
-
-    attempts: int = 0
-    retries: int = 0
-    resurrections: int = 0
-    speculative_wins: int = 0
-    timeout_trips: int = 0
-    payload_bytes: int = 0
-
+#: run totals on the backend whose change across one ``run_batch`` call
+#: is that batch's :class:`~repro.engine.tasks.BatchExecution` tally
+_BATCH_COUNTERS: tuple[str, ...] = (
+    "task_attempts",
+    "task_retries",
+    "pool_resurrections",
+    "payload_bytes",
+    "context_installs",
+    "context_bytes",
+)
 
 #: histogram bounds for driver→worker payload sizes (bytes, not seconds)
 PAYLOAD_BYTE_BUCKETS: tuple[float, ...] = (
@@ -480,7 +475,7 @@ class ParallelExecutor(ExecutionBackend):
     carry engine or partitioner state, and they double as the task's
     replicated input: any attempt can be re-run from them
     deterministically (see the module docstring for the
-    retry/resurrection/speculation rules).
+    retry/resurrection rules).
     """
 
     name = "parallel"
@@ -490,35 +485,13 @@ class ParallelExecutor(ExecutionBackend):
         max_workers: int | None = None,
         *,
         run_seed: int = 0,
-        fallback_to_serial: bool = True,
-        mp_context: multiprocessing.context.BaseContext | None = None,
-        max_task_retries: int = 2,
-        task_timeout: float | None = None,
-        speculative: bool = False,
-        max_pool_resurrections: int = 2,
         fault_injector: TaskFaultInjector | None = None,
     ) -> None:
         super().__init__(run_seed=run_seed)
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if max_task_retries < 0:
-            raise ValueError(
-                f"max_task_retries must be >= 0, got {max_task_retries}"
-            )
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task_timeout must be > 0, got {task_timeout}")
-        if max_pool_resurrections < 0:
-            raise ValueError(
-                f"max_pool_resurrections must be >= 0, got {max_pool_resurrections}"
-            )
         self.max_workers = max_workers or min(8, os.cpu_count() or 1)
-        self.fallback_to_serial = fallback_to_serial
-        self.max_task_retries = max_task_retries
-        self.task_timeout = task_timeout
-        self.speculative = speculative
-        self.max_pool_resurrections = max_pool_resurrections
         self.fault_injector = fault_injector
-        self._mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         #: monotonically increasing context-generation stamp; bumped
         #: whenever the run-invariant slice changes (so a worker can
@@ -614,12 +587,10 @@ class ParallelExecutor(ExecutionBackend):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            ctx = self._mp_context
-            if ctx is None:
-                methods = multiprocessing.get_all_start_methods()
-                ctx = multiprocessing.get_context(
-                    "fork" if "fork" in methods else None
-                )
+            methods = multiprocessing.get_all_start_methods()
+            ctx = multiprocessing.get_context(
+                "fork" if "fork" in methods else None
+            )
             # Every worker the pool ever spawns installs the context
             # via the initializer; the install *task* both confirms
             # the pool is live before real work goes in and charges
@@ -706,196 +677,77 @@ class ParallelExecutor(ExecutionBackend):
         self,
         worker: Callable[[bytes, int], object],
         items: Sequence[tuple],
-        counters: _WaveCounters,
         kind: str = "task",
         batch_index: int = -1,
     ) -> list:
-        """Run one wave of tasks with retries/resurrection/speculation.
+        """Run one wave of tasks in rounds, with retries and resurrection.
 
-        Results come back indexed by submission position (= task id),
-        which is what keeps the downstream merge deterministic no matter
-        how attempts raced, failed, or were duplicated.  When tracing is
-        on, each winning attempt's worker-side span is stitched into the
-        driver trace (in task-id order, so the span tree is independent
-        of completion races) and retries/timeouts/speculative launches
-        are marked with zero-duration events.
+        Each round launches every unfinished task, gathers the futures
+        in task-id order, keeps what completed and carries the failed
+        (within :data:`MAX_TASK_RETRIES`) and voided (their pool died)
+        tasks into the next round.  Results come back indexed by
+        submission position (= task id), which is what keeps the
+        downstream merge deterministic no matter how attempts failed.
+        When tracing is on, each task's worker-side span is stitched
+        into the driver trace in task-id order and retries and pool
+        rebuilds are marked with zero-duration events.
 
         ``items`` are the unpickled task deltas.  Each is pickled when
         its first attempt is launched — so task 0 is already running in
         a worker while task 1's block is being serialized — and the
-        bytes are kept for retries and speculative copies.
+        bytes are kept for retries.
         """
         n = len(items)
         payloads: list[Optional[bytes]] = [None] * n
         results: list = [None] * n
-        done = [False] * n
         attempts = [0] * n  # launches so far == next attempt index
         failures = [0] * n  # failed attempts charged against the retry budget
-        outstanding = [0] * n  # live futures per task
-        deadlines = [float("inf")] * n
-        pending: dict[Future, tuple[int, bool]] = {}
-        remaining = n
-        resurrections_left = self.max_pool_resurrections
-        won_attempt = [0] * n  # attempt number of the winning copy
-        won_speculative = [False] * n
-        pending_attempt: dict[Future, int] = {}
-
-        def charge_attempt(tid: int) -> None:
-            counters.attempts += 1
-            self.task_attempts += 1
-            # every launched attempt ships its payload again, so the
-            # byte accounting charges per attempt, not per task
-            nbytes = len(payloads[tid])
-            counters.payload_bytes += nbytes
-            self.payload_bytes += nbytes
-            self.metrics.histogram(
-                "prompt_task_payload_bytes",
-                "Pickled driver-to-worker payload size per task attempt",
-                buckets=PAYLOAD_BYTE_BUCKETS,
-            ).observe(nbytes)
-            if self.task_timeout is not None:
-                deadlines[tid] = time.monotonic() + self.task_timeout
-
-        to_submit: list[tuple[int, bool]] = [(tid, False) for tid in range(n)]
-
-        def record_success(tid: int, future: Future, speculative: bool) -> None:
-            nonlocal remaining
-            results[tid] = future.result()
-            done[tid] = True
-            remaining -= 1
-            won_attempt[tid] = pending_attempt.get(future, attempts[tid] - 1)
-            won_speculative[tid] = speculative
-            if speculative:
-                counters.speculative_wins += 1
-                self.speculative_wins += 1
-                log.info(
-                    "speculative copy won: batch=%s kind=%s task=%s",
-                    batch_index, kind, tid,
-                )
-
-        def salvage_and_rebuild(broken: BrokenProcessPool) -> None:
-            # The pool died; every outstanding future is void.  Keep
-            # results that completed but were not yet observed, drop the
-            # corpse, and (within the resurrection budget) queue a fresh
-            # attempt for *only* the still-unfinished tasks.
-            nonlocal outstanding, resurrections_left
-            for future, (tid, speculative) in list(pending.items()):
-                if (
-                    future.done()
-                    and not future.cancelled()
-                    and future.exception() is None
-                    and not done[tid]
-                ):
-                    record_success(tid, future, speculative)
-            pending.clear()
-            outstanding = [0] * n
-            self.close()
-            if not remaining:
-                to_submit.clear()
-                return
-            if resurrections_left <= 0:
-                raise broken
-            resurrections_left -= 1
-            counters.resurrections += 1
-            self.pool_resurrections += 1
-            log.warning(
-                "process pool broke (batch=%s kind=%s); resurrecting, "
-                "%d unfinished task(s), %d rebuild(s) left",
-                batch_index, kind, remaining, resurrections_left,
-            )
-            self.tracer.event(
-                "pool_resurrection", batch=batch_index, kind=kind,
-                unfinished=remaining,
-            )
-            to_submit[:] = [(tid, False) for tid in range(n) if not done[tid]]
-
-        def launch_queued() -> None:
-            # A worker can die while the driver is still submitting, in
-            # which case ``pool.submit`` itself raises BrokenProcessPool
-            # synchronously — the same failure as a broken future, so it
-            # takes the same resurrection path instead of escaping the
-            # wave (which would needlessly degrade the batch to serial).
-            while to_submit:
-                tid, speculative = to_submit[0]
-                if done[tid]:
-                    to_submit.pop(0)
-                    continue
+        unfinished = list(range(n))
+        resurrections_left = MAX_POOL_RESURRECTIONS
+        while unfinished:
+            futures: dict[int, Future] = {}
+            broken: BrokenProcessPool | None = None
+            for tid in unfinished:
                 if payloads[tid] is None:
                     payloads[tid] = self._pickle_payload(items[tid])
                 try:
-                    future = self._ensure_pool().submit(
+                    futures[tid] = self._ensure_pool().submit(
                         worker, payloads[tid], attempts[tid]
                     )
                 except BrokenProcessPool as exc:
-                    salvage_and_rebuild(exc)  # refills/clears the queue
-                    continue
-                pending_attempt[future] = attempts[tid]
-                attempts[tid] += 1
-                outstanding[tid] += 1
-                pending[future] = (tid, speculative)
-                charge_attempt(tid)
-                to_submit.pop(0)
-
-        while remaining:
-            launch_queued()
-            if not remaining:
-                break
-            timeout = None
-            if self.task_timeout is not None:
-                horizon = min(deadlines[t] for t in range(n) if not done[t])
-                timeout = max(0.0, horizon - time.monotonic())
-            finished, _ = wait(
-                list(pending), timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            if not finished:
-                # A straggler deadline passed with nothing completing.
-                now = time.monotonic()
-                for tid in range(n):
-                    if done[tid] or now < deadlines[tid]:
-                        continue
-                    counters.timeout_trips += 1
-                    self.timeout_trips += 1
-                    log.warning(
-                        "task deadline tripped: batch=%s kind=%s task=%s "
-                        "(outstanding %.3fs past %.3fs timeout)",
-                        batch_index, kind, tid,
-                        now - (deadlines[tid] - (self.task_timeout or 0.0)),
-                        self.task_timeout or 0.0,
-                    )
-                    self.tracer.event(
-                        "task_timeout", batch=batch_index, kind=kind, task_id=tid
-                    )
-                    deadlines[tid] = now + (self.task_timeout or 0.0)
-                    if self.speculative and outstanding[tid] < 2:
-                        # Duplicate the straggler: same payload, same
-                        # seed — either copy's result is byte-identical.
-                        self.tracer.event(
-                            "task_speculate",
-                            batch=batch_index, kind=kind, task_id=tid,
-                        )
-                        to_submit.append((tid, True))
-                continue
-            broken: BrokenProcessPool | None = None
-            errors: list[tuple[int, BaseException]] = []
-            for future in finished:
-                tid, speculative = pending.pop(future)
-                outstanding[tid] -= 1
-                exc = future.exception()
-                if exc is None:
-                    if not done[tid]:  # a sibling copy may have won already
-                        record_success(tid, future, speculative)
-                elif isinstance(exc, BrokenProcessPool):
+                    # A worker can die while the driver is still
+                    # submitting (or the install probe can hit a dead
+                    # pool): the same failure as a broken future, so
+                    # the unlaunched tasks are voided like the rest.
                     broken = exc
-                elif not done[tid]:
-                    errors.append((tid, exc))
-            if broken is not None:
-                salvage_and_rebuild(broken)
-                continue
-            for tid, exc in errors:
-                if done[tid]:
+                    break
+                attempts[tid] += 1
+                self.task_attempts += 1
+                # every launched attempt ships its payload again, so the
+                # byte accounting charges per attempt, not per task
+                nbytes = len(payloads[tid])
+                self.payload_bytes += nbytes
+                self.metrics.histogram(
+                    "prompt_task_payload_bytes",
+                    "Pickled driver-to-worker payload size per task attempt",
+                    buckets=PAYLOAD_BYTE_BUCKETS,
+                ).observe(nbytes)
+            carried: list[int] = []
+            for tid in unfinished:
+                future = futures.get(tid)
+                exc = broken if future is None else future.exception()
+                if exc is None:
+                    results[tid] = future.result()
+                    continue
+                carried.append(tid)
+                if isinstance(exc, BrokenProcessPool):
+                    broken = exc
                     continue
                 failures[tid] += 1
-                if not _is_retryable_error(exc) or failures[tid] > self.max_task_retries:
+                if (
+                    not isinstance(exc, RETRYABLE_TASK_ERRORS)
+                    or failures[tid] > MAX_TASK_RETRIES
+                ):
                     log.error(
                         "task failed permanently: batch=%s kind=%s task=%s "
                         "after %d failure(s): %s: %s",
@@ -903,23 +755,41 @@ class ParallelExecutor(ExecutionBackend):
                         type(exc).__name__, exc,
                     )
                     raise exc
-                counters.retries += 1
                 self.task_retries += 1
                 log.warning(
                     "retrying task: batch=%s kind=%s task=%s "
                     "(failure %d/%d: %s)",
                     batch_index, kind, tid, failures[tid],
-                    self.max_task_retries, type(exc).__name__,
+                    MAX_TASK_RETRIES, type(exc).__name__,
                 )
                 self.tracer.event(
                     "task_retry",
                     batch=batch_index, kind=kind, task_id=tid,
                     failure=failures[tid], error=type(exc).__name__,
                 )
-                to_submit.append((tid, False))
+            unfinished = carried
+            if broken is None:
+                continue
+            # The pool died; every future it had not completed is void.
+            # Drop the corpse and (within the resurrection budget) let the
+            # next round rebuild it for *only* the still-unfinished tasks.
+            self.close()
+            if not unfinished:
+                break
+            if resurrections_left <= 0:
+                raise broken
+            resurrections_left -= 1
+            self.pool_resurrections += 1
+            log.warning(
+                "process pool broke (batch=%s kind=%s); resurrecting, "
+                "%d unfinished task(s), %d rebuild(s) left",
+                batch_index, kind, len(unfinished), resurrections_left,
+            )
+            self.tracer.event(
+                "pool_resurrection", batch=batch_index, kind=kind,
+                unfinished=len(unfinished),
+            )
         if self.tracer.enabled:
-            # Stitch the winning attempts' worker-side spans in task-id
-            # order — deterministic regardless of completion races.
             for tid, result in enumerate(results):
                 span = getattr(result, "span", None)
                 if span is None:
@@ -931,9 +801,9 @@ class ParallelExecutor(ExecutionBackend):
                     pid=span.pid,
                     task_id=tid,
                     batch=batch_index,
-                    attempt=won_attempt[tid],
+                    # one live future per task: the last launch won
+                    attempt=attempts[tid] - 1,
                     retries=failures[tid],
-                    speculative=won_speculative[tid],
                     payload_bytes=len(payloads[tid]),
                 )
         return results
@@ -953,9 +823,7 @@ class ParallelExecutor(ExecutionBackend):
         allocate = partitioner.reduce_allocation()
         split = set(batch.split_keys)
         batch_index = batch.info.index
-        counters = _WaveCounters()
-        installs_before = self.context_installs
-        context_bytes_before = self.context_bytes
+        before = [getattr(self, name) for name in _BATCH_COUNTERS]
         try:
             self._ensure_context(query, allocate, cost_model, self.tracer.enabled)
             map_results: list[MapTaskResult] = self._run_tasks(
@@ -971,7 +839,6 @@ class ParallelExecutor(ExecutionBackend):
                     )
                     for block in batch.blocks
                 ],
-                counters,
                 "map",
                 batch_index,
             )
@@ -987,7 +854,6 @@ class ParallelExecutor(ExecutionBackend):
                     (self._generation, batch_index, bucket.bucket_index, bucket)
                     for bucket in buckets
                 ],
-                counters,
                 "reduce",
                 batch_index,
             )
@@ -996,7 +862,7 @@ class ParallelExecutor(ExecutionBackend):
                 # Drop the corpse; the *next* batch rebuilds a fresh pool
                 # lazily instead of pinning the rest of the run to serial.
                 self.close()
-            if self.fallback_to_serial and _is_infrastructure_error(exc):
+            if _is_infrastructure_error(exc):
                 return self._serial_fallback(
                     exc, batch, query, partitioner, num_reducers, cost_model, topology
                 )
@@ -1005,14 +871,10 @@ class ParallelExecutor(ExecutionBackend):
             map_results=map_results,
             reduce_results=reduce_results,
             backend=self.name,
-            task_attempts=counters.attempts,
-            task_retries=counters.retries,
-            pool_resurrections=counters.resurrections,
-            speculative_wins=counters.speculative_wins,
-            timeout_trips=counters.timeout_trips,
-            payload_bytes=counters.payload_bytes,
-            context_installs=self.context_installs - installs_before,
-            context_bytes=self.context_bytes - context_bytes_before,
+            **{
+                name: getattr(self, name) - start
+                for name, start in zip(_BATCH_COUNTERS, before)
+            },
         )
 
 
@@ -1024,19 +886,13 @@ def make_executor(
     *,
     max_workers: int | None = None,
     run_seed: int = 0,
-    fallback_to_serial: bool = True,
-    max_task_retries: int = 2,
-    task_timeout: float | None = None,
-    speculative: bool = False,
-    max_pool_resurrections: int = 2,
     fault_injector: TaskFaultInjector | None = None,
 ) -> ExecutionBackend:
     """Build an execution backend by :class:`ExecutorKind` or its name.
 
-    The fault-tolerance knobs (retries, timeout, speculation,
-    resurrection budget, injector) only apply to the parallel backend;
-    the serial reference executes tasks inline where there is nothing
-    to retry, time out or resurrect.
+    ``max_workers`` and ``fault_injector`` only apply to the parallel
+    backend; the serial reference executes tasks inline where there is
+    nothing to retry or resurrect.
     """
     try:
         kind = ExecutorKind(name)
@@ -1049,10 +905,5 @@ def make_executor(
     return ParallelExecutor(
         max_workers,
         run_seed=run_seed,
-        fallback_to_serial=fallback_to_serial,
-        max_task_retries=max_task_retries,
-        task_timeout=task_timeout,
-        speculative=speculative,
-        max_pool_resurrections=max_pool_resurrections,
         fault_injector=fault_injector,
     )

@@ -10,8 +10,8 @@ batched data."  Two granularities of failure are modelled:
   replicated input and must be byte-identical to the lost original —
   the exactly-once property the tests assert.
 - **Task-attempt faults** (:class:`TaskFaultInjector`): an individual
-  Map/Reduce task *attempt* crashes, stalls, or kills its worker
-  process mid-batch.  The parallel execution backend
+  Map/Reduce task *attempt* crashes or kills its worker process
+  mid-batch.  The parallel execution backend
   (:mod:`repro.engine.executors`) re-executes the task from its
   replicated input — the pickled payload it already holds — under the
   exact same :func:`~repro.engine.tasks.derive_task_seed` seed, so a
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import os
-import time
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping, Optional
 
@@ -137,31 +136,21 @@ class TaskFault:
     - ``poisons``: attempts ``0..poisons-1`` kill the whole worker
       process (``os._exit``), breaking the pool — the way to exercise
       pool resurrection without real hardware failures.
-    - ``delay``/``delay_attempts``: attempts ``0..delay_attempts-1``
-      sleep ``delay`` real seconds first — the way to manufacture
-      stragglers for timeout/speculation testing.
 
-    Poison is checked first (a dead process can't sleep), then delay,
-    then crash, so a fault can model a slow-then-failing attempt.
+    Poison is checked first: a killed worker never gets to raise.
     """
 
     crashes: int = 0
     poisons: int = 0
-    delay: float = 0.0
-    delay_attempts: int = 1
 
     def __post_init__(self) -> None:
-        if self.crashes < 0 or self.poisons < 0 or self.delay_attempts < 0:
+        if self.crashes < 0 or self.poisons < 0:
             raise ValueError("fault attempt counts must be >= 0")
-        if self.delay < 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
 
     def apply(self, attempt: int) -> None:
         """Inflict this fault on attempt ``attempt`` (runs in the worker)."""
         if attempt < self.poisons:
             os._exit(86)  # hard kill: no atexit, no cleanup — a real crash
-        if self.delay > 0 and attempt < self.delay_attempts:
-            time.sleep(self.delay)
         if attempt < self.crashes:
             raise InjectedTaskFault(
                 f"injected fault: attempt {attempt} of {self.crashes} doomed"
@@ -226,24 +215,6 @@ class TaskFaultInjector:
         self._merge((batch_index, kind, task_id), poisons=times)
         return self
 
-    def delay(
-        self,
-        batch_index: int,
-        kind: str,
-        task_id: int,
-        *,
-        seconds: float,
-        attempts: int = 1,
-    ) -> "TaskFaultInjector":
-        """Make the first ``attempts`` attempts sleep ``seconds`` first."""
-        self._check(kind, attempts)
-        if seconds <= 0:
-            raise ValueError(f"seconds must be > 0, got {seconds}")
-        self._merge(
-            (batch_index, kind, task_id), delay=seconds, delay_attempts=attempts
-        )
-        return self
-
     def fault_for(
         self, batch_index: int, kind: str, task_id: int
     ) -> Optional[TaskFault]:
@@ -256,7 +227,7 @@ class TaskFaultInjector:
         The worker-resident :class:`~repro.engine.executors.RunContext`
         broadcasts this once per pool generation so workers can look up
         their own faults instead of receiving them per payload; it is a
-        copy, so later ``crash``/``poison``/``delay`` registrations
+        copy, so later ``crash``/``poison`` registrations
         cannot mutate an already-installed generation behind its back.
         """
         return dict(self._faults)

@@ -77,8 +77,6 @@ class BatchRecord:
     task_attempts: int = field(default=0, compare=False)
     task_retries: int = field(default=0, compare=False)
     pool_resurrections: int = field(default=0, compare=False)
-    speculative_wins: int = field(default=0, compare=False)
-    timeout_trips: int = field(default=0, compare=False)
     #: driver→worker dispatch bytes (pickled payloads per launched
     #: attempt, and run-context broadcasts attributed to this batch).
     #: Dispatch-side observations like the tallies above, so likewise
@@ -219,7 +217,7 @@ class RunStats:
 
     # -- fault tolerance (parallel dispatch) ------------------------------
     def total_task_attempts(self) -> int:
-        """Task attempts launched on worker pools, including duplicates."""
+        """Task attempts launched on worker pools, including retries."""
         return sum(r.task_attempts for r in self.records)
 
     def total_task_retries(self) -> int:
@@ -229,14 +227,6 @@ class RunStats:
     def total_pool_resurrections(self) -> int:
         """Times a broken process pool was rebuilt mid-batch."""
         return sum(r.pool_resurrections for r in self.records)
-
-    def total_speculative_wins(self) -> int:
-        """Straggler duplicates that delivered before the original copy."""
-        return sum(r.speculative_wins for r in self.records)
-
-    def total_timeout_trips(self) -> int:
-        """Per-task timeout deadlines that expired with the task running."""
-        return sum(r.timeout_trips for r in self.records)
 
     # -- dispatch bytes (parallel backend) ---------------------------------
     def total_payload_bytes(self) -> int:

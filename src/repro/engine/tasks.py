@@ -188,13 +188,11 @@ class BatchExecution:
     #: which execution backend produced this batch ("serial"/"parallel")
     backend: str = "serial"
     #: fault-tolerance tallies for this batch's dispatch (the parallel
-    #: backend fills them; the serial reference has nothing to retry,
-    #: resurrect, or speculate, so they stay 0)
+    #: backend fills them; the serial reference has nothing to retry or
+    #: resurrect, so they stay 0)
     task_attempts: int = 0
     task_retries: int = 0
     pool_resurrections: int = 0
-    speculative_wins: int = 0
-    timeout_trips: int = 0
     #: driver→worker dispatch bytes for this batch: pickled payload
     #: bytes summed over every launched attempt, plus any run-context
     #: broadcasts (installs × blob size) that happened during the batch.

@@ -184,7 +184,7 @@ class Tracer:
         return span
 
     def event(self, name: str, *, parent: int | None = None, **attrs: Any) -> Span:
-        """Zero-duration marker (retry, timeout trip, speculation launch)."""
+        """Zero-duration marker (task retry, pool resurrection, fallback)."""
         now = time.time()
         return self.record(name, now, now, parent=parent, **attrs)
 

@@ -112,7 +112,6 @@ def test_topology_with_elasticity():
             threshold=0.9, step=0.3, window=2, grace=1,
             max_map_tasks=8, max_reduce_tasks=8,
         ),
-        use_topology=True,
         track_outputs=False,
     )
     engine = MicroBatchEngine(make_partitioner("prompt"), wordcount_query(), config)

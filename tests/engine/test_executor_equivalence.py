@@ -68,7 +68,6 @@ CONFIGS = {
     ),
     "topology": dict(
         cluster=ClusterConfig(num_nodes=4, cores_per_node=2),
-        use_topology=True,
         cost_model=TaskCostModel(
             map_per_tuple=3e-4, network_per_remote_fragment=1e-4
         ),

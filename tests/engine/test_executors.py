@@ -1,6 +1,5 @@
 """Execution backends: seeds, registry, fallback policy, pool lifecycle,
-and the task-level fault-tolerance layer (retries, pool resurrection,
-straggler speculation)."""
+and the task-level fault-tolerance layer (retries, pool resurrection)."""
 
 from __future__ import annotations
 
@@ -191,15 +190,6 @@ def test_unpicklable_query_falls_back_to_serial():
     assert execution.batch_output() == reference.batch_output()
 
 
-def test_unpicklable_query_raises_when_fallback_disabled():
-    batch, part = _batch()
-    query = _query(map_fn=lambda k, v: 1)
-    with ParallelExecutor(2, fallback_to_serial=False) as backend:
-        with pytest.raises(Exception):
-            backend.run_batch(batch, query, part, 2, TaskCostModel())
-    assert backend.fallbacks == 0
-
-
 def test_unpicklable_last_block_falls_back_with_earlier_tasks_in_flight():
     """Payloads are pickled as each task launches, so a bad value in
     the *last* block surfaces after the earlier Map tasks went out: the
@@ -315,7 +305,7 @@ def test_injected_crash_is_retried_with_identical_result():
     batch, part = _batch()
     query = _query()
     injector = TaskFaultInjector().crash(0, "map", 0, times=2)
-    with ParallelExecutor(2, fault_injector=injector, max_task_retries=2) as backend:
+    with ParallelExecutor(2, fault_injector=injector) as backend:
         execution = backend.run_batch(batch, query, part, 2, TaskCostModel())
     assert execution.backend == "parallel"
     assert execution.task_retries == 2
@@ -344,12 +334,12 @@ def test_retries_exhausted_propagates_the_fault():
     batch, part = _batch()
     query = _query()
     injector = TaskFaultInjector().crash(0, "map", 1, times=5)
-    with ParallelExecutor(2, fault_injector=injector, max_task_retries=1) as backend:
+    with ParallelExecutor(2, fault_injector=injector) as backend:
         with pytest.raises(InjectedTaskFault):
             backend.run_batch(batch, query, part, 2, TaskCostModel())
     # an injected fault is transient, not infrastructure: no serial mask
     assert backend.fallbacks == 0
-    assert backend.task_retries == 1
+    assert backend.task_retries == 2
 
 
 def _raise_transient(key, value):
@@ -361,7 +351,7 @@ def test_transient_application_error_consumes_budget_then_propagates():
     propagates instead of being masked by the serial fallback."""
     batch, part = _batch()
     query = _query(map_fn=_raise_transient)
-    with ParallelExecutor(2, max_task_retries=2) as backend:
+    with ParallelExecutor(2) as backend:
         with pytest.raises(TransientTaskError, match="flaky dependency"):
             backend.run_batch(batch, query, part, 2, TaskCostModel())
     # every map task fails deterministically; at least one task had to
@@ -395,79 +385,19 @@ def test_pool_resurrection_resumes_the_same_batch():
 
 def test_pool_break_no_longer_pins_the_run_to_serial():
     """Regression: one BrokenProcessPool used to degrade every later
-    batch to serial.  With the resurrection budget exhausted the broken
-    batch falls back — and the *next* batch runs parallel again."""
+    batch to serial.  With the resurrection budget exhausted (a task that
+    kills its worker three times: two rebuilds, then the budget is gone)
+    the broken batch falls back — and the *next* batch runs parallel again."""
     batch, part = _batch()
     query = _query()
-    injector = TaskFaultInjector().poison(0, "map", 0)
-    with ParallelExecutor(
-        2, fault_injector=injector, max_pool_resurrections=0
-    ) as backend:
+    injector = TaskFaultInjector().poison(0, "map", 0, times=3)
+    with ParallelExecutor(2, fault_injector=injector) as backend:
         execution = backend.run_batch(batch, query, part, 2, TaskCostModel())
         assert execution.backend == "serial"
+        assert backend.pool_resurrections == 2
         assert backend.fallbacks == 1
         assert "BrokenProcessPool" in backend.last_fallback_reason
         batch2 = part.partition(_tuples(), 3, BatchInfo(1, 1.0, 2.0))
         execution2 = backend.run_batch(batch2, query, part, 2, TaskCostModel())
         assert execution2.backend == "parallel"
         assert backend.fallbacks == 1  # no new fallback
-
-
-def test_straggler_speculation_races_a_duplicate():
-    batch, part = _batch()
-    query = _query()
-    injector = TaskFaultInjector().delay(0, "map", 0, seconds=0.8)
-    with ParallelExecutor(
-        3, fault_injector=injector, task_timeout=0.05, speculative=True
-    ) as backend:
-        execution = backend.run_batch(batch, query, part, 2, TaskCostModel())
-    assert execution.timeout_trips >= 1
-    assert execution.speculative_wins >= 1
-    assert backend.speculative_wins >= 1
-    reference = _reference(batch, part, query)
-    assert pickle.dumps(execution.batch_output()) == pickle.dumps(
-        reference.batch_output()
-    )
-
-
-def test_timeout_trips_are_counted_without_speculation():
-    batch, part = _batch()
-    query = _query()
-    injector = TaskFaultInjector().delay(0, "map", 0, seconds=0.3)
-    with ParallelExecutor(
-        2, fault_injector=injector, task_timeout=0.05, speculative=False
-    ) as backend:
-        execution = backend.run_batch(batch, query, part, 2, TaskCostModel())
-    assert execution.timeout_trips >= 1
-    assert execution.speculative_wins == 0
-    assert execution.task_attempts == len(batch.blocks) + 2  # no duplicates
-
-
-def test_parallel_rejects_bad_fault_tolerance_knobs():
-    with pytest.raises(ValueError):
-        ParallelExecutor(2, max_task_retries=-1)
-    with pytest.raises(ValueError):
-        ParallelExecutor(2, task_timeout=0.0)
-    with pytest.raises(ValueError):
-        ParallelExecutor(2, max_pool_resurrections=-1)
-
-
-def test_make_executor_passes_fault_tolerance_knobs():
-    injector = TaskFaultInjector()
-    backend = make_executor(
-        "parallel",
-        max_workers=2,
-        max_task_retries=5,
-        task_timeout=1.5,
-        speculative=True,
-        max_pool_resurrections=7,
-        fault_injector=injector,
-    )
-    try:
-        assert backend.max_task_retries == 5
-        assert backend.task_timeout == 1.5
-        assert backend.speculative is True
-        assert backend.max_pool_resurrections == 7
-        assert backend.fault_injector is injector
-    finally:
-        backend.close()

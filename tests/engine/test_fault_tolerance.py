@@ -1,20 +1,20 @@
-"""Differential fault-injection suite: crashed, killed, and delayed
-tasks never change what the engine computes.
+"""Differential fault-injection suite: crashed and killed tasks never
+change what the engine computes.
 
 This extends the executor-equivalence harness with the task-level
 fault-tolerance layer: every case runs a workload once under the clean
 :class:`SerialExecutor` reference and once under
-:class:`ParallelExecutor` with a :class:`TaskFaultInjector` killing,
-poisoning, or delaying chosen ``(batch, kind, task_id)`` attempts — and
-requires the faulted parallel run to be **byte-identical** to the clean
-serial run:
+:class:`ParallelExecutor` with a :class:`TaskFaultInjector` crashing
+or poisoning chosen ``(batch, kind, task_id)`` attempts — and requires
+the faulted parallel run to be **byte-identical** to the clean serial
+run:
 
 - per-window answers equal as pickled bytes,
 - ``RunStats`` records equal field-for-field (the fault-tolerance
   counters are ``compare=False`` by design, and the same records must
   then show retries/resurrections actually happened),
 - every batch still processed by the parallel backend — a broken pool
-  at batch *k* is resurrected (or, with the budget at zero, costs one
+  at batch *k* is resurrected (or, with the budget exhausted, costs one
   serial-fallback batch) and batch *k+1* runs parallel again.
 
 That equality is the paper's Section 8 exactly-once property pushed
@@ -107,82 +107,90 @@ def _crash_and_poison_injector() -> TaskFaultInjector:
     )
 
 
-@pytest.mark.parametrize("partitioner", PARTITIONERS)
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_task_crashes_and_pool_loss_are_invisible(workload, partitioner):
-    """Acceptance case: 2 workloads x 3 partitioners, crashes + a broken
-    pool, byte-identical to clean serial, retries > 0, resurrections > 0,
-    and the batch after the breakage parallel again."""
-    serial = _run(workload, partitioner, "serial")
-    parallel = _run(
-        workload, partitioner, "parallel", injector=_crash_and_poison_injector()
+def _same_wave_injector() -> TaskFaultInjector:
+    """Crashes *and* a worker kill inside one wave, both stages of batch 1.
+
+    Map tasks 0 and 3 crash while map task 1 kills its worker, then
+    reduce task 0 crashes while reduce task 2 kills its worker.  Whether
+    a crash is observed before its pool dies is a race, so only the
+    second crash of map task 0 (a round with no kill) is a sure retry.
+    """
+    return (
+        TaskFaultInjector()
+        .crash(1, "map", 0, times=2)
+        .poison(1, "map", 1)
+        .crash(1, "map", 3)
+        .poison(1, "reduce", 2)
+        .crash(1, "reduce", 0)
     )
+
+
+#: plan -> (injector factory, {batch: retries at least}, {batch: resurrections})
+FAULT_PLANS = {
+    "standard": (_crash_and_poison_injector, {0: 1, 1: 2}, {2: 1}),
+    "same-wave": (_same_wave_injector, {1: 1}, {1: 2}),
+}
+
+
+@pytest.mark.parametrize(
+    "workload, partitioner, plan",
+    [
+        pytest.param(
+            workload,
+            partitioner,
+            plan,
+            # the standard plan keeps the ids it had before the plan axis
+            id=f"{workload}-{partitioner}" + ("" if plan == "standard" else f"-{plan}"),
+        )
+        for plan in FAULT_PLANS
+        for workload in sorted(WORKLOADS)
+        for partitioner in PARTITIONERS
+    ],
+)
+def test_task_crashes_and_pool_loss_are_invisible(workload, partitioner, plan):
+    """Acceptance case: 2 workloads x 3 partitioners x 2 fault plans,
+    crashes + broken pools, byte-identical to clean serial, retries > 0,
+    resurrections > 0, and the batch after the breakage parallel again."""
+    make_injector, min_retries, resurrections = FAULT_PLANS[plan]
+    serial = _run(workload, partitioner, "serial")
+    parallel = _run(workload, partitioner, "parallel", injector=make_injector())
     _assert_identical_results(serial, parallel)
 
     stats = parallel.stats
-    assert stats.total_task_retries() >= 3  # 1 map crash + 2 reduce crashes
-    assert stats.total_pool_resurrections() == 1
-    assert parallel.executor_task_retries >= 3
-    assert parallel.executor_pool_resurrections == 1
+    assert stats.total_task_retries() >= sum(min_retries.values())
+    assert stats.total_pool_resurrections() == sum(resurrections.values())
+    assert parallel.executor_task_retries >= sum(min_retries.values())
+    assert parallel.executor_pool_resurrections == sum(resurrections.values())
 
     # the faults hit the batches they were aimed at...
     by_index = {r.index: r for r in stats.records}
-    assert by_index[0].task_retries >= 1
-    assert by_index[1].task_retries >= 2
-    assert by_index[2].pool_resurrections == 1
-    # ...and no batch degraded to serial: the pool broken at batch 2 was
-    # resurrected within the batch, and batch 3 ran parallel on it
+    for batch, retries in min_retries.items():
+        assert by_index[batch].task_retries >= retries
+    for batch, rebuilds in resurrections.items():
+        assert by_index[batch].pool_resurrections == rebuilds
+    # ...and no batch degraded to serial: every broken pool was
+    # resurrected within its batch, and the next batch ran parallel on it
     assert parallel.executor_fallbacks == 0
     assert [r.backend for r in stats.records] == ["parallel"] * NUM_BATCHES
     assert stats.backends_used() == ("parallel",)
 
 
-@pytest.mark.parametrize("partitioner", PARTITIONERS)
-def test_straggler_speculation_is_invisible(partitioner):
-    """A delayed map attempt trips the per-task timeout; the speculative
-    duplicate wins the race and the answer does not change by a byte."""
-    workload = "synd-skewed"
-    serial = _run(workload, partitioner, "serial")
-    injector = TaskFaultInjector().delay(1, "map", 0, seconds=0.6)
-    parallel = _run(
-        workload,
-        partitioner,
-        "parallel",
-        injector=injector,
-        executor_workers=3,
-        task_timeout=0.05,
-        speculative_execution=True,
-    )
-    _assert_identical_results(serial, parallel)
-    assert parallel.stats.total_timeout_trips() >= 1
-    assert parallel.stats.total_speculative_wins() >= 1
-    assert parallel.executor_speculative_wins >= 1
-    assert parallel.executor_fallbacks == 0
-    assert parallel.stats.backends_used() == ("parallel",)
-
-
 def test_pool_broken_at_batch_k_is_parallel_again_at_k_plus_one():
-    """Regression for the permanent serial degradation: with the
-    resurrection budget at zero, the poisoned batch costs exactly one
-    serial fallback — and the very next batch runs parallel again on a
-    fresh pool, still byte-identical to the clean serial run."""
+    """Regression for the permanent serial degradation: a task that
+    kills its worker on every attempt exhausts the resurrection budget,
+    which costs exactly one serial fallback — and the very next batch
+    runs parallel again on a fresh pool, still byte-identical to the
+    clean serial run."""
     workload, partitioner = "tweets", "prompt"
     serial = _run(workload, partitioner, "serial")
-    injector = TaskFaultInjector().poison(1, "map", 0, times=1)
-    parallel = _run(
-        workload,
-        partitioner,
-        "parallel",
-        injector=injector,
-        max_pool_resurrections=0,
-    )
+    injector = TaskFaultInjector().poison(1, "map", 0, times=3)
+    parallel = _run(workload, partitioner, "parallel", injector=injector)
     _assert_identical_results(serial, parallel)
     assert parallel.executor_fallbacks == 1
     backends = [r.backend for r in parallel.stats.records]
     assert backends[1] == "serial"  # the broken batch fell back...
     assert backends[2] == "parallel"  # ...but batch k+1 is parallel again
     assert backends == ["parallel", "serial", "parallel", "parallel"]
-    assert parallel.stats.total_pool_resurrections() == 0
 
 
 def test_faulted_run_with_observability_still_byte_identical():
@@ -225,4 +233,4 @@ def test_retries_exhausted_fails_loudly_not_wrongly():
 
     injector = TaskFaultInjector().crash(0, "map", 0, times=5)
     with pytest.raises(InjectedTaskFault):
-        _run("tweets", "prompt", "parallel", injector=injector, max_task_retries=1)
+        _run("tweets", "prompt", "parallel", injector=injector)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.core.tuples import StreamTuple
@@ -97,16 +95,6 @@ def test_injected_fault_is_transient():
     assert issubclass(InjectedTaskFault, TransientTaskError)
 
 
-def test_task_fault_delay_gates_on_attempt():
-    fault = TaskFault(delay=0.05, delay_attempts=1)
-    start = time.perf_counter()
-    fault.apply(0)
-    assert time.perf_counter() - start >= 0.05
-    start = time.perf_counter()
-    fault.apply(1)  # past the delayed attempts: immediate
-    assert time.perf_counter() - start < 0.05
-
-
 def test_task_fault_poison_past_budget_is_noop():
     # attempt >= poisons must NOT os._exit — the retried attempt survives
     TaskFault(poisons=1).apply(1)
@@ -116,7 +104,7 @@ def test_task_fault_validation():
     with pytest.raises(ValueError):
         TaskFault(crashes=-1)
     with pytest.raises(ValueError):
-        TaskFault(delay=-0.1)
+        TaskFault(poisons=-1)
 
 
 def test_task_fault_injector_registers_and_looks_up():
@@ -124,14 +112,10 @@ def test_task_fault_injector_registers_and_looks_up():
         TaskFaultInjector()
         .crash(0, "map", 1, times=2)
         .poison(3, "reduce", 0)
-        .delay(1, "map", 2, seconds=0.5)
     )
-    assert len(injector) == 3
+    assert len(injector) == 2
     assert injector.fault_for(0, "map", 1) == TaskFault(crashes=2)
     assert injector.fault_for(3, "reduce", 0) == TaskFault(poisons=1)
-    assert injector.fault_for(1, "map", 2) == TaskFault(
-        delay=0.5, delay_attempts=1
-    )
     assert injector.fault_for(0, "map", 0) is None
     assert injector.fault_for(0, "reduce", 1) is None
 
@@ -140,13 +124,11 @@ def test_task_fault_injector_merges_same_coordinate():
     """Chained registrations on one coordinate compose into one plan."""
     injector = (
         TaskFaultInjector()
-        .delay(0, "map", 0, seconds=0.2)
-        .crash(0, "map", 0, times=1)
+        .poison(0, "map", 0)
+        .crash(0, "map", 0, times=2)
     )
     assert len(injector) == 1
-    assert injector.fault_for(0, "map", 0) == TaskFault(
-        crashes=1, delay=0.2, delay_attempts=1
-    )
+    assert injector.fault_for(0, "map", 0) == TaskFault(crashes=2, poisons=1)
 
 
 def test_task_fault_injector_rejects_bad_arguments():
@@ -155,5 +137,3 @@ def test_task_fault_injector_rejects_bad_arguments():
         injector.crash(0, "shuffle", 0)
     with pytest.raises(ValueError, match="times"):
         injector.crash(0, "map", 0, times=0)
-    with pytest.raises(ValueError, match="seconds"):
-        injector.delay(0, "map", 0, seconds=0.0)

@@ -151,15 +151,11 @@ def test_run_stats_fault_tolerance_totals():
             task_attempts=6,
             task_retries=2,
             pool_resurrections=1,
-            speculative_wins=1,
-            timeout_trips=3,
         )
     )
     assert stats.total_task_attempts() == 6
     assert stats.total_task_retries() == 2
     assert stats.total_pool_resurrections() == 1
-    assert stats.total_speculative_wins() == 1
-    assert stats.total_timeout_trips() == 3
 
 
 def test_fault_tolerance_counters_do_not_affect_equality():

@@ -86,7 +86,6 @@ def test_engine_topology_flag_slows_scattering_techniques_more():
         num_reducers=4,
         cluster=ClusterConfig(num_nodes=4, cores_per_node=2),
         cost_model=cost,
-        use_topology=True,
         track_outputs=False,
     )
 
@@ -103,7 +102,7 @@ def test_engine_topology_flag_slows_scattering_techniques_more():
         cfg2 = EngineConfig(
             batch_interval=1.0, num_blocks=4, num_reducers=4,
             cluster=ClusterConfig(num_nodes=4, cores_per_node=2),
-            cost_model=cost, use_topology=False, track_outputs=False,
+            cost_model=TaskCostModel(), track_outputs=False,  # no price, no topology
         )
         engine = MicroBatchEngine(make_partitioner(technique), wordcount_query(), cfg2)
         source = synd_source(0.6, num_keys=400, arrival=ConstantRate(2_000.0), seed=7)

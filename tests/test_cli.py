@@ -156,11 +156,11 @@ def test_quickstart_rejects_unknown_partitioner():
     "flags, message",
     [
         (["--backend", "parallel", "--workers", "0"], "executor_workers"),
-        (["--speculate"], "requires task_timeout"),
+        (["--task-timeout", "1"], "unrecognized arguments"),
     ],
 )
 def test_quickstart_bad_config_is_a_usage_error(flags, message, capsys):
-    """An invalid flag combination exits 2 with one ``repro: error:``
+    """An invalid or retired flag exits 2 with one ``repro: error:``
     line on stderr, not a ``ValueError`` traceback."""
     with pytest.raises(SystemExit) as excinfo:
         main(["quickstart", *flags])

@@ -183,36 +183,22 @@ ENGINE_CONFIG_FIELDS = {
     "elasticity",
     "batch_sizing",
     "lateness",
-    "use_topology",
     "backpressure",
     "track_outputs",
     "replicate_inputs",
     "executor",
     "executor_workers",
     "run_seed",
-    "max_task_retries",
-    "task_timeout",
-    "speculative_execution",
-    "max_pool_resurrections",
     "observability",
 }
 
-MAKE_EXECUTOR_KEYWORDS = {
-    "max_workers",
-    "run_seed",
-    "fallback_to_serial",
-    "max_task_retries",
-    "task_timeout",
-    "speculative",
-    "max_pool_resurrections",
-    "fault_injector",
-}
+MAKE_EXECUTOR_KEYWORDS = {"max_workers", "run_seed", "fault_injector"}
 
 
 def test_engine_config_fields_are_pinned():
     fields = {f.name for f in dataclasses.fields(repro.EngineConfig)}
     assert fields == ENGINE_CONFIG_FIELDS
-    assert len(fields) == 21
+    assert len(fields) == 16
 
 
 def test_reference_partitioner_is_not_public():
@@ -230,6 +216,8 @@ def test_reference_partitioner_is_not_public():
 
 
 def test_make_executor_keywords_are_pinned():
+    """The parallel backend's fault handling is fixed policy: the two
+    budgets are module constants, and neither constructor takes one."""
     params = inspect.signature(make_executor).parameters
     keywords = {
         name
@@ -238,6 +226,13 @@ def test_make_executor_keywords_are_pinned():
     }
     assert keywords == MAKE_EXECUTOR_KEYWORDS
     assert [n for n in params if n not in keywords] == ["name"]
+    # ``max_workers`` may also be passed positionally to the class
+    assert (
+        set(inspect.signature(executors.ParallelExecutor).parameters)
+        == MAKE_EXECUTOR_KEYWORDS
+    )
+    assert executors.MAX_TASK_RETRIES == 2
+    assert executors.MAX_POOL_RESURRECTIONS == 2
 
 
 # ----------------------------------------------------------------------
@@ -270,10 +265,7 @@ def test_execution_backend_surface_is_pinned():
 def test_engine_package_starts_no_threads():
     """Nothing under ``repro.engine`` imports ``threading`` or a thread
     pool, and ``engine.py`` (the driver) imports no futures at all."""
-    allowed = {
-        "FIRST_COMPLETED", "Future", "ProcessPoolExecutor", "wait",
-        "BrokenProcessPool",
-    }
+    allowed = {"Future", "ProcessPoolExecutor", "BrokenProcessPool"}
     engine_dir = Path(repro.__file__).resolve().parent / "engine"
     for path in sorted(engine_dir.rglob("*.py")):
         futures: set[str] = set()
