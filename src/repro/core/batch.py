@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .tuples import Key, StreamTuple
 
-__all__ = ["DataBlock", "PartitionedBatch", "BatchInfo"]
+__all__ = ["DataBlock", "MapInput", "PartitionedBatch", "BatchInfo"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,6 +29,38 @@ class BatchInfo:
     @property
     def interval(self) -> float:
         return self.t_end - self.t_start
+
+
+class MapInput:
+    """What a Map task reads of one block, and nothing else.
+
+    ``Map(k, v1)`` (Section 2.1) sees a key and a value, never a
+    timestamp or a per-tuple weight, so this is the form a block takes
+    when it is shipped to a worker process: its index, its summed weight
+    and one value column per key, in the block's own key order.  Built
+    of plain containers only, it pickles without any per-tuple Python.
+    """
+
+    __slots__ = ("index", "size", "_columns")
+
+    def __init__(self, index: int, size: int, columns: dict[Key, list]) -> None:
+        self.index = index
+        self.size = size
+        self._columns = columns
+
+    @property
+    def cardinality(self) -> int:
+        return len(self._columns)
+
+    @property
+    def keys(self) -> Iterable[Key]:
+        return self._columns.keys()
+
+    def values(self, key: Key) -> Sequence:
+        return self._columns.get(key, ())
+
+    def __contains__(self, key: Key) -> bool:
+        return key in self._columns
 
 
 class DataBlock:
@@ -111,6 +143,14 @@ class DataBlock:
 
     def fragment(self, key: Key) -> list[StreamTuple]:
         return self._fragments.get(key, [])
+
+    def map_input(self) -> MapInput:
+        """This block as a Map task reads it (see :class:`MapInput`)."""
+        return MapInput(
+            self.index,
+            self._weight,
+            {k: [t.value for t in chain] for k, chain in self._fragments.items()},
+        )
 
     def fragment_sizes(self) -> dict[Key, int]:
         """Per-key total weight inside this block (O(1) per key, cached)."""

@@ -8,7 +8,8 @@ assumes.  Two backends ship:
 
 - :class:`SerialExecutor` — the extracted in-process reference loop.
 - :class:`ParallelExecutor` — a ``ProcessPoolExecutor`` running one Map
-  task per data block and one Reduce task per bucket concurrently.
+  task per data block and one Reduce task per bucket, submitted as one
+  *bundle* of consecutive tasks per worker per round.
 
 **Determinism contract.**  Both backends must produce *bit-identical*
 :class:`~repro.engine.tasks.BatchExecution` payloads for the same batch
@@ -29,12 +30,15 @@ the cost model, the fault-injection table, the trace flag and the run
 seed — is pickled *once* per pool generation into a :class:`RunContext`
 and installed in every worker process by the pool initializer plus a
 generation-stamped install task.  Per-task payloads then shrink to a
-delta of ``(context_generation, batch_index, task_id, block-or-bucket,
+delta of ``(context_generation, batch_index, task_id, map-input-or-bucket,
 …)``; the worker derives the task seed and looks up its injected fault
-from the resident context.  A pool resurrected after a
-``BrokenProcessPool`` re-installs the current context automatically
-(the rebuilt pool's initializer carries it), and a worker handed a
-delta stamped with a generation it never saw raises
+from the resident context.  A Map delta carries its block as a
+:class:`~repro.core.batch.MapInput` — index, summed weight and one value
+column per key, which is all ``Map(k, v)`` reads — so no tuple object,
+timestamp or per-tuple weight ever crosses the process boundary.  A
+pool resurrected after a ``BrokenProcessPool`` re-installs the current
+context automatically (the rebuilt pool's initializer carries it), and
+a worker handed a delta stamped with a generation it never saw raises
 :class:`StaleContextError` — classified as an infrastructure failure,
 so the batch degrades to the serial fallback instead of computing from
 the wrong context.
@@ -51,19 +55,24 @@ re-run deterministically:
   resubmitted, up to :data:`MAX_TASK_RETRIES` times per task.  The retry
   reuses the *same payload* and therefore the same derived seed:
   retried runs remain bit-identical to clean runs.
-- **Pool resurrection** — after a ``BrokenProcessPool`` the pool is
-  rebuilt and only the still-unfinished tasks are resubmitted; results
-  already gathered are kept.  Up to :data:`MAX_POOL_RESURRECTIONS`
-  rebuilds per task wave; past the budget, the batch degrades to the
-  serial fallback — and the *next* batch tries a fresh pool again
-  instead of pinning the rest of the run to serial.
+- **Pool resurrection** — a ``BrokenProcessPool`` voids every task of
+  every bundle that had not come back; the pool is rebuilt and only
+  those tasks are resubmitted; the results of completed bundles are
+  kept.  Up to :data:`MAX_POOL_RESURRECTIONS` rebuilds per task wave;
+  past the budget, the batch degrades to the serial fallback — and the
+  *next* batch tries a fresh pool again instead of pinning the rest of
+  the run to serial.
 
 Both budgets are fixed policy, not configuration.  A wave runs in
-*rounds* (launch every unfinished task, gather in task-id order, carry
-the failed and voided ones over), so a retry starts once its round has
-been gathered.  There is no per-task deadline and no duplicate attempt:
-a slow task here is slow because of its block (Eqn. 1), and a copy over
-the same block is exactly as slow (retired, see EXPERIMENTS.md).
+*rounds* (deal the unfinished tasks to at most ``max_workers`` bundles
+of consecutive task ids, one submission each; gather in task-id order;
+carry the failed and voided ones over), so a retry starts once its
+round has been gathered.  A bundle returns one outcome per task, so
+failures are still classified — and attempts, retries and payload bytes
+still counted — per task.  There is no per-task deadline and no
+duplicate attempt: a slow task here is slow because of its block
+(Eqn. 1), and a copy over the same block is exactly as slow (retired,
+see EXPERIMENTS.md).
 
 Counters for all of this (attempts, retries, resurrections) are kept
 per run on the executor itself and surface per batch on
@@ -77,10 +86,10 @@ Injected faults for testing come from
 in-process execution for the affected batch — serial semantics are the
 reference, so the answer is unchanged; the event is counted on
 ``fallbacks``/noted on ``last_fallback_reason``.  Classification is by
-raise-site: each payload is pickled in the driver when its first
-attempt is launched, so serialization failures are caught there and
-wrapped in :class:`PayloadSerializationError`; an exception raised *by*
-a task in a worker (a query bug — even one whose message mentions
+raise-site: each payload is pickled in the driver when the bundle of
+its first attempt is launched, so serialization failures are caught
+there and wrapped in :class:`PayloadSerializationError`; an exception
+raised *by* a task in a worker (a query bug — even one whose message mentions
 "pickle") propagates unchanged, because masking it behind the serial
 fallback would hide a real defect.
 
@@ -99,9 +108,11 @@ import multiprocessing
 import os
 import pickle
 import time
+import traceback
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..core.batch import PartitionedBatch
@@ -364,7 +375,7 @@ def _context_for(generation: int) -> RunContext:
 def _map_task_delta_worker(payload: bytes, attempt: int = 0) -> MapTaskResult:
     """Delta-dispatch Map entry point: batch-variant payload only.
 
-    The delta carries ``(generation, batch_index, task_id, block,
+    The delta carries ``(generation, batch_index, task_id, map_input,
     num_reducers, split_keys)``; the query, allocator, cost model, seed
     root, fault table and trace flag all come from the resident
     :class:`RunContext`.  The task seed is derived *here* from the
@@ -420,6 +431,32 @@ def _reduce_task_delta_worker(payload: bytes, attempt: int = 0) -> ReduceTaskRes
     return result
 
 
+class _WorkerTraceback(Exception):
+    """A worker-side traceback's text, set as the ``__cause__`` of the
+    task exception it belongs to (tracebacks do not pickle; this is how
+    ``concurrent.futures`` ships them for a whole-future failure)."""
+
+
+def _run_bundle(
+    worker: Callable[[bytes, int], object],
+    tasks: Sequence[tuple[bytes, int]],
+) -> list[tuple[object, Exception | None, str]]:
+    """Pool entry point: run one worker's share of a round, in order.
+
+    ``tasks`` are ``(payload, attempt)`` pairs.  Returns one ``(result,
+    exception, traceback text)`` outcome per task: a task's *own*
+    exception is captured in its slot, so it costs its bundle-mates
+    nothing and the driver can classify every task separately.
+    """
+    outcomes: list[tuple[object, Exception | None, str]] = []
+    for payload, attempt in tasks:
+        try:
+            outcomes.append((worker(payload, attempt), None, ""))
+        except Exception as exc:
+            outcomes.append((None, exc, traceback.format_exc()))
+    return outcomes
+
+
 def _is_infrastructure_error(exc: BaseException) -> bool:
     """Pool/serialization failures that warrant the serial fallback.
 
@@ -463,7 +500,8 @@ PAYLOAD_BYTE_BUCKETS: tuple[float, ...] = (
 
 
 class ParallelExecutor(ExecutionBackend):
-    """Process-pool execution: one Map task per block, one Reduce per bucket.
+    """Process-pool execution: one Map task per block, one Reduce per
+    bucket, one submission per worker per round.
 
     The pool is created lazily on the first batch and reused for the
     whole run (fork start method where the platform offers it, so
@@ -471,11 +509,11 @@ class ParallelExecutor(ExecutionBackend):
     run-invariant slice — query, allocation callable, cost model, fault
     table, trace flag, run seed — is broadcast once per pool generation
     as a :class:`RunContext` and each task ships only a
-    generation-stamped delta (its block or bucket).  Payloads never
-    carry engine or partitioner state, and they double as the task's
-    replicated input: any attempt can be re-run from them
-    deterministically (see the module docstring for the
-    retry/resurrection rules).
+    generation-stamped delta (its block's value columns, or its bucket).
+    Payloads never carry engine or partitioner state or tuple objects,
+    and they double as the task's replicated input: any attempt can be
+    re-run from them deterministically (see the module docstring for
+    the retry/resurrection rules).
     """
 
     name = "parallel"
@@ -682,20 +720,26 @@ class ParallelExecutor(ExecutionBackend):
     ) -> list:
         """Run one wave of tasks in rounds, with retries and resurrection.
 
-        Each round launches every unfinished task, gathers the futures
-        in task-id order, keeps what completed and carries the failed
-        (within :data:`MAX_TASK_RETRIES`) and voided (their pool died)
-        tasks into the next round.  Results come back indexed by
-        submission position (= task id), which is what keeps the
-        downstream merge deterministic no matter how attempts failed.
-        When tracing is on, each task's worker-side span is stitched
-        into the driver trace in task-id order and retries and pool
-        rebuilds are marked with zero-duration events.
+        Each round splits the unfinished task ids into at most
+        ``max_workers`` contiguous *bundles* and makes one pool
+        submission per bundle (:func:`_run_bundle`), gathers the bundles
+        in order, keeps what completed and carries the failed (within
+        :data:`MAX_TASK_RETRIES`) and voided (their pool died before
+        their bundle came back) tasks into the next round — a retry
+        round is just a round whose bundles hold fewer tasks.  Failures
+        are classified per task: a bundle returns one outcome per task,
+        so one failing task neither hides nor voids its bundle-mates.
+        Results come back indexed by submission position (= task id),
+        which is what keeps the downstream merge deterministic no matter
+        how attempts failed.  When tracing is on, each task's
+        worker-side span is stitched into the driver trace in task-id
+        order and retries and pool rebuilds are marked with
+        zero-duration events.
 
-        ``items`` are the unpickled task deltas.  Each is pickled when
-        its first attempt is launched — so task 0 is already running in
-        a worker while task 1's block is being serialized — and the
-        bytes are kept for retries.
+        ``items`` are the unpickled task deltas.  Each is pickled *per
+        task* when the bundle of its first attempt is launched — so
+        bundle 0 is already running in a worker while bundle 1's blocks
+        are being serialized — and the bytes are kept for retries.
         """
         n = len(items)
         payloads: list[Optional[bytes]] = [None] * n
@@ -704,73 +748,91 @@ class ParallelExecutor(ExecutionBackend):
         failures = [0] * n  # failed attempts charged against the retry budget
         unfinished = list(range(n))
         resurrections_left = MAX_POOL_RESURRECTIONS
+        payload_histogram = self.metrics.histogram(
+            "prompt_task_payload_bytes",
+            "Pickled driver-to-worker payload size per task attempt",
+            buckets=PAYLOAD_BYTE_BUCKETS,
+        )
         while unfinished:
-            futures: dict[int, Future] = {}
+            per_bundle = -(-len(unfinished) // self.max_workers)
+            bundles = [
+                unfinished[i : i + per_bundle]
+                for i in range(0, len(unfinished), per_bundle)
+            ]
+            futures: list[Future] = []
             broken: BrokenProcessPool | None = None
-            for tid in unfinished:
-                if payloads[tid] is None:
-                    payloads[tid] = self._pickle_payload(items[tid])
+            for bundle in bundles:
+                for tid in bundle:
+                    if payloads[tid] is None:
+                        payloads[tid] = self._pickle_payload(items[tid])
                 try:
-                    futures[tid] = self._ensure_pool().submit(
-                        worker, payloads[tid], attempts[tid]
+                    futures.append(
+                        self._ensure_pool().submit(
+                            _run_bundle,
+                            worker,
+                            [(payloads[tid], attempts[tid]) for tid in bundle],
+                        )
                     )
                 except BrokenProcessPool as exc:
                     # A worker can die while the driver is still
                     # submitting (or the install probe can hit a dead
                     # pool): the same failure as a broken future, so
-                    # the unlaunched tasks are voided like the rest.
+                    # the unlaunched bundles are voided like the rest.
                     broken = exc
                     break
-                attempts[tid] += 1
-                self.task_attempts += 1
-                # every launched attempt ships its payload again, so the
-                # byte accounting charges per attempt, not per task
-                nbytes = len(payloads[tid])
-                self.payload_bytes += nbytes
-                self.metrics.histogram(
-                    "prompt_task_payload_bytes",
-                    "Pickled driver-to-worker payload size per task attempt",
-                    buckets=PAYLOAD_BYTE_BUCKETS,
-                ).observe(nbytes)
+                for tid in bundle:
+                    attempts[tid] += 1
+                    self.task_attempts += 1
+                    # every launched attempt ships its payload again, so
+                    # the byte accounting charges per attempt, not per task
+                    nbytes = len(payloads[tid])
+                    self.payload_bytes += nbytes
+                    payload_histogram.observe(nbytes)
             carried: list[int] = []
-            for tid in unfinished:
-                future = futures.get(tid)
-                exc = broken if future is None else future.exception()
-                if exc is None:
-                    results[tid] = future.result()
+            for bundle, future in zip_longest(bundles, futures):
+                lost = broken if future is None else future.exception()
+                if isinstance(lost, BrokenProcessPool):
+                    broken = lost
+                    carried.extend(bundle)
                     continue
-                carried.append(tid)
-                if isinstance(exc, BrokenProcessPool):
-                    broken = exc
-                    continue
-                failures[tid] += 1
-                if (
-                    not isinstance(exc, RETRYABLE_TASK_ERRORS)
-                    or failures[tid] > MAX_TASK_RETRIES
-                ):
-                    log.error(
-                        "task failed permanently: batch=%s kind=%s task=%s "
-                        "after %d failure(s): %s: %s",
+                if lost is not None:
+                    # not a task's own failure (those come back in their
+                    # slots): the bundle's results could not be shipped
+                    raise lost
+                for tid, (result, exc, remote_tb) in zip(bundle, future.result()):
+                    if exc is None:
+                        results[tid] = result
+                        continue
+                    exc.__cause__ = _WorkerTraceback(remote_tb)
+                    carried.append(tid)
+                    failures[tid] += 1
+                    if (
+                        not isinstance(exc, RETRYABLE_TASK_ERRORS)
+                        or failures[tid] > MAX_TASK_RETRIES
+                    ):
+                        log.error(
+                            "task failed permanently: batch=%s kind=%s task=%s "
+                            "after %d failure(s): %s: %s",
+                            batch_index, kind, tid, failures[tid],
+                            type(exc).__name__, exc,
+                        )
+                        raise exc
+                    self.task_retries += 1
+                    log.warning(
+                        "retrying task: batch=%s kind=%s task=%s "
+                        "(failure %d/%d: %s)",
                         batch_index, kind, tid, failures[tid],
-                        type(exc).__name__, exc,
+                        MAX_TASK_RETRIES, type(exc).__name__,
                     )
-                    raise exc
-                self.task_retries += 1
-                log.warning(
-                    "retrying task: batch=%s kind=%s task=%s "
-                    "(failure %d/%d: %s)",
-                    batch_index, kind, tid, failures[tid],
-                    MAX_TASK_RETRIES, type(exc).__name__,
-                )
-                self.tracer.event(
-                    "task_retry",
-                    batch=batch_index, kind=kind, task_id=tid,
-                    failure=failures[tid], error=type(exc).__name__,
-                )
+                    self.tracer.event(
+                        "task_retry",
+                        batch=batch_index, kind=kind, task_id=tid,
+                        failure=failures[tid], error=type(exc).__name__,
+                    )
             unfinished = carried
             if broken is None:
                 continue
-            # The pool died; every future it had not completed is void.
+            # The pool died; every bundle it had not returned is void.
             # Drop the corpse and (within the resurrection budget) let the
             # next round rebuild it for *only* the still-unfinished tasks.
             self.close()
@@ -801,7 +863,7 @@ class ParallelExecutor(ExecutionBackend):
                     pid=span.pid,
                     task_id=tid,
                     batch=batch_index,
-                    # one live future per task: the last launch won
+                    # one live attempt per task: the last launch won
                     attempt=attempts[tid] - 1,
                     retries=failures[tid],
                     payload_bytes=len(payloads[tid]),
@@ -833,7 +895,7 @@ class ParallelExecutor(ExecutionBackend):
                         self._generation,
                         batch_index,
                         block.index,
-                        block,
+                        block.map_input(),
                         num_reducers,
                         {k for k in split if k in block},
                     )

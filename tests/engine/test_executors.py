@@ -24,7 +24,7 @@ from repro.engine.executors import (
 from repro.engine.faults import InjectedTaskFault, TaskFaultInjector, TransientTaskError
 from repro.engine.tasks import TaskCostModel, derive_task_seed, execute_batch_tasks
 from repro.partitioners import HashPartitioner
-from repro.queries.base import Query, SumAggregator
+from repro.queries.base import Aggregator, Query, SumAggregator
 from repro.queries.wordcount import count_one
 
 INFO = BatchInfo(0, 0.0, 1.0)
@@ -233,9 +233,51 @@ def test_application_errors_propagate_instead_of_falling_back():
     batch, part = _batch()
     query = _query(map_fn=_raise_for_k3)
     with ParallelExecutor(2) as backend:
-        with pytest.raises(RuntimeError, match="application bug"):
+        with pytest.raises(RuntimeError, match="application bug") as raised:
             backend.run_batch(batch, query, part, 2, TaskCostModel())
     assert backend.fallbacks == 0  # a masked bug would be worse than a crash
+    # its own type (not a wrapper), and the worker-side traceback — the
+    # frame that raised, in the worker process — rides along as its cause
+    assert type(raised.value) is RuntimeError
+    assert "_raise_for_k3" in str(raised.value.__cause__)
+
+
+class _Unshippable:
+    """A Map output that computes fine but cannot leave its process."""
+
+    def __reduce__(self):
+        raise pickle.PicklingError("result holds a live handle")
+
+
+class _KeepLast(Aggregator):
+    def zero(self):
+        return None
+
+    def add(self, acc, value):
+        return value
+
+    def merge(self, a, b):
+        return b
+
+    def inverse(self, a, b):
+        return a
+
+
+def _unshippable(key, value):
+    return _Unshippable()
+
+
+def test_unpicklable_result_falls_back_to_serial():
+    """The tasks ran; shipping their bundle's results back is what
+    failed — a dispatch failure, so the batch is recomputed in-process."""
+    batch, part = _batch()
+    query = Query(name="q", aggregator=_KeepLast(), map_fn=_unshippable)
+    with ParallelExecutor(2) as backend:
+        execution = backend.run_batch(batch, query, part, 2, TaskCostModel())
+    assert backend.fallbacks == 1
+    assert "PicklingError" in backend.last_fallback_reason
+    assert execution.backend == "serial"
+    assert set(execution.batch_output()) == {t.key for t in _tuples()}
 
 
 def test_infrastructure_error_classifier():
@@ -301,23 +343,34 @@ def _reference(batch, part, query, reducers=2):
     return execute_batch_tasks(batch, query, part, reducers, TaskCostModel())
 
 
-def test_injected_crash_is_retried_with_identical_result():
+def _assert_crash_is_retried(task_id, times):
     batch, part = _batch()
     query = _query()
-    injector = TaskFaultInjector().crash(0, "map", 0, times=2)
+    injector = TaskFaultInjector().crash(0, "map", task_id, times=times)
     with ParallelExecutor(2, fault_injector=injector) as backend:
         execution = backend.run_batch(batch, query, part, 2, TaskCostModel())
     assert execution.backend == "parallel"
-    assert execution.task_retries == 2
-    # 3 map tasks + 2 retried map attempts + 2 reduce tasks
-    assert execution.task_attempts == len(batch.blocks) + 2 + 2
-    assert backend.task_retries == 2
+    assert execution.task_retries == times
+    # 3 map tasks + the retried map attempts + 2 reduce tasks
+    assert execution.task_attempts == len(batch.blocks) + times + 2
+    assert backend.task_retries == times
     assert backend.fallbacks == 0
     reference = _reference(batch, part, query)
     assert pickle.dumps(execution.batch_output()) == pickle.dumps(
         reference.batch_output()
     )
     assert execution.map_durations == reference.map_durations
+
+
+def test_injected_crash_is_retried_with_identical_result():
+    _assert_crash_is_retried(task_id=0, times=2)
+
+
+def test_crash_of_a_bundle_mate_reruns_only_that_task():
+    """3 map tasks over 2 workers go out as bundles [0, 1] and [2]: the
+    crash of task 1 comes back in its own slot, so its bundle-mate 0 is
+    neither re-run nor voided — one retry, one extra attempt."""
+    _assert_crash_is_retried(task_id=1, times=1)
 
 
 def test_retried_task_reuses_its_seed():
@@ -372,6 +425,10 @@ def test_pool_resurrection_resumes_the_same_batch():
         assert execution.pool_resurrections == 1
         assert backend.pool_resurrections == 1
         assert backend.fallbacks == 0
+        # bundles [0, 1] and [2]: the kill voids its own bundle, and the
+        # other one only if it had not come back yet; 2 reduce tasks
+        assert execution.task_attempts in (3 + 2 + 2, 3 + 3 + 2)
+        assert execution.task_retries == 0
         reference = _reference(batch, part, query)
         assert pickle.dumps(execution.batch_output()) == pickle.dumps(
             reference.batch_output()

@@ -125,10 +125,28 @@ def _same_wave_injector() -> TaskFaultInjector:
     )
 
 
+def _bundle_mate_injector() -> TaskFaultInjector:
+    """Faults on the *second* task of a two-task bundle.
+
+    Four tasks a wave over two workers are submitted as the bundles
+    ``[0, 1]`` and ``[2, 3]``.  A crash of map task 1 / reduce task 3
+    must come back in its own slot and cost its bundle-mate nothing; the
+    worker kill by map task 3 voids its whole bundle (task 2's finished
+    result dies with the process) and nothing that was already gathered.
+    """
+    return (
+        TaskFaultInjector()
+        .crash(0, "map", 1)
+        .crash(1, "reduce", 3)
+        .poison(2, "map", 3)
+    )
+
+
 #: plan -> (injector factory, {batch: retries at least}, {batch: resurrections})
 FAULT_PLANS = {
     "standard": (_crash_and_poison_injector, {0: 1, 1: 2}, {2: 1}),
     "same-wave": (_same_wave_injector, {1: 1}, {1: 2}),
+    "bundle-mate": (_bundle_mate_injector, {0: 1, 1: 1}, {2: 1}),
 }
 
 
@@ -148,7 +166,7 @@ FAULT_PLANS = {
     ],
 )
 def test_task_crashes_and_pool_loss_are_invisible(workload, partitioner, plan):
-    """Acceptance case: 2 workloads x 3 partitioners x 2 fault plans,
+    """Acceptance case: 2 workloads x 3 partitioners x 3 fault plans,
     crashes + broken pools, byte-identical to clean serial, retries > 0,
     resurrections > 0, and the batch after the breakage parallel again."""
     make_injector, min_retries, resurrections = FAULT_PLANS[plan]
@@ -168,6 +186,12 @@ def test_task_crashes_and_pool_loss_are_invisible(workload, partitioner, plan):
         assert by_index[batch].task_retries >= retries
     for batch, rebuilds in resurrections.items():
         assert by_index[batch].pool_resurrections == rebuilds
+    if plan == "bundle-mate":
+        # a crash re-runs only the task that crashed (8 tasks + 1 retry);
+        # the kill re-runs its own bundle and at most the other one
+        assert [by_index[b].task_attempts for b in (0, 1)] == [9, 9]
+        assert [by_index[b].task_retries for b in (0, 1, 2)] == [1, 1, 0]
+        assert 8 + 2 <= by_index[2].task_attempts <= 8 + 4
     # ...and no batch degraded to serial: every broken pool was
     # resurrected within its batch, and the next batch ran parallel on it
     assert parallel.executor_fallbacks == 0

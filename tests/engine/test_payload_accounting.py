@@ -195,13 +195,28 @@ def test_same_seed_runs_report_identical_byte_counters():
 # ----------------------------------------------------------------------
 # metrics and trace plumbing
 # ----------------------------------------------------------------------
-def test_payload_metrics_and_trace_section_match_the_counters(tmp_path):
+def test_payload_metrics_and_trace_section_match_the_counters(tmp_path, monkeypatch):
     trace_path = tmp_path / "run.trace.json"
     config = _engine_config(
         observability=ObservabilityConfig(trace_path=str(trace_path))
     )
+    map_payloads = []
+    pickle_payload = ParallelExecutor._pickle_payload
+
+    def recording(self, item):
+        payload = pickle_payload(self, item)
+        if len(item) == 6:  # a Map delta; Reduce deltas have 4 fields
+            map_payloads.append(payload)
+        return payload
+
+    monkeypatch.setattr(ParallelExecutor, "_pickle_payload", recording)
     result = _run(config)
     snapshot = result.observability.metrics.as_dict()
+
+    # a Map task is shipped value columns, never tuple objects
+    assert len(map_payloads) == 3 * 4
+    assert not any(b"StreamTuple" in payload for payload in map_payloads)
+    assert sum(map(len, map_payloads)) / result.stats.total_tuples <= 12
 
     histogram = snapshot["prompt_task_payload_bytes"]
     assert histogram["count"] == result.stats.total_task_attempts()
