@@ -4,44 +4,22 @@ Every bench regenerates one table or figure from the paper's Section 7,
 prints the rows (run pytest with ``-s`` to see them inline; they are
 also echoed into the benchmark's ``extra_info``), and persists JSON to
 ``benchmarks/results/`` for EXPERIMENTS.md.
-
-Since the persistent experiment matrix (PR 8), every artifact write is
-also mirrored into the SQLite results store
-(``benchmarks/results/results.db``): string columns become cell params,
-numeric columns become metric rows, each keyed by a stable config hash
-plus the current git SHA and environment fingerprint — so the
-``BENCH_*.json`` one-offs join the same cross-PR trajectory that
-``repro bench report`` renders and ``repro bench regress`` gates.
-Set ``REPRO_BENCH_STORE=0`` to skip the mirroring.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.bench.reporting import save_results
-from repro.bench.store import append_artifact_rows
 
 
 @pytest.fixture
 def record_experiment(capsys):
-    """Return a helper that prints a table, persists JSON, feeds the store.
+    """Return a helper that prints a table and persists its JSON."""
 
-    ``store`` carries the grid params the bench knows about itself
-    (workload, backend, ...); they join every mirrored row's identity.
-    """
-
-    def _record(name: str, table_text: str, payload, *, store=None) -> None:
+    def _record(name: str, table_text: str, payload) -> None:
         with capsys.disabled():
             print(f"\n{table_text}\n")
         save_results(name, payload)
-        try:
-            append_artifact_rows(name, payload, extra_params=store)
-        except Exception as exc:  # pragma: no cover - bookkeeping only
-            # A store hiccup (locked db, read-only checkout) must never
-            # turn a passing benchmark red.
-            warnings.warn(f"results store append failed for {name}: {exc}")
 
     return _record

@@ -74,7 +74,6 @@ def test_ablation_accumulator_budget(benchmark, record_experiment):
         "ablation_budget",
         format_table(rows, title="Ablation: CountTree update budget (Tweets batch)"),
         rows,
-        store=dict(workload="tweets", partitioner="prompt"),
     )
     by = {r["Variant"]: r for r in rows}
     exact = by["exact (per-tuple)"]
@@ -118,7 +117,6 @@ def test_ablation_partition_strategy(benchmark, record_experiment):
         "ablation_strategy",
         format_table(rows, title="Ablation: Algorithm 2 placement strategy"),
         rows,
-        store=dict(partitioner="prompt"),
     )
     # Greedy dominates or ties on MPI for the high-cardinality dataset.
     tweets = {r["Strategy"]: r for r in rows if r["Dataset"] == "tweets"}
@@ -156,7 +154,6 @@ def test_ablation_split_cutoff_scale(benchmark, record_experiment):
         "ablation_cutoff",
         format_table(rows, title="Ablation: key-split cutoff scale (zigzag, SynD z=1.4)"),
         rows,
-        store=dict(workload="synd-z1.4", partitioner="prompt-zigzag"),
     )
     assert rows[0]["SplitKeys"] >= rows[-1]["SplitKeys"]
     assert rows[0]["KSR"] >= rows[-1]["KSR"] - 1e-9
@@ -191,7 +188,6 @@ def test_ablation_reduce_allocation(benchmark, record_experiment):
         "ablation_reduce",
         format_table(rows, title="Ablation: Algorithm 3 vs hash reduce allocation"),
         rows,
-        store=dict(partitioner="prompt"),
     )
     for row in rows:
         assert row["Alg3_Imbalance"] <= row["Hash_Imbalance"] + 1e-9
@@ -236,7 +232,6 @@ def test_ablation_early_release_slack(benchmark, record_experiment):
         "ablation_slack",
         format_table(rows, title="Ablation: early-release slack vs measured Alg 2 cost"),
         rows,
-        store=dict(workload="tweets", partitioner="prompt"),
     )
     by = {r["SlackFraction"]: r for r in rows}
     # The paper's 5% budget suffices; the median sidesteps scheduler
@@ -289,7 +284,6 @@ def test_ablation_sketch_vs_tree_statistics(benchmark, record_experiment):
         "ablation_sketch",
         format_table(rows, title="Ablation: accumulator statistics (tree vs sketch)"),
         rows,
-        store=dict(partitioner="prompt"),
     )
     for ds in ("tweets", "synd z=1.4"):
         tree = next(r for r in rows if r["Dataset"] == ds and "tree" in r["Statistics"])

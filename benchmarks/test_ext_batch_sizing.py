@@ -84,7 +84,6 @@ def test_ext_batch_sizing_vs_elasticity(benchmark, record_experiment):
         "ext_batch_sizing",
         format_table(rows, title="Extension: stabilization strategies under overload"),
         rows,
-        store=dict(partitioner="prompt", backend="serial"),
     )
     fixed, sized, elastic = rows
     # fixed interval diverges (queueing), the other two settle

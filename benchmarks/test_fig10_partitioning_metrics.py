@@ -31,7 +31,6 @@ def test_fig10_partition_metrics(benchmark, record_experiment, dataset):
             title=f"Figure 10 ({dataset}): partitioning metrics, 16 blocks",
         ),
         rows,
-        store=dict(workload=dataset),
     )
     by_name = {r["Technique"]: r for r in rows}
     # Size balance: prompt ~ shuffle ~ time, far below hashing.

@@ -42,7 +42,6 @@ def test_fig11abc_throughput_vs_interval(benchmark, record_experiment):
             title="Figure 11a-c: max throughput (sinusoidal rate, SynD z=1.4)",
         ),
         rows,
-        store=dict(workload="synd-z1.4", backend="serial"),
     )
 
     def rate(interval, tech):
@@ -84,7 +83,6 @@ def test_fig11d_throughput_vs_skew(benchmark, record_experiment):
             title="Figure 11d: max throughput vs Zipf exponent (interval 3 s)",
         ),
         rows,
-        store=dict(workload="synd", backend="serial"),
     )
 
     def rate(z, tech):

@@ -28,7 +28,6 @@ def test_fig12_elasticity(benchmark, record_experiment, direction):
             title=f"Figure 12 (scale-{direction}): offered load vs task counts",
         ),
         result,
-        store=dict(workload=f"elastic-{direction}", partitioner="prompt"),
     )
     first, last = series[0], series[-1]
     if direction == "out":

@@ -40,7 +40,6 @@ def test_fig13_latency_distribution(benchmark, record_experiment):
             name: {k: v for k, v in data.items() if k != "series"}
             for name, data in out["techniques"].items()
         },
-        store=dict(workload="tweets", backend="serial"),
     )
     time_based = out["techniques"]["time"]
     prompt = out["techniques"]["prompt"]

@@ -32,7 +32,6 @@ def test_fig14a_post_sort_throughput(benchmark, record_experiment):
         "fig14a_post_sort",
         format_table(rows, title="Figure 14a: Prompt vs post-sort throughput"),
         rows,
-        store=dict(workload="synd-z1.4", backend="serial"),
     )
     by_name = {r["Technique"]: r["MaxThroughput"] for r in rows}
     assert by_name["prompt"] >= by_name["prompt-postsort"]
@@ -50,7 +49,6 @@ def test_fig14b_partition_overhead(benchmark, record_experiment):
         "fig14b_overhead",
         format_table(rows, title="Figure 14b: Algorithm 2 cost as % of a 1 s batch interval"),
         rows,
-        store=dict(partitioner="prompt"),
     )
     for row in rows:
         # Phase attribution: buffering (Alg 1) and planning (Alg 2) are

@@ -16,7 +16,6 @@ def test_fig6_assignment_tradeoffs(benchmark, record_experiment):
         "fig6_assignment_tradeoffs",
         format_table(rows, title="Figure 6: assignment trade-offs (385 tuples, 8 keys, 4 blocks)"),
         rows,
-        store=dict(workload="fig6-micro"),
     )
     by_name = {r["Strategy"]: r for r in rows}
     prompt = by_name["Prompt (Algorithm 2)"]

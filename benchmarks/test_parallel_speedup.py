@@ -33,7 +33,6 @@ def test_parallel_speedup(benchmark, record_experiment):
         "BENCH_parallel_speedup",
         format_table(rows, title="Serial vs parallel backend wall-clock"),
         rows,
-        store=dict(workload="synd-z1.4", partitioner="prompt"),
     )
     assert len(rows) == 2
     for row in rows:

@@ -50,7 +50,6 @@ def test_partitioner_shootout(benchmark, record_experiment):
             title="Partitioner shoot-out: runtime at fixed offered rate",
         ),
         payload,
-        store=dict(backend="serial"),
     )
 
     # Grid coverage: every technique on every scenario, >= 3 skew levels.

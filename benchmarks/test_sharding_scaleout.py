@@ -52,7 +52,6 @@ def test_sharding_scaleout(benchmark, record_experiment):
             title="Gate: stable, answers identical, >=0.8·N throughput",
         ),
         payload,
-        store=dict(topology="sharded", router="hash"),
     )
 
     # Coverage: the whole default shard axis ran, identity-checked.

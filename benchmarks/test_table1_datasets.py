@@ -15,7 +15,6 @@ def test_table1_dataset_stats(benchmark, record_experiment):
         "table1_datasets",
         format_table(rows, title="Table 1: Datasets (paper vs scaled stand-ins)"),
         rows,
-        store=dict(workload="all"),
     )
     assert [r["Name"] for r in rows] == ["Tweets", "SynD", "DEBS", "GCM", "TPC-H"]
     for row in rows:

@@ -13,35 +13,8 @@ from .experiments import (
     table1_dataset_stats,
 )
 from .harness import ThroughputResult, ThroughputSearch, run_at_rate
-from .matrix import (
-    ExperimentGrid,
-    FillReport,
-    GRIDS,
-    MatrixCell,
-    fill,
-    render_matrix_report,
-    run_cell,
-    trajectory_rows,
-)
-from .regress import (
-    NoiseBand,
-    RegressionFinding,
-    find_regressions,
-    metric_direction,
-    noise_band,
-)
 from .report import render_run, sparkline
 from .reporting import format_series, format_table, results_dir, save_results
-from .store import (
-    CellResult,
-    ResultsStore,
-    artifact_cells,
-    config_hash,
-    current_git_sha,
-    default_store_path,
-    environment_fingerprint,
-    environment_hash,
-)
 from .payload import VocabWeightTable, broadcast_wordcount_query
 from .sharding import DEFAULT_SHARD_COUNTS, bench_sharding_scaleout, scaleout_gate
 from .shootout import (
@@ -57,34 +30,13 @@ from .shootout import (
 from .speedup import bench_parallel_speedup, heavy_count_one
 
 __all__ = [
-    "CellResult",
     "DEFAULT_SHARD_COUNTS",
-    "ExperimentGrid",
-    "FillReport",
-    "GRIDS",
-    "MatrixCell",
-    "NoiseBand",
     "PAPER_TECHNIQUES",
-    "RegressionFinding",
-    "ResultsStore",
     "SHOOTOUT_TECHNIQUES",
     "ShootoutScenario",
     "ThroughputResult",
     "ThroughputSearch",
     "VocabWeightTable",
-    "artifact_cells",
-    "config_hash",
-    "current_git_sha",
-    "default_store_path",
-    "environment_fingerprint",
-    "environment_hash",
-    "fill",
-    "find_regressions",
-    "metric_direction",
-    "noise_band",
-    "render_matrix_report",
-    "run_cell",
-    "trajectory_rows",
     "bench_parallel_speedup",
     "bench_sharding_scaleout",
     "broadcast_wordcount_query",

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..engine.engine import EngineConfig, MicroBatchEngine, RunResult
-from ..engine.faults import TaskFaultInjector
 from ..partitioners.base import Partitioner
 from ..partitioners.registry import make_partitioner
 from ..queries.base import Query
@@ -37,21 +36,16 @@ def run_at_rate(
     num_batches: int,
     *,
     backend: str | None = None,
-    task_fault_injector: Optional["TaskFaultInjector"] = None,
 ) -> RunResult:
     """One engine run with a freshly-built source at ``rate``.
 
     ``backend`` overrides ``config.executor`` for this run — backends
     are bit-identical by contract, so probing under "parallel" answers
     the same stability question while exercising the pool.
-    ``task_fault_injector`` threads a deterministic fault plan into the
-    run (the experiment matrix's fault-profile axis).
     """
     if backend is not None and backend != config.executor:
         config = replace(config, executor=backend)
-    engine = MicroBatchEngine(
-        partitioner, query, config, task_fault_injector=task_fault_injector
-    )
+    engine = MicroBatchEngine(partitioner, query, config)
     return engine.run(source_factory(rate), num_batches)
 
 

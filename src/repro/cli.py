@@ -9,10 +9,6 @@ Usage::
     python -m repro quickstart                # the quickstart demo
     python -m repro quickstart --trace t.json --metrics m.prom
     python -m repro trace summarize t.json    # per-phase breakdown
-    python -m repro bench fill                # run missing matrix cells
-    python -m repro bench report --markdown   # cross-PR trajectories
-    python -m repro bench regress             # noise-band gate (exit 1)
-    python -m repro bench ingest BENCH_x.json # backfill an artifact
 
 Each ``run`` prints the paper-style table and writes JSON next to the
 benchmarks (``benchmarks/results/``).  All user-facing output goes
@@ -27,7 +23,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 from typing import Any, Callable, Optional
 
 from .bench import (
@@ -43,13 +38,9 @@ from .bench import (
     format_table,
     joint_imbalance_score,
     partitioner_shootout,
-    results_dir,
     save_results,
     table1_dataset_stats,
 )
-from .bench.matrix import GRIDS, fill, render_matrix_report
-from .bench.regress import find_regressions, regression_rows
-from .bench.store import ResultsStore, default_store_path, ingest_artifact
 from .engine.engine import EngineConfig
 from .engine.executors import EXECUTOR_NAMES, ExecutorKind
 from .engine.sharding.router import ROUTER_NAMES
@@ -398,86 +389,6 @@ def _run_quickstart(
     return "\n".join(lines), payload
 
 
-def _bench_main(args: argparse.Namespace, reporter: logging.Logger) -> int:
-    """Dispatch the ``repro bench`` subcommands against one store."""
-    db_path = args.db or default_store_path()
-    if args.bench_command == "fill":
-        grid = GRIDS[args.grid]
-        with ResultsStore(db_path) as store:
-            report = fill(
-                store,
-                grid,
-                force=args.force,
-                progress=lambda cell: reporter.info("running %s", cell.label()),
-            )
-        reporter.info(
-            "grid %r: %d cell(s) executed, %d already complete for "
-            "sha %s (store: %s)",
-            report.grid,
-            len(report.executed),
-            report.skipped,
-            report.git_sha[:12],
-            db_path,
-        )
-        return 0
-    if args.bench_command == "report":
-        metrics = tuple(args.metric) if args.metric else None
-        with ResultsStore(db_path) as store:
-            text = render_matrix_report(
-                store, metrics=metrics, markdown=args.markdown
-            )
-        reporter.info("%s", text)
-        return 0
-    if args.bench_command == "regress":
-        with ResultsStore(db_path) as store:
-            findings = find_regressions(
-                store, k=args.k, min_history=args.min_history
-            )
-        regressions = [f for f in findings if f.is_regression]
-        if not findings:
-            reporter.info(
-                "no departures: every tracked cell stayed inside its "
-                "noise band (median ± %.1f·IQR)", args.k
-            )
-            return 0
-        reporter.info(
-            "%s",
-            format_table(
-                regression_rows(findings),
-                title=f"Cells outside their noise band (median ± {args.k:.1f}·IQR)",
-            ),
-        )
-        if regressions and not args.allow_regression:
-            reporter.error(
-                "%d regression(s) detected — rerun with --allow-regression "
-                "to accept an intentional trade-off",
-                len(regressions),
-            )
-            return 1
-        if regressions:
-            reporter.info(
-                "%d regression(s) allowed by --allow-regression",
-                len(regressions),
-            )
-        return 0
-    if args.bench_command == "ingest":
-        canonical = results_dir()
-        total = 0
-        with ResultsStore(db_path) as store:
-            for raw in args.paths:
-                path = Path(raw)
-                count = ingest_artifact(store, path)
-                total += count
-                reporter.info("%s: %d cell(s)", path, count)
-                if args.relocate and path.resolve().parent != canonical.resolve():
-                    target = canonical / path.name
-                    path.replace(target)
-                    reporter.info("relocated %s -> %s", path, target)
-        reporter.info("ingested %d cell(s) into %s", total, db_path)
-        return 0
-    raise AssertionError(f"unhandled bench command {args.bench_command!r}")
-
-
 EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], tuple[str, Any]]]] = {
     "table1": ("Table 1 — dataset properties", _run_table1),
     "fig6": ("Figure 6 — B-BPFI assignment trade-offs", _run_fig6),
@@ -600,98 +511,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes for the parallel backend (default: auto)",
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="persistent experiment matrix (SQLite results store)",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    db_flags = argparse.ArgumentParser(add_help=False)
-    db_flags.add_argument(
-        "--db",
-        metavar="PATH",
-        default=None,
-        help="results store path (default: benchmarks/results/results.db)",
-    )
-
-    bench_fill = bench_sub.add_parser(
-        "fill",
-        help="run the grid's missing/invalidated cells (resumable)",
-        parents=[log_flags, db_flags],
-    )
-    bench_fill.add_argument(
-        "--grid",
-        default="quick",
-        choices=sorted(GRIDS),
-        help="which declared grid to fill (default: quick)",
-    )
-    bench_fill.add_argument(
-        "--force",
-        action="store_true",
-        help="re-run every cell even if already recorded for this SHA/env",
-    )
-
-    bench_report = bench_sub.add_parser(
-        "report",
-        help="render metric trajectories across stored runs",
-        parents=[log_flags, db_flags],
-    )
-    bench_report.add_argument(
-        "--markdown",
-        action="store_true",
-        help="emit a markdown table (for EXPERIMENTS.md)",
-    )
-    bench_report.add_argument(
-        "--metric",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="only these metric names (repeatable; default: all)",
-    )
-
-    bench_regress = bench_sub.add_parser(
-        "regress",
-        help="flag cells outside their per-environment noise band",
-        parents=[log_flags, db_flags],
-    )
-    bench_regress.add_argument(
-        "--k",
-        type=float,
-        default=3.0,
-        help="band half-width in IQR multiples (default: 3.0)",
-    )
-    bench_regress.add_argument(
-        "--min-history",
-        type=int,
-        default=3,
-        help="prior same-hash rows required before a cell can regress "
-        "(default: 3)",
-    )
-    bench_regress.add_argument(
-        "--allow-regression",
-        action="store_true",
-        help="report regressions but exit 0 — the documented escape "
-        "hatch for intentional performance trade-offs",
-    )
-
-    bench_ingest = bench_sub.add_parser(
-        "ingest",
-        help="backfill BENCH_*.json artifacts into the store",
-        parents=[log_flags, db_flags],
-    )
-    bench_ingest.add_argument(
-        "paths",
-        nargs="+",
-        metavar="PATH",
-        help="artifact JSON files (e.g. benchmarks/results/BENCH_*.json)",
-    )
-    bench_ingest.add_argument(
-        "--relocate",
-        action="store_true",
-        help="move ingested artifacts into benchmarks/results/ (unifies "
-        "stray root-level artifacts on the one canonical directory)",
-    )
-
     trace = sub.add_parser("trace", help="inspect a written trace file")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     summarize = trace_sub.add_parser(
@@ -721,8 +540,6 @@ def main(argv: list[str] | None = None) -> int:
         summary = summarize_trace(args.path, top_k=args.top)
         reporter.info("%s", format_trace_summary(summary))
         return 0
-    if args.command == "bench":
-        return _bench_main(args, reporter)
     if args.command == "quickstart":
         try:
             config = _quickstart_config(args)

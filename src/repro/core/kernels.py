@@ -39,16 +39,12 @@ structures is converted back to a Python ``int``/``float``.
 numpy is an optional dependency: ``HAVE_NUMPY`` reports availability and
 ``PromptPartitioner`` falls back to the pure-Python path (announced once
 per process by :func:`warn_numpy_missing`) when absent.
-Setting ``REPRO_NUMBA=1`` swaps the per-key simulation for a
-numba-jitted dense loop when numba is importable; the flag is advisory
-and degrades (with a warning) to the pure-numpy kernels otherwise.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
@@ -72,7 +68,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "HAVE_NUMPY",
-    "USE_NUMBA",
     "KernelIngest",
     "accumulate_batch",
     "plan_greedy",
@@ -100,23 +95,6 @@ def warn_numpy_missing() -> None:
     )
 
 
-def _numba_jit():
-    """Resolve the optional numba jit behind the ``REPRO_NUMBA=1`` flag."""
-    if os.environ.get("REPRO_NUMBA") != "1" or not HAVE_NUMPY:
-        return None
-    try:  # pragma: no cover - numba is not a baked-in dependency
-        import numba
-    except ImportError:
-        warnings.warn(
-            "REPRO_NUMBA=1 but numba is not importable; "
-            "running the pure-numpy ingest kernels instead",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-    return numba.njit(cache=True)  # pragma: no cover
-
-
 def _simulate_key_dense(T, G, budget, est, f0, t_end):
     """Per-arrival transliteration of Algorithm 1's update mechanism.
 
@@ -124,9 +102,8 @@ def _simulate_key_dense(T, G, budget, est, f0, t_end):
     the matching 0-based global stream indexes.  Returns the key's final
     tracked count and the number of CountTree updates it consumed.
 
-    This is the reference recurrence (and the numba jit target — the
-    body is nopython-compatible); ``_simulate_key_jump`` computes the
-    same answer without visiting every arrival.
+    This is the reference recurrence; ``_simulate_key_jump`` computes
+    the same answer without visiting every arrival.
     """
     fu = 1
     lut = T[0]
@@ -275,13 +252,6 @@ def _simulate_key_jump_arr(T, G, base, m, budget, est, f0, t_end):
 #: array and scans it vectorized instead of reading ``.ts`` per element
 _LONG_CHAIN_THRESHOLD = 2048
 
-_JITTED_DENSE = None
-if (jit := _numba_jit()) is not None:  # pragma: no cover - needs numba
-    _JITTED_DENSE = jit(_simulate_key_dense)
-
-#: True when the REPRO_NUMBA flag resolved to a working jit
-USE_NUMBA = _JITTED_DENSE is not None
-
 
 @dataclass(slots=True)
 class KernelIngest:
@@ -390,34 +360,21 @@ def accumulate_batch(
         tracked = [1] * num_keys
         repeated = np.flatnonzero(counts > 1).tolist()
         t_end = info.t_end
-        if _JITTED_DENSE is not None:  # pragma: no cover - needs numba
-            ts_sorted = np.fromiter(map(_GET_TS, tuples), dtype=np.float64, count=n)[
-                order
-            ]
-            for c in repeated:
-                s = starts_l[c]
-                e = s + counts_l[c]
-                count_c, updates_c = _JITTED_DENSE(
-                    ts_sorted[s:e], order[s:e], budget, est, f0, t_end
+        for c in repeated:
+            m_c = counts_l[c]
+            if m_c >= _LONG_CHAIN_THRESHOLD:
+                chain_ts = np.fromiter(
+                    map(_GET_TS, chains[c]), dtype=np.float64, count=m_c
                 )
-                tracked[c] = int(count_c)
-                tree_updates += int(updates_c)
-        else:
-            for c in repeated:
-                m_c = counts_l[c]
-                if m_c >= _LONG_CHAIN_THRESHOLD:
-                    chain_ts = np.fromiter(
-                        map(_GET_TS, chains[c]), dtype=np.float64, count=m_c
-                    )
-                    count_c, updates_c = _simulate_key_jump_arr(
-                        chain_ts, order, starts_l[c], m_c, budget, est, f0, t_end
-                    )
-                else:
-                    count_c, updates_c = _simulate_key_jump(
-                        chains[c], order, starts_l[c], m_c, budget, est, f0, t_end
-                    )
-                tracked[c] = count_c
-                tree_updates += updates_c
+                count_c, updates_c = _simulate_key_jump_arr(
+                    chain_ts, order, starts_l[c], m_c, budget, est, f0, t_end
+                )
+            else:
+                count_c, updates_c = _simulate_key_jump(
+                    chains[c], order, starts_l[c], m_c, budget, est, f0, t_end
+                )
+            tracked[c] = count_c
+            tree_updates += updates_c
 
     # -- quasi-sort: descending (count, order-token) ---------------------
     # The CountTree orders nodes by (count, token) with unique tokens,

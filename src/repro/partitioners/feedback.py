@@ -39,7 +39,7 @@ __all__ = [
 #: Batches between a batch completing and its feedback being delivered:
 #: partitioning batch ``k`` sees feedback of batches ``<= k - FEEDBACK_LAG``.
 #: Load reports reach the partitioner two heartbeats late; the value is
-#: fixed (every stored shoot-out and matrix number depends on it) so
+#: fixed (every stored shoot-out and golden-file number depends on it) so
 #: results are reproducible.
 FEEDBACK_LAG = 2
 

@@ -1,4 +1,4 @@
-"""Fallback and feature-flag behavior of the placement kernels.
+"""Fallback behavior of the placement kernels.
 
 This module is deliberately numpy-free: it runs on the tier-1 CI step
 that uninstalls numpy, where the default ``PromptPartitioner`` must
@@ -102,29 +102,3 @@ def test_engine_config_numpy_request_degrades(no_numpy):
     assert len(caught) == 1
     assert result.stats.total_tuples > 0
     assert len(result.window_answers) == 3
-
-
-def test_numba_flag_without_numba_warns(monkeypatch):
-    """REPRO_NUMBA=1 degrades (loudly) when numba is not importable."""
-    if not kernels.HAVE_NUMPY:
-        pytest.skip("flag resolution short-circuits before numba without numpy")
-    monkeypatch.setenv("REPRO_NUMBA", "1")
-    import builtins
-
-    real_import = builtins.__import__
-
-    def _no_numba(name, *args, **kwargs):
-        if name == "numba":
-            raise ImportError("no numba in this environment")
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.setattr(builtins, "__import__", _no_numba)
-    with pytest.warns(RuntimeWarning, match="numba is not importable"):
-        assert kernels._numba_jit() is None
-
-
-def test_numba_flag_off_is_silent(monkeypatch):
-    monkeypatch.delenv("REPRO_NUMBA", raising=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert kernels._numba_jit() is None

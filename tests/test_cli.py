@@ -210,135 +210,10 @@ def test_run_sharded_demo(capsys):
     assert "merged answers identical to a single-engine run: True" in out
 
 
-# ----------------------------------------------------------------------
-# repro bench: the persistent experiment matrix
-def _seed_bench_history(db, values, *, metric="latency_mean_seconds"):
-    """Fill the tiny grid once per historical value at synthetic SHAs."""
-    from repro.bench.matrix import TINY_GRID, fill
-    from repro.bench.store import ResultsStore, environment_fingerprint
-
-    env = environment_fingerprint()
-    with ResultsStore(db) as store:
-        for i, value in enumerate(values):
-            fill(
-                store, TINY_GRID, git_sha=f"hist-{i}", env=env,
-                runner=lambda c, g, v=value: ({metric: v}, {}),
-            )
-
-
-def test_bench_fill_is_resumable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_GIT_SHA", "feedbead")
-    db = str(tmp_path / "r.db")
-    assert main(["bench", "fill", "--grid", "tiny", "--db", db]) == 0
-    first = capsys.readouterr().out
-    assert "1 cell(s) executed, 0 already complete" in first
-    # the acceptance criterion: the second run executes nothing
-    assert main(["bench", "fill", "--grid", "tiny", "--db", db]) == 0
-    second = capsys.readouterr().out
-    assert "0 cell(s) executed, 1 already complete" in second
-
-
-def test_bench_fill_force_reruns(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_GIT_SHA", "feedbead")
-    db = str(tmp_path / "r.db")
-    assert main(["bench", "fill", "--grid", "tiny", "--db", db]) == 0
-    capsys.readouterr()
-    assert main(["bench", "fill", "--grid", "tiny", "--db", db, "--force"]) == 0
-    assert "1 cell(s) executed" in capsys.readouterr().out
-
-
-def test_bench_fill_rejects_unknown_grid(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["bench", "fill", "--grid", "nonesuch"])
-
-
-def test_bench_report_text_and_markdown(tmp_path, capsys):
-    db = str(tmp_path / "r.db")
-    _seed_bench_history(db, [1.0, 1.1, 1.2])
-    assert main(["bench", "report", "--db", db]) == 0
-    out = capsys.readouterr().out
-    assert "latency_mean_seconds" in out
-    assert "Trend" in out
-    assert main(["bench", "report", "--db", db, "--markdown"]) == 0
-    md = capsys.readouterr().out
-    assert "| Cell |" in md
-    # metric filtering drops everything but the named series
-    assert main(
-        ["bench", "report", "--db", db, "--metric", "no_such_metric"]
-    ) == 0
-    assert "latency_mean_seconds" not in capsys.readouterr().out
-
-
-def test_bench_regress_green_store_exits_zero(tmp_path, capsys, monkeypatch):
-    from repro.bench.matrix import TINY_GRID, fill
-    from repro.bench.store import ResultsStore, environment_fingerprint
-
-    db = str(tmp_path / "r.db")
-    _seed_bench_history(db, [1.0, 1.01, 0.99, 1.0])
-    monkeypatch.setenv("REPRO_GIT_SHA", "headsha")
-    with ResultsStore(db) as store:
-        fill(
-            store, TINY_GRID, git_sha="headsha",
-            env=environment_fingerprint(),
-            runner=lambda c, g: ({"latency_mean_seconds": 1.0}, {}),
-        )
-    assert main(["bench", "regress", "--db", db]) == 0
-    assert "no departures" in capsys.readouterr().out
-
-
-def test_bench_regress_flags_slowdown_and_escape_hatch(
-    tmp_path, capsys, monkeypatch
-):
-    from repro.bench.matrix import TINY_GRID, fill
-    from repro.bench.store import ResultsStore, environment_fingerprint
-
-    db = str(tmp_path / "r.db")
-    _seed_bench_history(db, [1.0, 1.01, 0.99, 1.0])
-    monkeypatch.setenv("REPRO_GIT_SHA", "headsha")
-    with ResultsStore(db) as store:
-        fill(
-            store, TINY_GRID, git_sha="headsha",
-            env=environment_fingerprint(),
-            runner=lambda c, g: ({"latency_mean_seconds": 5.0}, {}),
-        )
-    assert main(["bench", "regress", "--db", db]) == 1
-    out = capsys.readouterr().out
-    assert "regressed" in out
-    # the documented escape hatch reports but exits 0
-    assert main(["bench", "regress", "--db", db, "--allow-regression"]) == 0
-    assert "allowed by --allow-regression" in capsys.readouterr().out
-
-
-def test_bench_ingest_backfills_artifacts(tmp_path, capsys, monkeypatch):
-    import json
-
-    art = tmp_path / "BENCH_sample.json"
-    art.write_text(json.dumps([{"Technique": "prompt", "Latency": 0.25}]))
-    db = str(tmp_path / "r.db")
-    assert main(["bench", "ingest", str(art), "--db", db]) == 0
-    out = capsys.readouterr().out
-    assert "1 cell(s)" in out
-
-    from repro.bench.store import ResultsStore
-
-    with ResultsStore(db) as store:
-        assert store.cell_count() == 1
-        assert store.cells()[0]["source"] == "artifact:BENCH_sample"
-
-
-def test_bench_ingest_relocate_moves_artifact(tmp_path, capsys, monkeypatch):
-    import json
-
-    import repro.bench.reporting as reporting
-    import repro.cli as cli
-
-    canonical = tmp_path / "results"
-    canonical.mkdir()
-    monkeypatch.setattr(reporting, "results_dir", lambda: canonical)
-    monkeypatch.setattr(cli, "results_dir", lambda: canonical)
-    stray = tmp_path / "BENCH_stray.json"
-    stray.write_text(json.dumps([{"V": 1.0}]))
-    db = str(tmp_path / "r.db")
-    assert main(["bench", "ingest", str(stray), "--db", db, "--relocate"]) == 0
-    assert not stray.exists()
-    assert (canonical / "BENCH_stray.json").exists()
+def test_bench_subcommand_is_gone(capsys):
+    """The experiment-matrix commands were retired with the store
+    (EXPERIMENTS.md "Retired paths"); argparse rejects them."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "fill"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -30,24 +30,8 @@ def test_required_documents_exist():
         "docs/api.md",
         "docs/observability.md",
         "docs/reproduction-notes.md",
-        "docs/experiments-matrix.md",
     ):
         assert (ROOT / name).exists(), name
-
-
-def test_experiments_matrix_doc_is_cross_linked():
-    assert "experiments-matrix.md" in _read("docs/api.md")
-    matrix_doc = _read("docs/experiments-matrix.md")
-    # the doc must describe the real CLI surface and the real store file
-    for needle in (
-        "repro bench fill",
-        "repro bench report",
-        "repro bench regress",
-        "repro bench ingest",
-        "results.db",
-        "--allow-regression",
-    ):
-        assert needle in matrix_doc, needle
 
 
 def test_observability_doc_covers_the_metric_catalog():

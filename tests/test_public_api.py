@@ -285,3 +285,48 @@ def test_engine_package_starts_no_threads():
         assert futures <= allowed, (path, futures - allowed)
         if path.name == "engine.py":
             assert not futures, path
+
+
+# ----------------------------------------------------------------------
+# repro.bench: harness, paper figures and standalone benches only
+def test_bench_surface_is_pinned():
+    """The experiment matrix (store, grids, noise-band gate) is retired:
+    simulated metrics are pinned by ``tests/bench/simulated_golden.json``."""
+    import repro.bench
+
+    assert sorted(repro.bench.__all__) == [
+        "DEFAULT_SHARD_COUNTS",
+        "PAPER_TECHNIQUES",
+        "SHOOTOUT_TECHNIQUES",
+        "ShootoutScenario",
+        "ThroughputResult",
+        "ThroughputSearch",
+        "VocabWeightTable",
+        "bench_parallel_speedup",
+        "bench_sharding_scaleout",
+        "broadcast_wordcount_query",
+        "fig10_partition_metrics",
+        "fig11_throughput_vs_interval",
+        "fig11d_skew_sweep",
+        "fig12_elasticity",
+        "fig13_latency_distribution",
+        "fig14a_post_sort_throughput",
+        "fig14b_partition_overhead",
+        "fig6_assignment_tradeoffs",
+        "format_series",
+        "format_table",
+        "heavy_count_one",
+        "high_skew_verdicts",
+        "joint_imbalance_score",
+        "partitioner_shootout",
+        "render_run",
+        "results_dir",
+        "run_at_rate",
+        "save_results",
+        "scaleout_gate",
+        "shootout_quality",
+        "shootout_runtime",
+        "shootout_scenarios",
+        "sparkline",
+        "table1_dataset_stats",
+    ]
