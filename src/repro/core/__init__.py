@@ -3,7 +3,7 @@ partitioning, B-BPVC reduce allocation, elasticity, and the cost model.
 """
 
 from .batch import BatchInfo, DataBlock, PartitionedBatch
-from .batch_partitioner import PromptBatchPartitioner, split_group_by_weight
+from .batch_partitioner import PromptBatchPartitioner
 from .buffering import AccumulatedBatch, MicroBatchAccumulator
 from .config import (
     AccumulatorConfig,
@@ -80,6 +80,5 @@ __all__ = [
     "micro_batch_partitioning_imbalance",
     "relative_metric",
     "sorted_key_groups",
-    "split_group_by_weight",
     "stable_hash",
 ]

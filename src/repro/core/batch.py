@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .tuples import Key, StreamTuple
+from .tuples import Key, KeyGroup, StreamTuple
 
 __all__ = ["DataBlock", "MapInput", "PartitionedBatch", "BatchInfo"]
 
@@ -81,17 +81,7 @@ class DataBlock:
     # -- mutation -------------------------------------------------------
     def add_fragment(self, key: Key, tuples: Sequence[StreamTuple]) -> None:
         """Append ``tuples`` to this block's fragment of ``key``."""
-        if not tuples:
-            return
-        weight = sum(t.weight for t in tuples)
-        chain = self._fragments.get(key)
-        if chain is None:
-            self._fragments[key] = list(tuples)
-            self._fragment_weights[key] = weight
-        else:
-            chain.extend(tuples)
-            self._fragment_weights[key] += weight
-        self._weight += weight
+        self.install_fragment(key, tuples, sum(t.weight for t in tuples))
 
     def add_tuple(self, t: StreamTuple) -> None:
         self.add_fragment(t.key, (t,))
@@ -99,7 +89,9 @@ class DataBlock:
     def install_fragment(
         self, key: Key, tuples: Sequence[StreamTuple], weight: int
     ) -> None:
-        """``add_fragment`` with a caller-vouched total ``weight``.
+        """Append ``tuples``, of caller-vouched total ``weight``, to this
+        block's fragment of ``key`` (copied in, never adopted; an empty
+        ``tuples`` is skipped).
 
         The batch kernels already hold every fragment's exact weight
         (from vectorized sums), so re-summing ``t.weight`` per tuple
@@ -117,6 +109,27 @@ class DataBlock:
             chain.extend(tuples)
             self._fragment_weights[key] += weight
         self._weight += weight
+
+    def install_whole_chains(
+        self, groups: Iterable[KeyGroup], weights: Iterable[int]
+    ) -> None:
+        """Install each group's whole chain as this block's fragment of
+        its key, which must be new to the block.
+
+        ``weights`` are the groups' exact sizes (vouched, as in
+        :meth:`install_fragment`); an empty group is skipped.  Each
+        chain list is copied, never adopted, so later moves on this
+        block cannot reach the caller's groups.
+        """
+        fragments = self._fragments
+        fragment_weights = self._fragment_weights
+        installed = 0
+        for group, weight in zip(groups, weights):
+            if weight:
+                fragments[group.key] = list(group.tuples)
+                fragment_weights[group.key] = weight
+                installed += weight
+        self._weight += installed
 
     def remove_fragment(self, key: Key) -> list[StreamTuple]:
         """Detach and return this block's fragment of ``key``."""

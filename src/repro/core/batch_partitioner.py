@@ -31,45 +31,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Sequence
+from typing import AbstractSet, Sequence
 
 from .batch import BatchInfo, DataBlock, PartitionedBatch
 from .config import PartitionerConfig
 from .tuples import Key, KeyGroup, StreamTuple, _order_token
 
-__all__ = ["PromptBatchPartitioner", "split_group_by_weight"]
-
-
-def split_group_by_weight(
-    tuples: Sequence[StreamTuple], cut: int
-) -> tuple[list[StreamTuple], list[StreamTuple]]:
-    """Split a key's tuple chain into a fragment of weight >= ``cut`` and a rest.
-
-    With unit weights the fragment holds exactly ``cut`` tuples.  With
-    variable weights the fragment is the shortest prefix reaching the
-    cut, mirroring the paper's "put ``S_cut`` fragment" step.
-    """
-    if cut <= 0:
-        return [], list(tuples)
-    acc = 0
-    for i, t in enumerate(tuples):
-        acc += t.weight
-        if acc >= cut:
-            return list(tuples[: i + 1]), list(tuples[i + 1 :])
-    return list(tuples), []
+__all__ = ["PromptBatchPartitioner"]
 
 
 def _split_with_weight(
     tuples: Sequence[StreamTuple], cut: int, total_weight: int | None = None
 ) -> tuple[list[StreamTuple], list[StreamTuple], int]:
-    """:func:`split_group_by_weight` that also reports the head's weight.
+    """Split a key's tuple chain into a head of weight >= ``cut``, the
+    rest, and the head's weight.
 
-    The splitting walk accumulates the head weight anyway; returning it
-    lets callers that track fragment weights re-install both halves
-    without re-summing per tuple.  When the caller knows the chain's
-    ``total_weight``, unit-weight chains are detected in O(1) —
-    ``StreamTuple`` enforces ``weight >= 1``, so total == count iff
-    every weight is 1 — and split by pure slicing.
+    With unit weights the head holds exactly ``cut`` tuples.  With
+    variable weights it is the shortest prefix reaching the cut,
+    mirroring the paper's "put ``S_cut`` fragment" step.  The walk
+    accumulates the head weight anyway; returning it lets callers that
+    track fragment weights re-install both halves without re-summing
+    per tuple.  When the caller knows the chain's ``total_weight``,
+    unit-weight chains are detected in O(1) — ``StreamTuple`` enforces
+    ``weight >= 1``, so total == count iff every weight is 1 — and split
+    by pure slicing.
     """
     if cut <= 0:
         return [], list(tuples), 0
@@ -212,7 +197,7 @@ class PromptBatchPartitioner:
             while start < n:
                 # Shortest span whose weight reaches the chunk cap (the
                 # tail chunk takes whatever remains below it), exactly
-                # split_group_by_weight's prefix rule.
+                # _split_with_weight's prefix rule.
                 acc = 0
                 end = start
                 while end < n:
@@ -242,8 +227,6 @@ class PromptBatchPartitioner:
         blocks: list[DataBlock],
         placements: dict[Key, AbstractSet[int]],
         p_size: int,
-        *,
-        split: Callable = _split_with_weight,
     ) -> None:
         """Drain blocks above capacity into blocks with room.
 
@@ -317,7 +300,9 @@ class PromptBatchPartitioner:
             moved = False
             if piece > 0:
                 chain = donor.remove_fragment(key)
-                keep, move, keep_weight = split(chain, fsize - piece, fsize)
+                keep, move, keep_weight = _split_with_weight(
+                    chain, fsize - piece, fsize
+                )
                 if move:
                     if keep:
                         donor.install_fragment(key, keep, keep_weight)
@@ -361,7 +346,7 @@ class PromptBatchPartitioner:
         num_blocks = len(blocks)
         for group in key_groups:
             if group.size > s_cut:
-                fragment, rest = split_group_by_weight(group.tuples, s_cut)
+                fragment, rest, _ = _split_with_weight(group.tuples, s_cut)
                 target = cursor % num_blocks
                 blocks[target].add_fragment(group.key, fragment)
                 placements.setdefault(group.key, set()).add(target)
@@ -435,7 +420,7 @@ class PromptBatchPartitioner:
             placed.add(home.index)
             return
         if remaining(home) > 0:
-            head, tuples = split_group_by_weight(tuples, remaining(home))
+            head, tuples, _ = _split_with_weight(tuples, remaining(home))
             home.add_fragment(key, head)
             placed.add(home.index)
 
@@ -460,6 +445,6 @@ class PromptBatchPartitioner:
                 placed.add(best.index)
                 return
             roomiest = max(open_blocks, key=lambda b: (remaining(b), -b.index))
-            head, tuples = split_group_by_weight(tuples, remaining(roomiest))
+            head, tuples, _ = _split_with_weight(tuples, remaining(roomiest))
             roomiest.add_fragment(key, head)
             placed.add(roomiest.index)

@@ -52,7 +52,6 @@ from typing import TYPE_CHECKING, AbstractSet, Optional, Sequence
 
 from .batch import BatchInfo, DataBlock, PartitionedBatch
 from .buffering import AccumulatedBatch, MicroBatchAccumulator
-from .plan_stream import LedgerBlock, split_segment_chain
 from .tuples import Key, KeyGroup, StreamTuple, _order_tokens
 
 try:  # pragma: no cover - exercised by the no-numpy CI job
@@ -422,7 +421,7 @@ def plan_greedy(
     key_groups: Sequence[KeyGroup],
     num_blocks: int,
     info: BatchInfo,
-    sizes: Optional["np.ndarray"] = None,
+    sizes: "np.ndarray",
     *,
     unit_weights: bool = False,
     chain_weights: Optional[Sequence] = None,
@@ -430,16 +429,15 @@ def plan_greedy(
     """Algorithm 2 (greedy strategy) over a sorted size array.
 
     Mirrors ``PromptBatchPartitioner.partition(strategy="greedy")``
-    phase by phase: LPT dicing of split keys (chunk boundaries via
-    ``searchsorted`` on each hot chain's cumulative weight), the
-    capacity-aware zigzag deal batched one run of passes per numpy step, and
-    the partitioner's own rebalance pass — so the output is identical
-    by construction, not by approximation.  Placement runs on
-    :class:`~repro.core.plan_stream.LedgerBlock` segment ledgers, each
-    materialized into a real block once the placement is final.
+    phase by phase, placing straight into the output blocks: LPT dicing
+    of split keys (chunk boundaries via ``searchsorted`` on each hot
+    chain's cumulative weight), the capacity-aware zigzag deal batched
+    one run of passes per numpy step, and the partitioner's own
+    rebalance pass — so the output is identical by construction, not by
+    approximation.
 
-    ``sizes`` may carry the exact per-group weights (as produced by
-    :func:`accumulate_batch`); otherwise they are summed here.  When the
+    ``sizes`` carries the exact per-group weights, aligned with
+    ``key_groups`` (as produced by :func:`accumulate_batch`).  When the
     caller vouches ``unit_weights`` (every tuple weighs 1), chunk
     boundaries reduce to arithmetic; else ``chain_weights`` (per-group
     weight arrays aligned with ``key_groups``) avoids re-extracting
@@ -450,17 +448,12 @@ def plan_greedy(
     if num_blocks < 1:
         raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
     num_groups = len(key_groups)
-    if sizes is None:
-        sizes = np.fromiter((g.size for g in key_groups), dtype=np.int64, count=num_groups)
     total_weight = int(sizes.sum())
+    blocks = [DataBlock(i) for i in range(num_blocks)]
     if not num_groups or total_weight == 0:
         return PartitionedBatch(
-            info=info,
-            blocks=[DataBlock(i) for i in range(num_blocks)],
-            split_keys={},
-            partitioner_name="prompt",
+            info=info, blocks=blocks, split_keys={}, partitioner_name="prompt"
         )
-    blocks = [LedgerBlock(i) for i in range(num_blocks)]
     placements: dict[Key, AbstractSet[int]] = {}
 
     p_size = math.ceil(total_weight / num_blocks)
@@ -496,7 +489,7 @@ def plan_greedy(
                 end = min(start + chunk_cap, m)
                 ti = heappop(heap)[2]
                 target = blocks[ti]
-                target.add_segment(group.key, chain, start, end, end - start)
+                target.install_fragment(group.key, chain[start:end], end - start)
                 heappush(heap, (target.size, target.cardinality, ti))
                 placed.add(ti)
                 start = end
@@ -514,7 +507,7 @@ def plan_greedy(
             chunk_weight = int(cum[end - 1]) - base
             ti = heappop(heap)[2]
             target = blocks[ti]
-            target.add_segment(group.key, chain, start, end, chunk_weight)
+            target.install_fragment(group.key, chain[start:end], chunk_weight)
             heappush(heap, (target.size, target.cardinality, ti))
             placed.add(ti)
             base = int(cum[end - 1])
@@ -558,15 +551,14 @@ def plan_greedy(
         ).astype(np.int64)
         pos += take
 
-    # Install: a small key's fragment is its whole accumulator chain and
-    # (but for the few the rebalance pass touches) never moves, so each
-    # block takes its share of the deal as plain ledger entries, and the
-    # placement table points every small key at its block's one shared
-    # singleton — no per-key object on either side.
+    # Install: a small key's fragment is its whole accumulator chain, new
+    # to its block, so each block takes its share of the deal in one bulk
+    # install, and the placement table points every small key at its
+    # block's one shared singleton — no per-key set.
     small_groups = [key_groups[gi] for gi in small_indices.tolist()]
-    for index, ledger in enumerate(blocks):
+    for index, block in enumerate(blocks):
         dealt = np.flatnonzero(targets == index)
-        ledger.install_whole_chains(
+        block.install_whole_chains(
             map(small_groups.__getitem__, dealt.tolist()),
             small_sizes[dealt].tolist(),
         )
@@ -579,17 +571,15 @@ def plan_greedy(
     )
 
     # Phase 3: identical by reuse — the oracle's own rebalance pass runs
-    # on the segment ledgers, with the split rule in segment space.
-    partitioner._rebalance_sizes(
-        blocks, placements, p_size, split=split_segment_chain
-    )
+    # on these blocks.
+    partitioner._rebalance_sizes(blocks, placements, p_size)
 
     split_keys = {
         k: tuple(sorted(ixs)) for k, ixs in placements.items() if len(ixs) > 1
     }
     return PartitionedBatch(
         info=info,
-        blocks=[ledger.materialize() for ledger in blocks],
+        blocks=blocks,
         split_keys=split_keys,
         partitioner_name="prompt",
     )

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from collections.abc import Sequence as CollectionsSequence
 
 from repro.core.batch import BatchInfo, DataBlock
-from repro.core.batch_partitioner import PromptBatchPartitioner, split_group_by_weight
+from repro.core.batch_partitioner import PromptBatchPartitioner, _split_with_weight
 from repro.core.config import PartitionerConfig
 from repro.core.metrics import evaluate_partition
 from repro.core.tuples import KeyGroup, StreamTuple, sorted_key_groups
@@ -36,35 +36,40 @@ STRATEGIES = ("greedy", "zigzag")
 
 
 # ----------------------------------------------------------------------
-# split_group_by_weight
+# _split_with_weight
 # ----------------------------------------------------------------------
 def test_split_group_exact_cut():
     tuples = [StreamTuple(ts=0.0, key="a") for _ in range(5)]
-    head, rest = split_group_by_weight(tuples, 2)
-    assert len(head) == 2
-    assert len(rest) == 3
+    for total in (None, 5):  # the per-tuple walk and the unit-weight slice
+        head, rest, head_weight = _split_with_weight(tuples, 2, total)
+        assert len(head) == 2
+        assert len(rest) == 3
+        assert head_weight == 2
 
 
 def test_split_group_cut_beyond_size():
     tuples = [StreamTuple(ts=0.0, key="a") for _ in range(3)]
-    head, rest = split_group_by_weight(tuples, 10)
+    head, rest, head_weight = _split_with_weight(tuples, 10)
     assert len(head) == 3
     assert rest == []
+    assert head_weight == 3
 
 
 def test_split_group_zero_cut():
     tuples = [StreamTuple(ts=0.0, key="a")]
-    head, rest = split_group_by_weight(tuples, 0)
+    head, rest, head_weight = _split_with_weight(tuples, 0)
     assert head == []
     assert len(rest) == 1
+    assert head_weight == 0
 
 
 def test_split_group_variable_weights():
     tuples = [StreamTuple(ts=0.0, key="a", weight=w) for w in (3, 3, 3)]
-    head, rest = split_group_by_weight(tuples, 4)
+    head, rest, head_weight = _split_with_weight(tuples, 4, 9)
     # shortest prefix reaching the cut: two tuples of weight 3
     assert len(head) == 2
     assert len(rest) == 1
+    assert head_weight == 6
 
 
 # ----------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_no_numpy_fallback_warns_and_matches(no_numpy):
     with pytest.raises(RuntimeError):
         kernels.accumulate_batch(tuples, info, fallback.accumulator)
     with pytest.raises(RuntimeError):
-        kernels.plan_greedy(fallback.batch_partitioner, [], 4, info)
+        kernels.plan_greedy(fallback.batch_partitioner, [], 4, info, [])
 
 
 def test_reference_partitioner_never_warns(no_numpy):

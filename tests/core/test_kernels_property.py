@@ -18,7 +18,8 @@ suite hammers that promise with >1000 seeded random instances:
 Every instance compares the full decision surface: quasi-sort order,
 tracked counts, tree-update totals, per-block fragment contents *and
 insertion order*, split-key reference tables (including dict order),
-and chain object identity (kernels must not copy tuples).
+and chain object identity (kernels must not copy tuples, and no block
+may adopt an accumulator chain list).
 
 The per-key simulator variants (dense reference, event-jumping,
 vectorized scan) are also cross-checked directly.  The no-numpy
@@ -118,6 +119,14 @@ def test_kernel_matches_oracle_property(chunk):
                 oracle.last_batch.key_groups, kernel.last_batch.key_groups
             ):
                 assert all(a is b for a, b in zip(og.tuples, kg.tuples))
+            # ... but no block may adopt a chain list: the rebalance
+            # pass extends fragments in place
+            chains = {id(g.tuples) for g in kernel.last_batch.key_groups}
+            assert not any(
+                id(b.fragment(k)) in chains
+                for b in kernel_batch.blocks
+                for k in b.keys
+            ), f"scenario={scenario} batch={index}"
 
 
 def test_kernel_matches_oracle_exact_updates():
