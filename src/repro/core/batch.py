@@ -56,6 +56,11 @@ class MapInput:
     def keys(self) -> Iterable[Key]:
         return self._columns.keys()
 
+    @property
+    def by_key(self) -> Mapping[Key, list]:
+        """Key -> value column, in the block's key order (read only)."""
+        return self._columns
+
     def values(self, key: Key) -> Sequence:
         return self._columns.get(key, ())
 
@@ -156,6 +161,11 @@ class DataBlock:
 
     def fragment(self, key: Key) -> list[StreamTuple]:
         return self._fragments.get(key, [])
+
+    @property
+    def by_key(self) -> Mapping[Key, list[StreamTuple]]:
+        """Key -> tuple chain, in the block's key order (read only)."""
+        return self._fragments
 
     def map_input(self) -> MapInput:
         """This block as a Map task reads it (see :class:`MapInput`)."""

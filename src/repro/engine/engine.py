@@ -417,10 +417,8 @@ class MicroBatchEngine:
         cfg = self.config
         obs = obs or RunObservability(None)
         tracer, metrics = obs.tracer, obs.metrics
-        distinct = set()
-        for m in execution.map_results:
-            distinct.update(c.key for c in m.clusters)
-        key_count = len(distinct)
+        # key locality: each emitted key is reduced by exactly one task
+        key_count = sum(r.key_count for r in execution.reduce_results)
 
         output = execution.batch_output() if cfg.track_outputs else {}
         if cfg.track_outputs:

@@ -43,13 +43,13 @@ import hashlib
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Sequence
+from typing import Collection, Sequence
 
 from ..core.batch import DataBlock, MapInput, PartitionedBatch
-from ..core.reduce_allocator import BucketAssignment, KeyCluster
+from ..core.reduce_allocator import BucketAssignment, ClusterColumns
 from ..core.tuples import Key
 from ..obs.tracing import NULL_TRACER, Tracer, WorkerSpan
-from ..partitioners.base import Partitioner
+from ..partitioners.base import Partitioner, ReduceAllocation
 from ..queries.base import Aggregator, Query
 from .topology import ClusterTopology
 
@@ -72,9 +72,6 @@ __all__ = [
     "run_reduce_task",
     "execute_batch_tasks",
 ]
-
-#: (clusters, split_keys, num_buckets) -> BucketAssignment
-ReduceAllocation = Callable[[Sequence[KeyCluster], Collection[Key], int], BucketAssignment]
 
 
 def derive_task_seed(run_seed: int, batch_index: int, kind: str, task_id: int) -> int:
@@ -129,10 +126,12 @@ class MapTaskResult:
     block_index: int
     input_weight: int
     input_cardinality: int
-    clusters: list[KeyCluster]
+    #: the emitted keys, in block key order, and their cluster sizes
+    clusters: ClusterColumns
     assignment: BucketAssignment
     duration: float
-    # per-key aggregated partial value from this block (map-side results)
+    # per-key aggregated partial value from this block (map-side results),
+    # in the order of ``clusters.keys``
     partials: dict[Key, object]
     #: deterministic per-task seed (see :func:`derive_task_seed`)
     task_seed: int = 0
@@ -175,8 +174,10 @@ class BucketInput:
     weight: int
     fragment_count: int
     remote_fragments: int
-    # per-key list of map-side partials, in deterministic arrival order
-    partials: dict[Key, list[object]]
+    #: one ``(key, map-side partial)`` pair per fragment routed here, Map
+    #: results in block order and each in its own key order — so a split
+    #: key's partials arrive in block order
+    fragments: list[tuple[Key, object]]
 
 
 @dataclass(slots=True)
@@ -237,49 +238,62 @@ def execute_map_task(
     block: DataBlock | MapInput,
     query: Query,
     cost_model: TaskCostModel,
-) -> tuple[list[KeyCluster], dict[Key, object], float]:
+) -> tuple[ClusterColumns, dict[Key, object], float]:
     """Apply the query's Map function over one block.
 
-    Returns the intermediate key clusters, the map-side per-key partial
-    aggregates, and the task duration.  The Map stage is charged for
-    every *input* tuple — filtered-out tuples still cost their scan.
-    The two block shapes share this one body: the serial reference
-    hands in the :class:`DataBlock` and its chains are read in place (a
-    value-column copy per fragment measured 2-3 % off ``synd_skew_wc``,
+    Returns the intermediate key clusters (as aligned key/size columns,
+    in the block's key order), the map-side per-key partial aggregates,
+    and the task duration.  The Map stage is charged for every *input*
+    tuple — filtered-out tuples still cost their scan.  The two block
+    shapes share this one body: the serial reference hands in the
+    :class:`DataBlock` and its chains are read in place (a value-column
+    copy per fragment measured 2-3 % off ``synd_skew_wc``,
     EXPERIMENTS.md), a worker process the :class:`MapInput` it was
     shipped, whose columns already are the values.
+
+    A query with a block form (:meth:`Query.block_form`) folds each
+    fragment in one call; any other query runs its Map function and
+    aggregator per value.
 
     Cluster sizes model the shuffle payload: for map-side-combining
     (algebraic) queries a fragment collapses to one partial record, so
     the cluster size is 1; holistic queries ship the full values list,
     so the size is the emitted tuple count.
     """
-    clusters: list[KeyCluster] = []
-    partials: dict[Key, object] = {}
-    map_value = query.map_value
-    add, zero = query.aggregator.add, query.aggregator.zero
+    fragments = block.by_key
     combine = query.map_side_combine
-    shipped = isinstance(block, MapInput)
-    for key in sorted(block.keys, key=repr):
-        emitted = 0
-        acc = zero()
-        if shipped:
-            for value in block.values(key):
-                mapped = map_value(key, value)
-                if mapped is not None:
-                    emitted += 1
-                    acc = add(acc, mapped)
-        else:
-            for t in block.fragment(key):
-                mapped = map_value(key, t.value)
-                if mapped is not None:
-                    emitted += 1
-                    acc = add(acc, mapped)
-        if emitted:
-            clusters.append(KeyCluster(key=key, size=1 if combine else emitted))
-            partials[key] = acc
+    fold = query.block_form()
+    if fold is not None:
+        # a block form emits every tuple of the fragment
+        keys = list(fragments)
+        parts = list(map(fold, fragments.values()))
+        sizes = [1] * len(keys) if combine else list(map(len, fragments.values()))
+    else:
+        keys, sizes, parts = [], [], []
+        map_value = query.map_value
+        add, zero = query.aggregator.add, query.aggregator.zero
+        shipped = isinstance(block, MapInput)
+        for key, fragment in fragments.items():
+            emitted = 0
+            acc = zero()
+            if shipped:
+                for value in fragment:
+                    mapped = map_value(key, value)
+                    if mapped is not None:
+                        emitted += 1
+                        acc = add(acc, mapped)
+            else:
+                for t in fragment:
+                    mapped = map_value(key, t.value)
+                    if mapped is not None:
+                        emitted += 1
+                        acc = add(acc, mapped)
+            if emitted:
+                keys.append(key)
+                sizes.append(1 if combine else emitted)
+                parts.append(acc)
     duration = cost_model.map_time(block.size, block.cardinality)
-    return clusters, partials, duration
+    return ClusterColumns(keys, sizes), dict(zip(keys, parts)), duration
 
 
 def run_map_task(
@@ -300,7 +314,7 @@ def run_map_task(
     """
     started = time.perf_counter()
     clusters, partials, duration = execute_map_task(block, query, cost_model)
-    block_split = {c.key for c in clusters if c.key in split_keys}
+    block_split = {k for k in split_keys if k in partials}
     assignment = allocate(clusters, block_split, num_reducers)
     return MapTaskResult(
         block_index=block.index,
@@ -322,40 +336,71 @@ def shuffle_map_results(
 ) -> list[BucketInput]:
     """Gather every Map task's fragments per Reduce bucket (driver-side).
 
-    Iterates Map results in block order and each task's assignment in
-    its own deterministic allocation order, so the per-bucket partials
-    dictionaries have a stable insertion order — the property that makes
-    downstream Reduce outputs byte-identical across backends.  Asserts
-    key locality: a key routed to two buckets is a hard failure.
+    Iterates Map results in block order and each task's clusters in its
+    own key order, zipping keys, bucket ids and partials, so every
+    bucket's fragment column has a stable order — the property that
+    makes downstream Reduce outputs byte-identical across backends.
+    Asserts key locality: a key routed to two buckets is a hard failure.
     """
+    fragments: list[list[tuple[Key, object]]] = [[] for _ in range(num_reducers)]
+    appends = [column.append for column in fragments]
     weights = [0] * num_reducers
-    fragments = [0] * num_reducers
     remote = [0] * num_reducers
-    partials: list[dict[Key, list[object]]] = [dict() for _ in range(num_reducers)]
-    owner: dict[Key, int] = {}
+    emitted: list[list[Key]] = []
     for m in map_results:
-        cluster_size = {c.key: c.size for c in m.clusters}
-        for key, bucket in m.assignment.assignment.items():
-            prior = owner.setdefault(key, bucket)
-            if prior != bucket:
-                raise AssertionError(
-                    f"key locality violated: {key!r} sent to buckets {prior} and {bucket}"
-                )
-            weights[bucket] += cluster_size[key]
-            fragments[bucket] += 1
-            if topology is not None and not topology.is_local(m.block_index, bucket):
-                remote[bucket] += 1
-            partials[bucket].setdefault(key, []).append(m.partials[key])
+        keys, sizes = m.clusters.keys, m.clusters.sizes
+        emitted.append(keys)
+        buckets = _in_key_order(m.assignment.assignment, keys)
+        if topology is not None:
+            before = list(map(len, fragments))
+        for pair, j in zip(zip(keys, m.partials.values()), buckets):
+            appends[j](pair)
+        for j, size in zip(buckets, sizes):
+            weights[j] += size
+        if topology is not None:
+            counts = [len(column) - n for column, n in zip(fragments, before)]
+            for j, count in enumerate(counts):
+                if not topology.is_local(m.block_index, j):
+                    remote[j] += count
+    # Only a key emitted by two Map tasks can be routed to two buckets.
+    if sum(map(len, emitted)) != len(set().union(*emitted)):
+        _check_key_locality(map_results)
     return [
         BucketInput(
             bucket_index=j,
             weight=weights[j],
-            fragment_count=fragments[j],
+            fragment_count=len(fragments[j]),
             remote_fragments=remote[j],
-            partials=partials[j],
+            fragments=fragments[j],
         )
         for j in range(num_reducers)
     ]
+
+
+def _in_key_order(by_key: dict[Key, object], keys: list[Key]) -> list:
+    """``by_key``'s values for ``keys``, in that order.
+
+    The built-in allocations build their dicts in cluster order, so the
+    values usually are the column already; any other order (a custom
+    allocation) is looked up key by key.
+    """
+    if list(by_key) == keys:
+        return list(by_key.values())
+    return list(map(by_key.__getitem__, keys))
+
+
+def _check_key_locality(map_results: Sequence[MapTaskResult]) -> None:
+    """Raise naming the first key, in shuffle order, routed to two buckets."""
+    owner: dict[Key, int] = {}
+    for m in map_results:
+        route = m.assignment.assignment
+        for key in m.clusters.keys:
+            prior = owner.setdefault(key, route[key])
+            if prior != route[key]:
+                raise AssertionError(
+                    f"key locality violated: {key!r} sent to buckets "
+                    f"{prior} and {route[key]}"
+                )
 
 
 def run_reduce_task(
@@ -364,14 +409,9 @@ def run_reduce_task(
     cost_model: TaskCostModel,
     task_seed: int = 0,
 ) -> ReduceTaskResult:
-    """One complete Reduce task: merge each key's partials in order."""
+    """One complete Reduce task: merge each key's partials in fragment order."""
     started = time.perf_counter()
-    results: dict[Key, object] = {}
-    for key, parts in bucket.partials.items():
-        acc = parts[0]
-        for part in parts[1:]:
-            acc = aggregator.merge(acc, part)
-        results[key] = acc
+    results = aggregator.merge_all(bucket.fragments)
     duration = cost_model.reduce_time(
         bucket.weight, bucket.fragment_count, bucket.remote_fragments
     )
@@ -379,7 +419,7 @@ def run_reduce_task(
         bucket_index=bucket.bucket_index,
         input_weight=bucket.weight,
         fragment_count=bucket.fragment_count,
-        key_count=len(bucket.partials),
+        key_count=len(results),
         duration=duration,
         results=results,
         remote_fragments=bucket.remote_fragments,

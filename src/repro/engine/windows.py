@@ -45,32 +45,14 @@ class WindowedAggregator:
         """Slide the window forward by one batch and return the answer.
 
         Merges the new batch in; if the window is full, the oldest batch
-        is inverse-applied (retracted) — never recomputed.
+        is inverse-applied (retracted) — never recomputed.  Both run
+        through the aggregator's bulk hooks, which keep the answer
+        sparse (a key whose accumulator reaches zero is dropped).
         """
         agg = self.aggregator
         if len(self._cached) == self.batches_per_window:
-            expired = self._cached.popleft()
-            zero = agg.zero()
-            for key, acc in expired.items():
-                # An absent key means its in-window accumulators cancel
-                # to zero (kept sparse below); retract from that zero.
-                current = self._answer.get(key, zero)
-                reduced = agg.inverse(current, acc)
-                if reduced == zero:
-                    self._answer.pop(key, None)
-                else:
-                    self._answer[key] = reduced
-        zero = agg.zero()
-        for key, acc in batch_output.items():
-            current = self._answer.get(key)
-            merged = acc if current is None else agg.merge(current, acc)
-            if merged == zero:
-                # A zero accumulator (e.g. +5 and -5 summed) is
-                # indistinguishable from absence; keep the answer sparse
-                # so merges and retractions agree.
-                self._answer.pop(key, None)
-            else:
-                self._answer[key] = merged
+            agg.retract_from(self._answer, self._cached.popleft())
+        agg.merge_into(self._answer, batch_output)
         self._cached.append(batch_output)
         return dict(self._answer)
 

@@ -16,7 +16,7 @@ Figure 8a); Prompt overrides it with Algorithm 3.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from ..core.batch import BatchInfo, DataBlock, PartitionedBatch
 from ..core.reduce_allocator import (
@@ -32,7 +32,7 @@ from .feedback import WorkerLoadFeedback
 __all__ = ["Partitioner", "StreamingPartitioner", "ReduceAllocation"]
 
 #: pure callable routing one Map task's clusters to Reduce buckets
-ReduceAllocation = Callable[[Sequence[KeyCluster], Collection[Key], int], BucketAssignment]
+ReduceAllocation = Callable[[Iterable[KeyCluster], Collection[Key], int], BucketAssignment]
 
 
 class Partitioner(abc.ABC):
@@ -75,7 +75,7 @@ class Partitioner(abc.ABC):
 
     def allocate_reduce(
         self,
-        clusters: Sequence[KeyCluster],
+        clusters: Iterable[KeyCluster],
         split_keys: Collection[Key],
         num_buckets: int,
     ) -> BucketAssignment:
@@ -85,7 +85,7 @@ class Partitioner(abc.ABC):
         balance is not).  ``split_keys`` is ignored by hashing since it
         routes every key identically anyway.
         """
-        return hash_allocate(list(clusters), num_buckets)
+        return hash_allocate(clusters, num_buckets)
 
     def reduce_allocation(self) -> ReduceAllocation:
         """A picklable, pure callable equivalent to :meth:`allocate_reduce`.

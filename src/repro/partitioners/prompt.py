@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
 from ..core import kernels
 from ..core.batch import BatchInfo, PartitionedBatch
@@ -217,13 +217,13 @@ class PromptPartitioner(Partitioner):
     # ------------------------------------------------------------------
     def allocate_reduce(
         self,
-        clusters: Sequence[KeyCluster],
+        clusters: Iterable[KeyCluster],
         split_keys: Collection[Key],
         num_buckets: int,
     ) -> BucketAssignment:
         """Algorithm 3: local load-aware allocation instead of hashing."""
         allocator = ReduceBucketAllocator(num_buckets)
-        return allocator.allocate(list(clusters), split_keys)
+        return allocator.allocate(clusters, split_keys)
 
     def reduce_allocation(self):
         """Slim process-safe handle: Algorithm 3 without the accumulator.

@@ -11,14 +11,19 @@ function (Figure 3), avoiding recomputation.
 We express the per-key computation as an :class:`Aggregator` (zero /
 add / merge / inverse), which gives the engine everything it needs:
 map-side partial aggregation, reduce-side merging across Map fragments,
-and window retraction.
+and window retraction.  Its bulk hooks (:meth:`Aggregator.merge_all`,
+:meth:`Aggregator.merge_into`, :meth:`Aggregator.retract_from`) apply
+those per-key operations to a whole batch output at once; the additive
+aggregators run them inline.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add
+from typing import Any, Callable, Mapping, Optional, Sequence, Sized
 
 from ..core.tuples import Key
 
@@ -29,7 +34,14 @@ __all__ = [
     "SumCountAggregator",
     "WindowSpec",
     "Query",
+    "count_one",
 ]
+
+
+def count_one(key: Key, value: Any) -> int:
+    """Map every occurrence to 1 (module-level so queries stay picklable:
+    parallel execution backends ship the query to worker processes)."""
+    return 1
 
 
 class Aggregator(abc.ABC):
@@ -61,37 +73,120 @@ class Aggregator(abc.ABC):
         """Turn an accumulator into a result value (default: itself)."""
         return acc
 
+    # -- bulk hooks: one call per batch output --------------------------
+    def merge_all(self, fragments: Sequence[tuple[Key, Any]]) -> dict[Key, Any]:
+        """Reduce: fold each key's partials left to right with :meth:`merge`.
 
-class SumAggregator(Aggregator):
-    """Numeric sum — WordCount, DEBS fares/distances, TPC-H quantities."""
+        ``fragments`` holds one ``(key, partial)`` pair per Map fragment;
+        keys come out in order of first appearance.  A key's single
+        partial is its result as it is, with no merge call.
+        """
+        return _fold_fragments(fragments, self.merge)
 
-    def zero(self) -> float:
-        return 0
+    def merge_into(self, answer: dict[Key, Any], output: Mapping[Key, Any]) -> None:
+        """Window: merge one batch output into ``answer`` in place.
 
-    def add(self, acc: float, value: float) -> float:
-        return acc + value
+        A key absent from ``answer`` takes the batch's accumulator as it
+        is.  A zero accumulator (e.g. +5 and -5 summed) is
+        indistinguishable from absence, so a key that merges to
+        :meth:`zero` is dropped: the answer stays sparse, and merges and
+        retractions agree.
+        """
+        zero = self.zero()
+        merge = self.merge
+        for key, acc in output.items():
+            current = answer.get(key)
+            merged = acc if current is None else merge(current, acc)
+            if merged == zero:
+                answer.pop(key, None)
+            else:
+                answer[key] = merged
 
-    def merge(self, a: float, b: float) -> float:
-        return a + b
+    def retract_from(self, answer: dict[Key, Any], expired: Mapping[Key, Any]) -> None:
+        """Window: inverse-apply one expired batch output to ``answer``.
 
-    def inverse(self, a: float, b: float) -> float:
-        return a - b
+        An absent key means its in-window accumulators cancel to zero
+        (see :meth:`merge_into`), so it is retracted from that zero; a
+        key that retracts to zero is dropped.
+        """
+        zero = self.zero()
+        inverse = self.inverse
+        for key, acc in expired.items():
+            reduced = inverse(answer.get(key, zero), acc)
+            if reduced == zero:
+                answer.pop(key, None)
+            else:
+                answer[key] = reduced
 
 
-class CountAggregator(Aggregator):
-    """Occurrence count, ignoring the mapped value."""
+def _fold_fragments(
+    fragments: Sequence[tuple[Key, Any]], merge: Callable[[Any, Any], Any]
+) -> dict[Key, Any]:
+    out = dict(fragments)
+    if len(out) == len(fragments):
+        return out  # no key has two fragments: nothing to merge
+    grouped: dict[Key, list[Any]] = {}
+    for key, part in fragments:
+        grouped.setdefault(key, []).append(part)
+    return dict(zip(grouped, map(partial(reduce, merge), grouped.values())))
+
+
+class _AdditiveAggregator(Aggregator):
+    """Accumulators are numbers under ``+``/``-`` with identity ``0``.
+
+    The bulk hooks are the base class's, with :meth:`merge` and
+    :meth:`inverse` written inline — the same expressions in the same
+    order, so int and float results are bit-identical to the per-key
+    calls.  No fold here may call builtin ``sum`` or ``math.fsum``: on
+    floats neither adds strictly left to right (3.12's ``sum`` is
+    compensated).  A subclass that overrides ``merge`` or ``inverse``
+    must override the hooks as well.
+    """
 
     def zero(self) -> int:
         return 0
 
-    def add(self, acc: int, value: Any) -> int:
-        return acc + 1
-
-    def merge(self, a: int, b: int) -> int:
+    def merge(self, a: Any, b: Any) -> Any:
         return a + b
 
-    def inverse(self, a: int, b: int) -> int:
+    def inverse(self, a: Any, b: Any) -> Any:
         return a - b
+
+    def merge_all(self, fragments: Sequence[tuple[Key, Any]]) -> dict[Key, Any]:
+        return _fold_fragments(fragments, add)
+
+    def merge_into(self, answer: dict[Key, Any], output: Mapping[Key, Any]) -> None:
+        get, pop = answer.get, answer.pop
+        for key, acc in output.items():
+            current = get(key)
+            merged = acc if current is None else current + acc
+            if merged == 0:
+                pop(key, None)
+            else:
+                answer[key] = merged
+
+    def retract_from(self, answer: dict[Key, Any], expired: Mapping[Key, Any]) -> None:
+        get, pop = answer.get, answer.pop
+        for key, acc in expired.items():
+            reduced = get(key, 0) - acc
+            if reduced == 0:
+                pop(key, None)
+            else:
+                answer[key] = reduced
+
+
+class SumAggregator(_AdditiveAggregator):
+    """Numeric sum — WordCount, DEBS fares/distances, TPC-H quantities."""
+
+    def add(self, acc: float, value: float) -> float:
+        return acc + value
+
+
+class CountAggregator(_AdditiveAggregator):
+    """Occurrence count, ignoring the mapped value."""
+
+    def add(self, acc: int, value: Any) -> int:
+        return acc + 1
 
 
 class SumCountAggregator(Aggregator):
@@ -165,6 +260,23 @@ class Query:
         if self.map_fn is None:
             return value
         return self.map_fn(key, value)
+
+    def block_form(self) -> Optional[Callable[[Sized], Any]]:
+        """The Map stage of one whole fragment in a single call, or None.
+
+        The callable takes a fragment — one entry per tuple, a
+        :class:`~repro.core.batch.DataBlock` chain or a
+        :class:`~repro.core.batch.MapInput` value column — and returns
+        its map-side partial; a query with a block form emits every
+        tuple.  WordCount has one: ``count_one`` into a
+        :class:`CountAggregator` makes a fragment's partial its length.
+        Every other query keeps the per-value loop — a float sum must
+        add left to right, a holistic query ships every value, and a
+        custom ``map_fn`` must see each one.
+        """
+        if self.map_fn is count_one and type(self.aggregator) is CountAggregator:
+            return len
+        return None
 
     def reference_output(self, tuples) -> dict[Key, Any]:
         """Ground-truth per-key aggregate over raw tuples (test oracle).

@@ -7,18 +7,9 @@ Map stage emits ``(word, 1)`` and the Reduce stage sums.
 
 from __future__ import annotations
 
-from typing import Any
-
-from ..core.tuples import Key
-from .base import CountAggregator, Query, WindowSpec
+from .base import CountAggregator, Query, WindowSpec, count_one
 
 __all__ = ["wordcount_query", "count_one"]
-
-
-def count_one(key: Key, value: Any) -> int:
-    """Map every occurrence to 1 (module-level so queries stay picklable:
-    parallel execution backends ship the query to worker processes)."""
-    return 1
 
 
 def wordcount_query(

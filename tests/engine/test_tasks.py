@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+import math
+
 import pytest
 
 from repro.core.batch import BatchInfo, DataBlock, PartitionedBatch
 from repro.core.tuples import StreamTuple
 from repro.engine.tasks import TaskCostModel, execute_batch_tasks, execute_map_task
+from repro.engine.windows import WindowedAggregator
 from repro.partitioners import HashPartitioner, PromptPartitioner, ShufflePartitioner
+from repro.queries import base, debs_query1, wordcount_query
 from repro.queries.base import Query, SumAggregator
 
 from ..conftest import make_tuples
@@ -89,7 +95,7 @@ def test_map_task_fully_filtered_key_emits_nothing():
     block.add_fragment("a", _value_tuples([("a", -1)]))
     query = _sum_query(map_fn=lambda k, v: None)
     clusters, partials, _ = execute_map_task(block, query, TaskCostModel())
-    assert clusters == []
+    assert len(clusters) == 0
     assert partials == {}
 
 
@@ -160,6 +166,31 @@ def test_key_locality_violation_detected():
         execute_batch_tasks(batch, _sum_query(), part, 4, TaskCostModel())
 
 
+def test_shuffle_reads_an_assignment_in_any_key_order():
+    """A custom allocation may list its keys in any order: the shuffle
+    still routes each key's partial to that key's bucket, in cluster
+    order."""
+
+    class ReversedPartitioner(HashPartitioner):
+        def allocate_reduce(self, clusters, split_keys, num_buckets):
+            out = super().allocate_reduce(clusters, split_keys, num_buckets)
+            out.assignment = dict(reversed(out.assignment.items()))
+            return out
+
+    tuples = _value_tuples([(f"k{i}", i) for i in range(12)] * 2)
+    batch, _ = _partition(tuples, p=3)
+    want = execute_batch_tasks(batch, _sum_query(), HashPartitioner(), 3, TaskCostModel())
+    got = execute_batch_tasks(batch, _sum_query(), ReversedPartitioner(), 3, TaskCostModel())
+    for m in got.map_results:
+        assert list(m.assignment.assignment) == list(reversed(m.clusters.keys))
+    assert [r.results for r in got.reduce_results] == [
+        r.results for r in want.reduce_results
+    ]
+    assert [list(r.results) for r in got.reduce_results] == [
+        list(r.results) for r in want.reduce_results
+    ]
+
+
 def test_rejects_zero_reducers():
     batch, part = _partition(_value_tuples([("a", 1)]))
     with pytest.raises(ValueError):
@@ -171,3 +202,87 @@ def test_empty_batch_executes():
     execution = execute_batch_tasks(batch, _sum_query(), part, 2, TaskCostModel())
     assert execution.batch_output() == {}
     assert len(execution.map_durations) == 2  # fixed cost per (empty) task
+
+
+# ----------------------------------------------------------------------
+# float order: strict left-to-right addition through every layer
+# ----------------------------------------------------------------------
+#: 1.0 vanishes next to 1e16: left to right the sum is 3.0, exactly 4.0
+FLOATS = [1e16, 1.0, -1e16, 3.0]
+
+
+def _left_to_right(values):
+    acc = 0
+    for v in values:
+        acc = acc + v
+    return acc
+
+
+def _fare_batch():
+    """DEBS Q1 shape: ``(fare, distance)`` trips, one key per taxi.  Taxi
+    ``cab`` has all four fares in block 0; taxi ``split`` has one fare in
+    each of four blocks, so Reduce merges four partials."""
+    blocks = [DataBlock(i) for i in range(4)]
+    blocks[0].add_fragment(
+        "cab", [StreamTuple(ts=0.1 * i, key="cab", value=(v, 1.0)) for i, v in enumerate(FLOATS)]
+    )
+    for i, v in enumerate(FLOATS):
+        blocks[i].add_fragment("split", [StreamTuple(ts=0.5, key="split", value=(v, 1.0))])
+    return PartitionedBatch(INFO, blocks, split_keys={"split": (0, 1, 2, 3)})
+
+
+def test_float_sums_add_strictly_left_to_right():
+    """Map, Reduce and the window merge each add a float column strictly
+    left to right — as the per-value ``add`` loop does — never through a
+    compensated sum (3.12's builtin ``sum``, ``math.fsum``)."""
+    strict = _left_to_right(FLOATS)
+    assert strict == 3.0 and math.fsum(FLOATS) == 4.0  # the case bites
+    query = debs_query1()
+    execution = execute_batch_tasks(_fare_batch(), query, PromptPartitioner(), 2, TaskCostModel())
+    block0 = execution.map_results[0]
+    assert block0.partials["cab"] == strict  # Map: one fragment, four values
+    output = execution.batch_output()
+    assert output == {"cab": strict, "split": strict}  # Reduce: four partials
+    windows = WindowedAggregator(query.aggregator, batches_per_window=4)
+    for v in FLOATS:
+        answer = windows.add_batch({"w": v})
+    assert answer == {"w": strict}  # window merge
+    answer = windows.add_batch({"w": 0.5})
+    assert answer == {"w": (strict - 1e16) + 0.5}  # retraction, then merge
+
+
+def test_no_fold_uses_a_compensated_sum():
+    """The aggregators' bulk hooks and block forms never call builtin
+    ``sum`` or ``math.fsum`` (whose float results differ across Python
+    versions and from the per-value loop)."""
+    tree = ast.parse(inspect.getsource(base))
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert not called & {"sum", "fsum"}
+
+
+# ----------------------------------------------------------------------
+# batch key count under split keys
+# ----------------------------------------------------------------------
+def test_reduce_key_counts_sum_to_distinct_map_keys():
+    """Key locality makes the Reduce tasks' key counts partition the
+    batch's emitted keys — also when hot keys are split over blocks."""
+    pytest.importorskip("numpy")
+    from repro.workloads.synd import synd_source  # generators need numpy
+
+    source = synd_source(1.4, num_keys=5_000, rate=4_000.0, seed=3)
+    partitioner = PromptPartitioner()
+    split_total = 0
+    for k in range(3):
+        info = BatchInfo(k, float(k), k + 1.0)
+        batch = partitioner.partition(source.tuples_between(k, k + 1.0), 6, info)
+        split_total += len(batch.split_keys)
+        execution = execute_batch_tasks(
+            batch, wordcount_query(), partitioner, 4, TaskCostModel()
+        )
+        distinct = {key for m in execution.map_results for key in m.clusters.keys}
+        assert len(distinct) == sum(r.key_count for r in execution.reduce_results)
+    assert split_total > 0
