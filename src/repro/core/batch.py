@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .tuples import Key, KeyGroup, StreamTuple
+from .tuples import Key, StreamTuple
 
 __all__ = ["DataBlock", "MapInput", "PartitionedBatch", "BatchInfo"]
 
@@ -115,26 +115,30 @@ class DataBlock:
             self._fragment_weights[key] += weight
         self._weight += weight
 
-    def install_whole_chains(
-        self, groups: Iterable[KeyGroup], weights: Iterable[int]
-    ) -> None:
-        """Install each group's whole chain as this block's fragment of
-        its key, which must be new to the block.
+    def adopt_fragment(self, key: Key, chain: list[StreamTuple], weight: int) -> None:
+        """Make ``chain`` *itself* this block's fragment of ``key``.
 
-        ``weights`` are the groups' exact sizes (vouched, as in
-        :meth:`install_fragment`); an empty group is skipped.  Each
-        chain list is copied, never adopted, so later moves on this
-        block cannot reach the caller's groups.
+        ``key`` must be new to the block and ``chain`` non-empty;
+        ``weight`` is its exact size (vouched, as in
+        :meth:`install_fragment`).  Unlike ``install_fragment`` nothing
+        is copied: the caller hands the list over, and later moves on
+        this block may extend it in place, so no one else may hold it.
         """
-        fragments = self._fragments
-        fragment_weights = self._fragment_weights
-        installed = 0
-        for group, weight in zip(groups, weights):
-            if weight:
-                fragments[group.key] = list(group.tuples)
-                fragment_weights[group.key] = weight
-                installed += weight
-        self._weight += installed
+        self._fragments[key] = chain
+        self._fragment_weights[key] = weight
+        self._weight += weight
+
+    def adopt_chains(
+        self,
+        keys: Sequence[Key],
+        chains: Iterable[list[StreamTuple]],
+        weights: Sequence[int],
+    ) -> None:
+        """:meth:`adopt_fragment` for many keys at once, in two C-level
+        ``dict.update`` calls."""
+        self._fragments.update(zip(keys, chains))
+        self._fragment_weights.update(zip(keys, weights))
+        self._weight += sum(weights)
 
     def remove_fragment(self, key: Key) -> list[StreamTuple]:
         """Detach and return this block's fragment of ``key``."""

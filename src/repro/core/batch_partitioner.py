@@ -243,7 +243,9 @@ class PromptBatchPartitioner:
 
         ``placements`` entries are rebound, never mutated in place: the
         placement kernel points every unsplit key at one shared
-        frozenset per block.
+        frozenset per block.  A whole fragment that moves (or is put
+        back) is the same list, handed over with ``adopt_fragment``, not
+        copied.
         """
         # Overshoot within the global ceil slack (num_blocks * p_size -
         # total) is already balanced to within a tuple per block; shaving
@@ -278,7 +280,7 @@ class PromptBatchPartitioner:
             within = [a for a in admissible if a[0] <= excess]
             if within:
                 fsize, _, key = min(within)
-                receiver.install_fragment(key, donor.remove_fragment(key), fsize)
+                receiver.adopt_fragment(key, donor.remove_fragment(key), fsize)
                 placements[key] = {receiver.index}
                 continue
             # Move 2: shave the donor's largest fragment.
@@ -314,12 +316,12 @@ class PromptBatchPartitioner:
                 else:
                     # Indivisible tuple weights: the shave cannot carve
                     # this piece off; restore and fall through.
-                    donor.install_fragment(key, keep, keep_weight)
+                    donor.adopt_fragment(key, chain, fsize)
             if moved:
                 continue
             if admissible:
                 fsize, _, key = min(admissible)
-                receiver.install_fragment(key, donor.remove_fragment(key), fsize)
+                receiver.adopt_fragment(key, donor.remove_fragment(key), fsize)
                 placements[key] = {receiver.index}
                 continue
             return  # nothing improves within the item granularity

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .batch import BatchInfo
 from .config import AccumulatorConfig
@@ -37,7 +36,6 @@ from .tuples import Key, KeyGroup, StreamTuple
 __all__ = ["AccumulatedBatch", "MicroBatchAccumulator"]
 
 
-@dataclass(slots=True)
 class AccumulatedBatch:
     """Output of one batching phase.
 
@@ -45,17 +43,64 @@ class AccumulatedBatch:
     the CountTree tracked online.  Each group carries its *exact* tuple
     chain (from the HTable) plus the possibly stale ``tracked_count``
     that determined its position.
+
+    The array kernels hand Algorithm 2 columns, not groups, so their
+    batch is built with :meth:`deferred`: ``key_groups`` is then a view
+    built on first read (by the oracle comparison, the ``zigzag``
+    strategy, tests), and ``key_count`` is stored so reading it builds
+    nothing.
     """
 
-    info: BatchInfo
-    key_groups: list[KeyGroup]
-    tuple_count: int
-    total_weight: int
-    tree_updates: int
+    __slots__ = (
+        "info",
+        "tuple_count",
+        "total_weight",
+        "tree_updates",
+        "key_count",
+        "_key_groups",
+        "_build_key_groups",
+    )
+
+    def __init__(
+        self,
+        info: BatchInfo,
+        key_groups: list[KeyGroup],
+        tuple_count: int,
+        total_weight: int,
+        tree_updates: int,
+    ) -> None:
+        self.info = info
+        self.tuple_count = tuple_count
+        self.total_weight = total_weight
+        self.tree_updates = tree_updates
+        self.key_count = len(key_groups)
+        self._key_groups: Optional[list[KeyGroup]] = key_groups
+        self._build_key_groups: Optional[Callable[[], list[KeyGroup]]] = None
+
+    @classmethod
+    def deferred(
+        cls,
+        info: BatchInfo,
+        build_key_groups: Callable[[], list[KeyGroup]],
+        key_count: int,
+        tuple_count: int,
+        total_weight: int,
+        tree_updates: int,
+    ) -> "AccumulatedBatch":
+        """A batch whose ``key_groups`` ``build_key_groups()`` makes on first read."""
+        batch = cls(info, [], tuple_count, total_weight, tree_updates)
+        batch.key_count = key_count
+        batch._key_groups = None
+        batch._build_key_groups = build_key_groups
+        return batch
 
     @property
-    def key_count(self) -> int:
-        return len(self.key_groups)
+    def key_groups(self) -> list[KeyGroup]:
+        if self._key_groups is None:
+            assert self._build_key_groups is not None
+            self._key_groups = self._build_key_groups()
+            self._build_key_groups = None
+        return self._key_groups
 
     @property
     def data_rate(self) -> float:

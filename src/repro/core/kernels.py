@@ -47,6 +47,8 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
+from itertools import compress, count
 from operator import attrgetter
 from typing import TYPE_CHECKING, AbstractSet, Optional, Sequence
 
@@ -254,20 +256,47 @@ _LONG_CHAIN_THRESHOLD = 2048
 
 @dataclass(slots=True)
 class KernelIngest:
-    """One interval's kernel ingest output.
+    """One interval's kernel ingest output: Algorithm 2's input columns.
 
-    ``group_sizes`` carries the exact per-group total weights (aligned
-    with ``batch.key_groups``) so the placement kernel never re-sums
-    tuple weights in Python.  ``unit_weights`` is True when every tuple
-    weighs 1 (chunk boundaries become pure arithmetic); otherwise
-    ``chain_weights`` holds per-group weight arrays, aligned with
-    ``batch.key_groups``.
+    ``keys`` is the quasi-sorted key order, ``chains`` each key's tuple
+    list and ``sizes`` each key's exact total weight, all aligned, so
+    the placement kernel never builds a ``KeyGroup`` or re-sums tuple
+    weights in Python.  :func:`plan_greedy` hands the ``chains`` lists
+    to its blocks; after it returns they belong to the blocks.
+    ``unit_weights`` is True when every tuple weighs 1 (chunk boundaries
+    become pure arithmetic); otherwise ``chain_weights`` holds per-key
+    weight arrays, aligned with ``keys``.  ``batch`` is Algorithm 1's
+    :class:`AccumulatedBatch`, whose ``key_groups`` view is built only
+    when read.
     """
 
     batch: AccumulatedBatch
-    group_sizes: "np.ndarray"
+    keys: list[Key]
+    chains: list[list[StreamTuple]]
+    sizes: "np.ndarray"
     unit_weights: bool = True
     chain_weights: Optional[list] = None
+
+
+def _key_groups_view(ordered, keys, starts, ends, tracked, desc) -> list[KeyGroup]:
+    """The oracle's quasi-sorted ``KeyGroup`` list, built on demand.
+
+    Each group's tuples are a *new* slice of the key-sorted tuple list
+    ``ordered`` (``starts``/``ends``/``tracked`` are indexed by key
+    code, ``desc`` is the quasi-sort order of codes), never one of the
+    chain lists the blocks adopted and the rebalance pass extends.
+    """
+    return list(
+        map(
+            KeyGroup,
+            keys,
+            map(
+                ordered.__getitem__,
+                map(slice, map(starts.__getitem__, desc), map(ends.__getitem__, desc)),
+            ),
+            map(tracked.__getitem__, desc),
+        )
+    )
 
 
 def accumulate_batch(
@@ -298,14 +327,16 @@ def accumulate_batch(
         batch = AccumulatedBatch(
             info=info, key_groups=[], tuple_count=0, total_weight=0, tree_updates=0
         )
-        return KernelIngest(batch=batch, group_sizes=np.empty(0, dtype=np.int64))
+        return KernelIngest(
+            batch=batch, keys=[], chains=[], sizes=np.empty(0, dtype=np.int64)
+        )
 
     # -- array extraction: C-driven passes, no per-tuple Python frames ---
     # dict.fromkeys dedups in first-appearance order (the same code
     # assignment a per-tuple setdefault would produce); map() feeds
     # fromiter without generator-frame overhead.
     keys_col = list(map(_GET_KEY, tuples))
-    code_of: dict[Key, int] = {k: i for i, k in enumerate(dict.fromkeys(keys_col))}
+    code_of: dict[Key, int] = dict(zip(dict.fromkeys(keys_col), count()))
     keys = list(code_of)  # code -> key (codes assigned in first-appearance order)
     num_keys = len(keys)
     # int16 codes let numpy's stable argsort take its radix path (~8x
@@ -342,9 +373,8 @@ def accumulate_batch(
     ordered = np.fromiter(tuples, dtype=object, count=n)[order].tolist()
     starts_l = starts.tolist()
     counts_l = counts.tolist()
-    chains = list(
-        map(ordered.__getitem__, map(slice, starts_l, (starts + counts).tolist()))
-    )
+    ends_l = (starts + counts).tolist()
+    chains = list(map(ordered.__getitem__, map(slice, starts_l, ends_l)))
 
     # -- Algorithm 1's budget recurrence, one key at a time --------------
     tree_updates = 0
@@ -384,17 +414,11 @@ def accumulate_batch(
     desc = sorted(range(num_keys), key=tokens.__getitem__, reverse=True)
     desc.sort(key=tracked.__getitem__, reverse=True)
 
-    groups = list(
-        map(
-            KeyGroup,
-            map(keys.__getitem__, desc),
-            map(chains.__getitem__, desc),
-            map(tracked.__getitem__, desc),
-        )
-    )
-    batch = AccumulatedBatch(
-        info=info,
-        key_groups=groups,
+    keys_q = list(map(keys.__getitem__, desc))
+    batch = AccumulatedBatch.deferred(
+        info,
+        partial(_key_groups_view, ordered, keys_q, starts_l, ends_l, tracked, desc),
+        key_count=num_keys,
         tuple_count=n,
         total_weight=total_w,
         tree_updates=tree_updates,
@@ -403,61 +427,79 @@ def accumulate_batch(
     if unit_weights:
         chain_weights = None
     else:
-        # Per-group weight views aligned with the quasi-sorted groups so
-        # the placement kernel never re-extracts tuple weights.
+        # Per-key weight views aligned with the quasi-sorted keys so the
+        # placement kernel never re-extracts tuple weights.
         chain_weights = [
             w_sorted[starts[c] : starts[c] + counts[c]] for c in desc
         ]
     return KernelIngest(
         batch=batch,
-        group_sizes=sizes[np.array(desc, dtype=np.int64)],
+        keys=keys_q,
+        chains=list(map(chains.__getitem__, desc)),
+        sizes=sizes[np.array(desc, dtype=np.int64)],
         unit_weights=unit_weights,
         chain_weights=chain_weights,
     )
 
 
+def _chunks(m: int, chunk_cap: int, weights: Optional["np.ndarray"]):
+    """``(start, end, weight)`` of each chunk a split key's chain of ``m``
+    tuples is diced into.
+
+    A chunk is the shortest span whose weight reaches ``chunk_cap`` (the
+    tail takes whatever remains) — the oracle cursor's rule.  With unit
+    weights (``weights`` None) that is exactly ``chunk_cap`` tuples;
+    otherwise chunk ends come from ``searchsorted`` over the chain's
+    cumulative weight.
+    """
+    if weights is None:
+        for start in range(0, m, chunk_cap):
+            end = min(start + chunk_cap, m)
+            yield start, end, end - start
+        return
+    cum = np.cumsum(weights)
+    start = base = 0
+    while start < m:
+        end = min(int(np.searchsorted(cum, base + chunk_cap, side="left")) + 1, m)
+        reached = int(cum[end - 1])
+        yield start, end, reached - base
+        base, start = reached, end
+
+
 def plan_greedy(
     partitioner: "PromptBatchPartitioner",
-    key_groups: Sequence[KeyGroup],
+    ingest: KernelIngest,
     num_blocks: int,
-    info: BatchInfo,
-    sizes: "np.ndarray",
-    *,
-    unit_weights: bool = False,
-    chain_weights: Optional[Sequence] = None,
 ) -> PartitionedBatch:
-    """Algorithm 2 (greedy strategy) over a sorted size array.
+    """Algorithm 2 (greedy strategy) over :func:`accumulate_batch`'s columns.
 
     Mirrors ``PromptBatchPartitioner.partition(strategy="greedy")``
     phase by phase, placing straight into the output blocks: LPT dicing
-    of split keys (chunk boundaries via ``searchsorted`` on each hot
-    chain's cumulative weight), the capacity-aware zigzag deal batched
-    one run of passes per numpy step, and the partitioner's own
-    rebalance pass — so the output is identical by construction, not by
-    approximation.
+    of split keys, the capacity-aware zigzag deal batched one run of
+    passes per numpy step, and the partitioner's own rebalance pass —
+    so the output is identical by construction, not by approximation.
 
-    ``sizes`` carries the exact per-group weights, aligned with
-    ``key_groups`` (as produced by :func:`accumulate_batch`).  When the
-    caller vouches ``unit_weights`` (every tuple weighs 1), chunk
-    boundaries reduce to arithmetic; else ``chain_weights`` (per-group
-    weight arrays aligned with ``key_groups``) avoids re-extracting
-    tuple weights for the cumulative sums.
+    A key placed whole (every dealt key, and a split key that fits one
+    chunk) gets the ingest's own chain list: the blocks adopt
+    ``ingest.chains`` rather than copy them.
     """
     if not HAVE_NUMPY:
         raise RuntimeError("numpy placement kernel requested but numpy is absent")
     if num_blocks < 1:
         raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
-    num_groups = len(key_groups)
+    info = ingest.batch.info
+    keys, chains, sizes = ingest.keys, ingest.chains, ingest.sizes
+    num_keys = len(keys)
     total_weight = int(sizes.sum())
     blocks = [DataBlock(i) for i in range(num_blocks)]
-    if not num_groups or total_weight == 0:
+    if not num_keys or total_weight == 0:
         return PartitionedBatch(
             info=info, blocks=blocks, split_keys={}, partitioner_name="prompt"
         )
     placements: dict[Key, AbstractSet[int]] = {}
 
     p_size = math.ceil(total_weight / num_blocks)
-    p_card = max(1, num_groups // num_blocks)
+    p_card = max(1, num_keys // num_blocks)
     s_cut = max(1, int((p_size / p_card) * partitioner.config.split_cutoff_scale))
     chunk_cap = max(1, max(p_size // 2, min(p_size - 1, 2 * s_cut)))
 
@@ -465,53 +507,28 @@ def plan_greedy(
     split_indices = np.flatnonzero(split_mask)
     small_indices = np.flatnonzero(~split_mask)
 
-    # Phase 1: LPT placement of split keys, diced to chunks.  Chunk ends
-    # come from searchsorted over the chain's cumulative weight — the
-    # same shortest-prefix-reaching-the-cap rule as the oracle's cursor.
-    # The oracle's per-chunk ``min(blocks, ...)`` becomes a heap keyed
-    # by the identical (size, cardinality, index) tuple; phase 1 only
-    # mutates the popped block, so every heap entry stays current and
-    # the pop equals the oracle's min.
+    # Phase 1: LPT placement of split keys, diced to chunks (see
+    # _chunks).  The oracle's per-chunk ``min(blocks, ...)`` becomes a
+    # heap keyed by the identical (size, cardinality, index) tuple;
+    # phase 1 only mutates the popped block, so every heap entry stays
+    # current and the pop equals the oracle's min.
     heap = [(b.size, b.cardinality, b.index) for b in blocks]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
-    for gi in split_indices:
-        gi = int(gi)
-        group = key_groups[gi]
-        chain = group.tuples
-        placed = placements.setdefault(group.key, set())
+    for gi in split_indices.tolist():
+        key, chain = keys[gi], chains[gi]
+        placed = placements.setdefault(key, set())
         m = len(chain)
-        if unit_weights:
-            # Unit weights: the shortest prefix reaching the cap is
-            # exactly ``chunk_cap`` tuples — no cumulative sum needed.
-            start = 0
-            while start < m:
-                end = min(start + chunk_cap, m)
-                ti = heappop(heap)[2]
-                target = blocks[ti]
-                target.install_fragment(group.key, chain[start:end], end - start)
-                heappush(heap, (target.size, target.cardinality, ti))
-                placed.add(ti)
-                start = end
-            continue
-        if chain_weights is not None:
-            cum = np.cumsum(chain_weights[gi])
-        else:
-            cum = np.cumsum(
-                np.fromiter((t.weight for t in chain), dtype=np.int64, count=m)
-            )
-        start = 0
-        base = 0
-        while start < m:
-            end = min(int(np.searchsorted(cum, base + chunk_cap, side="left")) + 1, m)
-            chunk_weight = int(cum[end - 1]) - base
+        weights = None if ingest.unit_weights else ingest.chain_weights[gi]
+        for start, end, weight in _chunks(m, chunk_cap, weights):
             ti = heappop(heap)[2]
             target = blocks[ti]
-            target.install_fragment(group.key, chain[start:end], chunk_weight)
+            if end - start == m:  # the key's only chunk: adopt, as phase 2 does
+                target.adopt_fragment(key, chain, weight)
+            else:
+                target.install_fragment(key, chain[start:end], weight)
             heappush(heap, (target.size, target.cardinality, ti))
             placed.add(ti)
-            base = int(cum[end - 1])
-            start = end
 
     # Phase 2: the zigzag deal.  Every pass rebuilds the open-block order
     # (ascending, then reversed — so always descending) from sizes *at
@@ -551,21 +568,22 @@ def plan_greedy(
         ).astype(np.int64)
         pos += take
 
-    # Install: a small key's fragment is its whole accumulator chain, new
-    # to its block, so each block takes its share of the deal in one bulk
-    # install, and the placement table points every small key at its
-    # block's one shared singleton — no per-key set.
-    small_groups = [key_groups[gi] for gi in small_indices.tolist()]
+    # Install: a small key's fragment is its whole chain, new to its
+    # block, so each block adopts its share of the deal's chain lists in
+    # one bulk install, and the placement table points every small key
+    # at its block's one shared singleton — no per-key set or copy.
     for index, block in enumerate(blocks):
-        dealt = np.flatnonzero(targets == index)
-        block.install_whole_chains(
-            map(small_groups.__getitem__, dealt.tolist()),
-            small_sizes[dealt].tolist(),
+        dealt = small_indices[targets == index]
+        picks = dealt.tolist()
+        block.adopt_chains(
+            list(map(keys.__getitem__, picks)),
+            map(chains.__getitem__, picks),
+            sizes[dealt].tolist(),
         )
     singletons = [frozenset((index,)) for index in range(num_blocks)]
     placements.update(
         zip(
-            map(_GET_KEY, small_groups),
+            map(keys.__getitem__, small_indices.tolist()),
             map(singletons.__getitem__, targets.tolist()),
         )
     )
@@ -574,9 +592,10 @@ def plan_greedy(
     # on these blocks.
     partitioner._rebalance_sizes(blocks, placements, p_size)
 
-    split_keys = {
-        k: tuple(sorted(ixs)) for k, ixs in placements.items() if len(ixs) > 1
-    }
+    # The reference table: a C-level compress picks the split keys out
+    # of the placement table, in its order, without a frame per key.
+    split = compress(placements.items(), map((1).__lt__, map(len, placements.values())))
+    split_keys = {k: tuple(sorted(ixs)) for k, ixs in split}
     return PartitionedBatch(
         info=info,
         blocks=blocks,

@@ -350,6 +350,11 @@ class MicroBatchEngine:
         finally:
             tracer.end(run_span)
             backend.close()
+            # ``heartbeat`` reaches itself through the lambda it schedules;
+            # unbinding it breaks that cycle, so the run's state is freed
+            # by reference counting once the caller drops the result
+            # instead of waiting for a gen-2 collection.
+            del heartbeat
         if monitor.triggered:
             log.warning(
                 "backpressure triggered during the run (batch %s)",

@@ -163,15 +163,7 @@ class PromptPartitioner(Partitioner):
         accumulated = ingest.batch
         started = time.perf_counter()
         if self.batch_partitioner.strategy == "greedy":
-            batch = kernels.plan_greedy(
-                self.batch_partitioner,
-                accumulated.key_groups,
-                num_blocks,
-                info,
-                sizes=ingest.group_sizes,
-                unit_weights=ingest.unit_weights,
-                chain_weights=ingest.chain_weights,
-            )
+            batch = kernels.plan_greedy(self.batch_partitioner, ingest, num_blocks)
         else:
             batch = self.batch_partitioner.partition(
                 accumulated.key_groups, num_blocks, info

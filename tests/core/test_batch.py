@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.batch import BatchInfo, DataBlock, PartitionedBatch
-from repro.core.tuples import KeyGroup, StreamTuple
+from repro.core.tuples import StreamTuple
 
 
 def _t(key, weight=1):
@@ -71,37 +71,37 @@ def _chain(key, weights):
     return [StreamTuple(ts=i / 100, key=key, weight=w) for i, w in enumerate(weights)]
 
 
-def test_install_whole_chains_equals_install_fragment_calls():
+def _three_chains():
     chains = {"a": _chain("a", [1, 1, 1]), "b": _chain("b", [2]), "c": _chain("c", [1, 4])}
     weights = [sum(t.weight for t in chain) for chain in chains.values()]
+    return chains, weights
+
+
+def test_adopt_chains_equals_install_fragment_calls():
+    chains, weights = _three_chains()
     bulk, single = DataBlock(3), DataBlock(3)
-    bulk.install_whole_chains([KeyGroup(k, c) for k, c in chains.items()], weights)
+    bulk.adopt_chains(list(chains), chains.values(), weights)
     for (key, chain), weight in zip(chains.items(), weights):
         single.install_fragment(key, chain, weight)
     assert list(bulk.keys) == list(single.keys) == ["a", "b", "c"]
     assert list(bulk.fragment_sizes().items()) == list(single.fragment_sizes().items())
     assert (bulk.size, bulk.cardinality) == (single.size, single.cardinality) == (10, 3)
     for key, chain in chains.items():
-        got = bulk.fragment(key)
-        assert len(got) == len(chain) and all(a is b for a, b in zip(got, chain))
+        assert bulk.fragment(key) == single.fragment(key) == chain
 
 
-def test_install_whole_chains_skips_empty_group():
-    block = DataBlock(0)
-    block.install_whole_chains([KeyGroup("a", []), KeyGroup("b", _chain("b", [2]))], [0, 2])
-    assert "a" not in block
-    assert list(block.keys) == ["b"]
-    assert (block.size, block.cardinality) == (2, 1)
-
-
-def test_install_whole_chains_copies_the_chain_list():
-    chain = _chain("a", [1, 1])
-    block = DataBlock(0)
-    block.install_whole_chains([KeyGroup("a", chain)], [2])
-    assert block.fragment("a") == chain
-    assert block.fragment("a") is not chain
-    block.install_fragment("a", _chain("a", [1]), 1)  # extending the block's list
-    assert len(chain) == 2  # leaves the group's chain alone
+def test_adopt_chains_takes_the_lists_themselves():
+    """Unlike ``install_fragment``, each fragment *is* the handed-over
+    list, and later installs extend it in place."""
+    chains, weights = _three_chains()
+    bulk, single = DataBlock(3), DataBlock(3)
+    bulk.adopt_chains(list(chains), chains.values(), weights)
+    for (key, chain), weight in zip(chains.items(), weights):
+        single.install_fragment(key, chain, weight)
+    assert all(bulk.fragment(key) is chain for key, chain in chains.items())
+    assert all(single.fragment(key) is not chain for key, chain in chains.items())
+    bulk.install_fragment("a", _chain("a", [1]), 1)
+    assert len(chains["a"]) == 4 and bulk.size == 11
 
 
 def _mini_batch():

@@ -76,8 +76,9 @@ def test_no_numpy_fallback_warns_and_matches(no_numpy):
     # the kernel entry points refuse outright rather than mis-compute
     with pytest.raises(RuntimeError):
         kernels.accumulate_batch(tuples, info, fallback.accumulator)
+    empty = kernels.KernelIngest(batch=None, keys=[], chains=[], sizes=None)
     with pytest.raises(RuntimeError):
-        kernels.plan_greedy(fallback.batch_partitioner, [], 4, info, [])
+        kernels.plan_greedy(fallback.batch_partitioner, empty, 4)
 
 
 def test_reference_partitioner_never_warns(no_numpy):

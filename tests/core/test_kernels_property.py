@@ -18,8 +18,9 @@ suite hammers that promise with >1000 seeded random instances:
 Every instance compares the full decision surface: quasi-sort order,
 tracked counts, tree-update totals, per-block fragment contents *and
 insertion order*, split-key reference tables (including dict order),
-and chain object identity (kernels must not copy tuples, and no block
-may adopt an accumulator chain list).
+and chain object identity (kernels must not copy tuples; blocks adopt
+the kernel's own chain lists, never a list of the lazily built
+``key_groups`` view).
 
 The per-key simulator variants (dense reference, event-jumping,
 vectorized scan) are also cross-checked directly.  The no-numpy
@@ -36,6 +37,8 @@ import pytest
 
 from repro.core import kernels
 from repro.core.batch import BatchInfo
+from repro.core.batch_partitioner import PromptBatchPartitioner
+from repro.core.buffering import MicroBatchAccumulator
 from repro.core.tuples import StreamTuple
 from repro.partitioners.prompt import PromptPartitioner, ReferencePromptPartitioner
 
@@ -93,22 +96,35 @@ def _snapshot(partitioner, batch):
     )
 
 
+def _replays(scenarios):
+    """``(scenario, num_blocks, batches)`` for each of ``scenarios``.
+
+    Weights, cardinality, block count and batch sizes vary with the
+    scenario number; the key universe churns between batches.
+    """
+    for scenario in scenarios:
+        rng = random.Random(9000 + scenario)
+        num_keys = 3 + (scenario * 29) % 120
+        batches = []
+        key_base = 0
+        for index in range(BATCHES_PER_SCENARIO):
+            n = 50 + (scenario * 137 + index * 311) % 700
+            batches.append(
+                _gen_batch(rng, index, n, num_keys, key_base, scenario % 4 == 3)
+            )
+            key_base += rng.choice((0, 0, num_keys // 3, num_keys))  # churn
+        yield scenario, 2 + scenario % 7, batches
+
+
 @pytest.mark.parametrize("chunk", range(5))
 def test_kernel_matches_oracle_property(chunk):
     """>=1000 random multi-batch instances, byte-identical outputs."""
     per_chunk = NUM_SCENARIOS // 5
-    for scenario in range(chunk * per_chunk, (chunk + 1) * per_chunk):
-        rng = random.Random(9000 + scenario)
-        weighted = scenario % 4 == 3
-        num_keys = 3 + (scenario * 29) % 120
-        num_blocks = 2 + scenario % 7
+    replays = _replays(range(chunk * per_chunk, (chunk + 1) * per_chunk))
+    for scenario, num_blocks, batches in replays:
         oracle = ReferencePromptPartitioner()
         kernel = PromptPartitioner()
-        key_base = 0
-        for index in range(BATCHES_PER_SCENARIO):
-            n = 50 + (scenario * 137 + index * 311) % 700
-            tuples, info = _gen_batch(rng, index, n, num_keys, key_base, weighted)
-            key_base += rng.choice((0, 0, num_keys // 3, num_keys))  # churn
+        for index, (tuples, info) in enumerate(batches):
             oracle_batch = oracle.partition(tuples, num_blocks, info)
             kernel_batch = kernel.partition(tuples, num_blocks, info)
             assert _snapshot(oracle, oracle_batch) == _snapshot(
@@ -119,14 +135,56 @@ def test_kernel_matches_oracle_property(chunk):
                 oracle.last_batch.key_groups, kernel.last_batch.key_groups
             ):
                 assert all(a is b for a, b in zip(og.tuples, kg.tuples))
-            # ... but no block may adopt a chain list: the rebalance
-            # pass extends fragments in place
+            # ... but no block fragment may be a list of the view: the
+            # rebalance pass extends fragments in place
             chains = {id(g.tuples) for g in kernel.last_batch.key_groups}
             assert not any(
                 id(b.fragment(k)) in chains
                 for b in kernel_batch.blocks
                 for k in b.keys
             ), f"scenario={scenario} batch={index}"
+
+
+def _groups(accumulated):
+    return [
+        (g.key, g.tracked_count, list(map(id, g.tuples)))
+        for g in accumulated.key_groups
+    ]
+
+
+def test_key_count_builds_no_view_and_a_late_view_equals_the_oracle():
+    """``key_count`` is stored; the ``key_groups`` view is built on first
+    read, and read after placement it still equals the oracle's groups,
+    tuple object for tuple object."""
+    for _, num_blocks, batches in _replays(range(60)):
+        oracle = ReferencePromptPartitioner()
+        kernel = PromptPartitioner()
+        for tuples, info in batches:
+            oracle.partition(tuples, num_blocks, info)
+            kernel.partition(tuples, num_blocks, info)
+            accumulated = kernel.last_batch
+            assert accumulated.key_count == oracle.last_batch.key_count
+            assert accumulated._key_groups is None, "key_count built the view"
+            assert _groups(accumulated) == _groups(oracle.last_batch)
+
+
+def test_unsplit_keys_keep_the_kernels_own_chain_lists():
+    """Every key the plan leaves unsplit holds the list the ingest sliced
+    for it: adopted, not copied."""
+    adopted = 0
+    for _, num_blocks, batches in _replays(range(NUM_SCENARIOS)):
+        accumulator = MicroBatchAccumulator()
+        planner = PromptBatchPartitioner()
+        for tuples, info in batches:
+            ingest = kernels.accumulate_batch(tuples, info, accumulator)
+            own = dict(zip(ingest.keys, ingest.chains))
+            batch = kernels.plan_greedy(planner, ingest, num_blocks)
+            for block in batch.blocks:
+                for key, fragment in block.by_key.items():
+                    if key not in batch.split_keys:
+                        assert fragment is own[key], (info, key)
+                        adopted += 1
+    assert adopted > 10_000
 
 
 def test_kernel_matches_oracle_exact_updates():
