@@ -10,9 +10,7 @@ rows can never drift away from the differential suite's contract.
 
 from __future__ import annotations
 
-import pytest
-
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from repro.bench import format_table
 from repro.bench.sharding import (

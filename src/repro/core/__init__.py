@@ -28,14 +28,14 @@ from .metrics import (
     relative_metric,
 )
 from .sketch_accumulator import SketchMicroBatchAccumulator
-from .sketches import LossyCountingSketch, SpaceSavingSketch
+from .sketches import SpaceSavingSketch
 from .reduce_allocator import (
     BucketAssignment,
     KeyCluster,
     ReduceBucketAllocator,
     hash_allocate,
 )
-from .tuples import KeyGroup, StreamTuple, TupleBuffer, group_by_key, sorted_key_groups
+from .tuples import KeyGroup, StreamTuple, group_by_key, sorted_key_groups
 
 __all__ = [
     "AccumulatedBatch",
@@ -53,7 +53,6 @@ __all__ = [
     "KeyCluster",
     "KeyGroup",
     "KeyRecord",
-    "LossyCountingSketch",
     "MPIWeights",
     "MicroBatchAccumulator",
     "PartitionQuality",
@@ -67,7 +66,6 @@ __all__ = [
     "SketchMicroBatchAccumulator",
     "SpaceSavingSketch",
     "StreamTuple",
-    "TupleBuffer",
     "Zone",
     "block_cardinality_imbalance",
     "block_size_imbalance",

@@ -35,65 +35,36 @@ this).  All float comparisons replicate the oracle's exact expressions
 (e.g. ``T[j] - last_update >= t_step``, never the algebraically equal
 ``T[j] >= last_update + t_step``), and every number stored into output
 structures is converted back to a Python ``int``/``float``.
-
-numpy is an optional dependency: ``HAVE_NUMPY`` reports availability and
-``PromptPartitioner`` falls back to the pure-Python path (announced once
-per process by :func:`warn_numpy_missing`) when absent.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, count
 from operator import attrgetter
 from typing import TYPE_CHECKING, AbstractSet, Optional, Sequence
 
+import numpy as np
+
 from .batch import BatchInfo, DataBlock, PartitionedBatch
 from .buffering import AccumulatedBatch, MicroBatchAccumulator
 from .tuples import Key, KeyGroup, StreamTuple, _order_tokens
-
-try:  # pragma: no cover - exercised by the no-numpy CI job
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 if TYPE_CHECKING:
     from .batch_partitioner import PromptBatchPartitioner
 
 __all__ = [
-    "HAVE_NUMPY",
     "KernelIngest",
     "accumulate_batch",
     "plan_greedy",
-    "warn_numpy_missing",
 ]
 
 _GET_KEY = attrgetter("key")
 _GET_TS = attrgetter("ts")
 _GET_WEIGHT = attrgetter("weight")
-
-_numpy_missing_warned = False
-
-
-def warn_numpy_missing() -> None:
-    """Announce the pure-Python fallback — once per process, not per batch."""
-    global _numpy_missing_warned
-    if _numpy_missing_warned:
-        return
-    _numpy_missing_warned = True
-    warnings.warn(
-        "numpy is not installed; Prompt runs its pure-Python reference "
-        "placement path (identical outputs, several times slower)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def _simulate_key_dense(T, G, budget, est, f0, t_end):
@@ -312,8 +283,6 @@ def accumulate_batch(
     interval's totals into the accumulator's ``N_est``/``K_avg`` history
     so cross-batch adaptation stays identical.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("numpy ingest kernel requested but numpy is absent")
     if info.t_end <= info.t_start:
         raise ValueError(f"empty batch interval: {info}")
     config = accumulator.config
@@ -483,8 +452,6 @@ def plan_greedy(
     chunk) gets the ingest's own chain list: the blocks adopt
     ``ingest.chains`` rather than copy them.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("numpy placement kernel requested but numpy is absent")
     if num_blocks < 1:
         raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
     info = ingest.batch.info

@@ -1,34 +1,32 @@
-"""Approximate frequency sketches: Space-Saving and Lossy Counting.
+"""Approximate frequency sketch: Space-Saving.
 
 Prompt's accumulator (Algorithm 1) keeps *exact* per-key statistics in
 the HTable — affordable because micro-batches bound the state to one
 interval.  The tuple-at-a-time systems Prompt is compared against
 cannot do that: Gedik's partitioning for System S relies on *lossy
 counting*, and the key-splitting family detects heavy hitters with
-*Space-Saving*-style summaries (Section 9).  These reference
-implementations serve three purposes:
+*Space-Saving*-style summaries (Section 9).  This reference
+implementation serves two purposes:
 
 - an alternative accumulator statistic for extreme-cardinality streams
   (millions of keys per batch) where even one HTable node per key is
   too much;
 - the substrate for the sketch-vs-exact ablation
-  (`benchmarks/test_ablations_sketch.py`);
-- canonical, well-tested building blocks a downstream user would expect
-  from a streaming library.
+  (`benchmarks/test_ablations_sketch.py`) and the key-splitting rivals'
+  heavy-hitter detection.
 
-Both sketches expose the same minimal interface: ``add(key)``,
-``estimate(key)``, ``heavy_hitters(threshold)``, ``items()``.
+Its interface is ``add(key)``, ``estimate(key)``,
+``heavy_hitters(threshold)``, ``items()``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Hashable, Iterator
+from typing import Iterator
 
 from .tuples import Key, _order_token
 
-__all__ = ["SpaceSavingSketch", "LossyCountingSketch"]
+__all__ = ["SpaceSavingSketch"]
 
 
 @dataclass(slots=True)
@@ -126,92 +124,3 @@ class SpaceSavingSketch:
     def clear(self) -> None:
         self._counters.clear()
         self._total = 0
-
-
-class LossyCountingSketch:
-    """Manku & Motwani's Lossy Counting: frequency tracking with decay.
-
-    The stream is processed in buckets of width ``ceil(1/epsilon)``; at
-    each bucket boundary, counters whose count + error falls below the
-    current bucket id are dropped.  Guarantees: every key with true
-    frequency >= epsilon*N is retained, and estimates undercount by at
-    most epsilon*N.
-    """
-
-    def __init__(self, epsilon: float) -> None:
-        if not 0.0 < epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-        self.epsilon = epsilon
-        self.bucket_width = math.ceil(1.0 / epsilon)
-        self._counts: dict[Key, int] = {}
-        self._errors: dict[Key, int] = {}
-        self._total = 0
-        self._bucket = 1
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    @property
-    def total(self) -> int:
-        return self._total
-
-    def add(self, key: Key, count: int = 1) -> None:
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        for _ in range(count):
-            self._add_one(key)
-
-    def _add_one(self, key: Key) -> None:
-        self._total += 1
-        if key in self._counts:
-            self._counts[key] += 1
-        else:
-            self._counts[key] = 1
-            self._errors[key] = self._bucket - 1
-        if self._total % self.bucket_width == 0:
-            self._prune()
-            self._bucket += 1
-
-    def _prune(self) -> None:
-        victims = [
-            k
-            for k, c in self._counts.items()
-            if c + self._errors[k] <= self._bucket
-        ]
-        for k in victims:
-            del self._counts[k]
-            del self._errors[k]
-
-    def estimate(self, key: Key) -> int:
-        """Lower-bound frequency estimate (undercounts by <= eps*N)."""
-        return self._counts.get(key, 0)
-
-    def heavy_hitters(self, threshold: float) -> list[tuple[Key, int]]:
-        """Keys whose true frequency may exceed ``threshold`` of the total.
-
-        Complete (no false negatives) for thresholds >= epsilon.
-        """
-        if not 0.0 < threshold < 1.0:
-            raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-        if threshold < self.epsilon:
-            # cut would go non-positive and every tracked key would be
-            # returned — the documented guarantee only holds from epsilon up
-            raise ValueError(
-                f"threshold must be >= epsilon ({self.epsilon}), got {threshold}"
-            )
-        cut = (threshold - self.epsilon) * self._total
-        out = [(k, c) for k, c in self._counts.items() if c >= cut]
-        out.sort(key=lambda kv: (-kv[1], _order_token(kv[0])))
-        return out
-
-    def items(self) -> Iterator[tuple[Key, int]]:
-        ordered = sorted(
-            self._counts.items(), key=lambda kv: (-kv[1], _order_token(kv[0]))
-        )
-        return iter(ordered)
-
-    def clear(self) -> None:
-        self._counts.clear()
-        self._errors.clear()
-        self._total = 0
-        self._bucket = 1

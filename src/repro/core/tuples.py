@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 Key = Hashable
 
@@ -78,14 +78,6 @@ def group_by_key(tuples: Iterable[StreamTuple]) -> dict[Key, list[StreamTuple]]:
     return dict(groups)
 
 
-def key_sizes(tuples: Iterable[StreamTuple]) -> dict[Key, int]:
-    """Total weight per key."""
-    sizes: dict[Key, int] = defaultdict(int)
-    for t in tuples:
-        sizes[t.key] += t.weight
-    return dict(sizes)
-
-
 def total_weight(tuples: Iterable[StreamTuple]) -> int:
     """Sum of tuple weights."""
     return sum(t.weight for t in tuples)
@@ -123,43 +115,3 @@ def _order_tokens(keys: Sequence[Key]) -> list[str]:
     if len(set(map(type, keys))) == 1:
         return list(map(repr, keys))
     return list(map(_order_token, keys))
-
-
-class TupleBuffer:
-    """An append-only buffer of tuples with O(1) size/weight accounting."""
-
-    __slots__ = ("_tuples", "_weight")
-
-    def __init__(self, tuples: Iterable[StreamTuple] = ()) -> None:
-        self._tuples: list[StreamTuple] = []
-        self._weight = 0
-        for t in tuples:
-            self.append(t)
-
-    def append(self, t: StreamTuple) -> None:
-        self._tuples.append(t)
-        self._weight += t.weight
-
-    def extend(self, tuples: Iterable[StreamTuple]) -> None:
-        for t in tuples:
-            self.append(t)
-
-    @property
-    def weight(self) -> int:
-        return self._weight
-
-    def __len__(self) -> int:
-        return len(self._tuples)
-
-    def __iter__(self) -> Iterator[StreamTuple]:
-        return iter(self._tuples)
-
-    def __getitem__(self, idx: int) -> StreamTuple:
-        return self._tuples[idx]
-
-    def as_list(self) -> list[StreamTuple]:
-        return list(self._tuples)
-
-    def clear(self) -> None:
-        self._tuples.clear()
-        self._weight = 0

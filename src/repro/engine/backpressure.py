@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .stats import RunStats
-
-__all__ = ["BackpressureConfig", "BackpressureMonitor", "run_is_stable"]
+__all__ = ["BackpressureConfig", "BackpressureMonitor"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,14 +69,3 @@ class BackpressureMonitor:
                 self._triggered_at = batch_index
                 return True
         return False
-
-
-def run_is_stable(stats: RunStats, config: BackpressureConfig | None = None) -> bool:
-    """Post-hoc stability: would back-pressure have stayed silent?"""
-    cfg = config or BackpressureConfig()
-    monitor = BackpressureMonitor(cfg)
-    for record in stats.records:
-        monitor.observe(
-            record.index, record.load, record.queue_delay, record.batch_interval
-        )
-    return not monitor.triggered

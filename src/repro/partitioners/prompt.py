@@ -91,16 +91,9 @@ class PromptPartitioner(Partitioner):
 
         The kernels replicate the CountTree accumulator; the sketch
         accumulator and the post-sort ablation measure *different*
-        mechanisms, so they always run their own (Python) code.  A
-        stdlib-only install falls back to the object-graph reference
-        path — same outputs, slower — with one warning per process.
+        mechanisms, so they always run their own (Python) code.
         """
-        if self.stats != "tree" or self.post_sort:
-            return False
-        if not kernels.HAVE_NUMPY:
-            kernels.warn_numpy_missing()
-            return False
-        return True
+        return self.stats == "tree" and not self.post_sort
 
     def reset(self) -> None:
         """Forget cross-batch state, including the accumulator's adaptive
@@ -177,8 +170,10 @@ class PromptPartitioner(Partitioner):
     ) -> tuple[PartitionedBatch, AccumulatedBatch]:
         """Algorithms 1-2 tuple-at-a-time on HTable + CountTree + DataBlocks.
 
-        The oracle the kernels are differentially tested against, and
-        what every accumulator the kernels do not replicate runs.
+        The oracle the kernels are differentially tested against
+        (:class:`ReferencePromptPartitioner`), and the path
+        ``prompt-sketch`` runs: the kernels do not replicate its sketch
+        accumulator.
         """
         buffering_started = time.perf_counter()
         self.accumulator.start_interval(info)
@@ -232,8 +227,8 @@ class ReferencePromptPartitioner(PromptPartitioner):
     """Prompt on the object-graph path only — the kernels' test oracle.
 
     Deliberately absent from the registry, the CLI and ``repro.__all__``:
-    production code gets the reference path solely as the no-numpy
-    fallback inside :class:`PromptPartitioner`.
+    no run takes this class; the differential suites compare the
+    kernels against it.
     """
 
     def _kernel_active(self) -> bool:

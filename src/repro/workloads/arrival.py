@@ -17,10 +17,7 @@ import abc
 import math
 from typing import Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 __all__ = [
     "ArrivalProcess",
@@ -32,6 +29,16 @@ __all__ = [
 ]
 
 
+def _check_non_negative(name: str, value: float) -> None:
+    """Reject a negative, NaN or infinite rate parameter, naming it.
+
+    ``value < 0`` alone is false for NaN, which would slip through and
+    surface later as a degenerate or crashing stream.
+    """
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 class ArrivalProcess(abc.ABC):
     """A deterministic time-varying arrival-rate profile."""
 
@@ -39,11 +46,6 @@ class ArrivalProcess(abc.ABC):
     _GRID = 64
 
     def __init__(self) -> None:
-        if np is None:
-            raise ModuleNotFoundError(
-                "arrival processes need numpy for rate integration; "
-                "install the 'fast' extra (numpy) to generate workloads"
-            )
         self._carry = 0.0
 
     @abc.abstractmethod
@@ -100,8 +102,7 @@ class ConstantRate(ArrivalProcess):
 
     def __init__(self, rate: float) -> None:
         super().__init__()
-        if rate < 0:
-            raise ValueError(f"rate must be >= 0, got {rate}")
+        _check_non_negative("rate", rate)
         self._rate = rate
 
     def rate(self, t: float) -> float:
@@ -119,12 +120,10 @@ class SinusoidalRate(ArrivalProcess):
         phase: float = 0.0,
     ) -> None:
         super().__init__()
-        if mean < 0:
-            raise ValueError(f"mean must be >= 0, got {mean}")
-        if amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {amplitude}")
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
+        _check_non_negative("mean", mean)
+        _check_non_negative("amplitude", amplitude)
+        if not (math.isfinite(period) and period > 0):
+            raise ValueError(f"period must be finite and positive, got {period!r}")
         self.mean = mean
         self.amplitude = amplitude
         self.period = period
@@ -148,8 +147,8 @@ class RampRate(ArrivalProcess):
         self, start_rate: float, end_rate: float, t0: float, t1: float
     ) -> None:
         super().__init__()
-        if start_rate < 0 or end_rate < 0:
-            raise ValueError("rates must be >= 0")
+        _check_non_negative("start_rate", start_rate)
+        _check_non_negative("end_rate", end_rate)
         if t1 <= t0:
             raise ValueError("ramp needs t1 > t0")
         self.start_rate = start_rate
@@ -174,8 +173,8 @@ class PiecewiseRate(ArrivalProcess):
         if not steps:
             raise ValueError("steps must be non-empty")
         ordered = sorted(steps)
-        if any(rate < 0 for _, rate in ordered):
-            raise ValueError("rates must be >= 0")
+        for _, rate in ordered:
+            _check_non_negative("step rate", rate)
         self.steps = ordered
 
     def rate(self, t: float) -> float:
@@ -197,8 +196,7 @@ class ScaledRate(ArrivalProcess):
 
     def __init__(self, base: ArrivalProcess, factor: float) -> None:
         super().__init__()
-        if factor < 0:
-            raise ValueError(f"factor must be >= 0, got {factor}")
+        _check_non_negative("factor", factor)
         self.base = base
         self.factor = factor
 

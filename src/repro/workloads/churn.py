@@ -17,10 +17,7 @@ identities enter at the bottom of the popularity order.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI step
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..core.tuples import StreamTuple
 from .arrival import ArrivalProcess, ConstantRate

@@ -12,10 +12,7 @@ more trips): Zipf with exponent 0.8.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI step
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from .arrival import ArrivalProcess, ConstantRate
 from .source import DatasetProperties, ZipfKeyedSource

@@ -11,10 +11,7 @@ key-count statistic the accumulator reports tracks the ramp closely.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI step
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..core.tuples import StreamTuple
 from .arrival import ArrivalProcess

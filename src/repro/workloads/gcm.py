@@ -10,10 +10,7 @@ trace's request distributions are.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI step
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from .arrival import ArrivalProcess, ConstantRate
 from .source import DatasetProperties, ZipfKeyedSource

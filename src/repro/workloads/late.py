@@ -13,10 +13,7 @@ from __future__ import annotations
 
 import heapq
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI step
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..core.tuples import StreamTuple
 from .source import StreamSource

@@ -13,10 +13,7 @@ import abc
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from ..core.tuples import StreamTuple
 from .arrival import ArrivalProcess
@@ -54,10 +51,8 @@ class StreamSource(abc.ABC):
         return None
 
 
-# A value sampler turns (rng, count) into ``count`` tuple values.  The
-# generator type is a forward reference so this module imports (and the
-# StreamSource ABC stays usable) when numpy is absent.
-ValueSampler = Callable[["np.random.Generator", int], Sequence]
+# A value sampler turns (rng, count) into ``count`` tuple values.
+ValueSampler = Callable[[np.random.Generator, int], Sequence]
 
 
 class ZipfKeyedSource(StreamSource):

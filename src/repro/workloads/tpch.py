@@ -11,10 +11,7 @@ proportional to quantity.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI step
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 from .arrival import ArrivalProcess, ConstantRate
 from .source import DatasetProperties, ZipfKeyedSource

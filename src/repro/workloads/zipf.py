@@ -13,12 +13,10 @@ O(K) setup once, O(log K) per draw, fully vectorized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 __all__ = ["ZipfSampler"]
 
@@ -39,17 +37,13 @@ class ZipfSampler:
         shift: float = 0.0,
         seed: int = 0,
     ) -> None:
-        if np is None:
-            raise ModuleNotFoundError(
-                "ZipfSampler needs numpy; install the 'fast' extra (numpy) "
-                "to generate workloads"
-            )
         if num_keys < 1:
             raise ValueError(f"num_keys must be >= 1, got {num_keys}")
-        if exponent < 0:
-            raise ValueError(f"exponent must be >= 0, got {exponent}")
-        if shift < 0:
-            raise ValueError(f"shift must be >= 0, got {shift}")
+        # ``x < 0`` is false for NaN, so test finiteness explicitly.
+        if not (math.isfinite(exponent) and exponent >= 0):
+            raise ValueError(f"exponent must be finite and >= 0, got {exponent!r}")
+        if not (math.isfinite(shift) and shift >= 0):
+            raise ValueError(f"shift must be finite and >= 0, got {shift!r}")
         self.num_keys = num_keys
         self.exponent = exponent
         self.shift = shift

@@ -20,8 +20,6 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.bench.harness import run_at_rate
 from repro.engine.engine import EngineConfig
 from repro.engine.sharding import ShardedEngine

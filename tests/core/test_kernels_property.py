@@ -23,9 +23,7 @@ the kernel's own chain lists, never a list of the lazily built
 ``key_groups`` view).
 
 The per-key simulator variants (dense reference, event-jumping,
-vectorized scan) are also cross-checked directly.  The no-numpy
-fallback paths live in ``test_kernels_fallback.py``, which runs with
-or without numpy installed.
+vectorized scan) are also cross-checked directly.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from __future__ import annotations
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import kernels
@@ -41,8 +40,6 @@ from repro.core.batch_partitioner import PromptBatchPartitioner
 from repro.core.buffering import MicroBatchAccumulator
 from repro.core.tuples import StreamTuple
 from repro.partitioners.prompt import PromptPartitioner, ReferencePromptPartitioner
-
-np = pytest.importorskip("numpy")
 
 #: scenarios x batches = instances; the accept gate is >= 1000
 NUM_SCENARIOS = 250

@@ -10,9 +10,6 @@ key universe) and several partitioners' blocks, both must give the same
 Map task result — clusters, partials and their order, the Reduce
 routing, the cost — on the ``DataBlock`` and on its shipped
 ``MapInput``, with and without map-side combining.
-
-Only the stdlib is needed (no numpy), so CI runs this file on its
-numpy-free leg too.
 """
 
 from __future__ import annotations

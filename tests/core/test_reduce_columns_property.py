@@ -9,8 +9,7 @@ objects one at a time — frozen below as it stood.  The families reach
 every branch: hashed split keys, WorstFit rounds (equal-size runs and
 mixed sizes), the heap-overflow tail and round-robin zero-size clusters.
 
-Only the stdlib is needed (no numpy), so CI runs this file on its
-numpy-free leg too.  Note that the ``synd_flat_wc`` benchmark row has
+Note that the ``synd_flat_wc`` benchmark row has
 no split keys, so the benchmark never exercises the split branch; this
 suite does.
 """

@@ -1,4 +1,4 @@
-"""Space-Saving and Lossy Counting sketches: guarantees and bounds."""
+"""Space-Saving sketch: guarantees and bounds."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sketches import LossyCountingSketch, SpaceSavingSketch
+from repro.core.sketches import SpaceSavingSketch
 
 
 def _zipf_stream(num_keys=100, total=5000, seed=1):
@@ -110,96 +110,6 @@ def test_space_saving_validation():
 
 
 # ----------------------------------------------------------------------
-# Lossy Counting
-# ----------------------------------------------------------------------
-def test_lossy_counting_exact_for_short_streams():
-    sketch = LossyCountingSketch(epsilon=0.01)  # bucket width 100
-    for key in ["a"] * 5 + ["b"] * 3:
-        sketch.add(key)
-    assert sketch.estimate("a") == 5
-    assert sketch.estimate("b") == 3
-
-
-def test_lossy_counting_undercounts_by_at_most_eps_n():
-    stream = _zipf_stream(num_keys=100, total=5000, seed=3)
-    truth = Counter(stream)
-    eps = 0.02
-    sketch = LossyCountingSketch(epsilon=eps)
-    for key in stream:
-        sketch.add(key)
-    for key, count in truth.items():
-        estimate = sketch.estimate(key)
-        assert estimate <= count
-        assert count - estimate <= eps * len(stream)
-
-
-def test_lossy_counting_retains_frequent_keys():
-    stream = _zipf_stream(num_keys=100, total=5000, seed=4)
-    truth = Counter(stream)
-    eps = 0.01
-    sketch = LossyCountingSketch(epsilon=eps)
-    for key in stream:
-        sketch.add(key)
-    for key, count in truth.items():
-        if count >= eps * len(stream):
-            assert sketch.estimate(key) > 0, f"frequent key {key} dropped"
-
-
-def test_lossy_counting_prunes_rare_keys():
-    sketch = LossyCountingSketch(epsilon=0.1)  # bucket width 10
-    # 100 distinct singletons: nearly all should be pruned
-    for i in range(100):
-        sketch.add(f"k{i}")
-    assert len(sketch) < 30
-
-
-def test_lossy_counting_heavy_hitters_no_false_negatives():
-    stream = _zipf_stream(num_keys=50, total=3000, seed=5)
-    truth = Counter(stream)
-    sketch = LossyCountingSketch(epsilon=0.01)
-    for key in stream:
-        sketch.add(key)
-    hitters = {k for k, _ in sketch.heavy_hitters(0.05)}
-    for key, count in truth.items():
-        if count >= 0.05 * len(stream):
-            assert key in hitters
-
-
-def test_lossy_counting_validation():
-    with pytest.raises(ValueError):
-        LossyCountingSketch(0.0)
-    with pytest.raises(ValueError):
-        LossyCountingSketch(1.0)
-    sketch = LossyCountingSketch(0.1)
-    with pytest.raises(ValueError):
-        sketch.add("a", count=-1)
-    with pytest.raises(ValueError):
-        sketch.heavy_hitters(1.5)
-
-
-def test_lossy_counting_rejects_threshold_below_epsilon():
-    """Regression: a threshold below epsilon made the support cut
-    ``(threshold - epsilon) * N`` non-positive, silently returning every
-    tracked key as a "heavy hitter".  The guarantee only holds from
-    epsilon up, so the call must refuse instead of mislead."""
-    sketch = LossyCountingSketch(epsilon=0.1)
-    for i in range(100):
-        sketch.add(f"k{i % 10}")
-    with pytest.raises(ValueError, match="epsilon"):
-        sketch.heavy_hitters(0.05)
-    # the boundary itself is legal
-    assert isinstance(sketch.heavy_hitters(0.1), list)
-
-
-def test_lossy_counting_clear():
-    sketch = LossyCountingSketch(0.1)
-    sketch.add("a", count=5)
-    sketch.clear()
-    assert len(sketch) == 0
-    assert sketch.total == 0
-
-
-# ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------
 @given(
@@ -216,19 +126,3 @@ def test_property_space_saving_invariants(keys, capacity):
     assert sketch.total == len(keys)
     for key, estimate in sketch.items():
         assert estimate >= truth[key]
-
-
-@given(
-    keys=st.lists(st.integers(0, 20), min_size=1, max_size=300),
-    epsilon=st.sampled_from([0.5, 0.1, 0.05]),
-)
-@settings(max_examples=60, deadline=None)
-def test_property_lossy_counting_invariants(keys, epsilon):
-    truth = Counter(keys)
-    sketch = LossyCountingSketch(epsilon)
-    for key in keys:
-        sketch.add(key)
-    assert sketch.total == len(keys)
-    for key, estimate in sketch.items():
-        assert estimate <= truth[key]
-        assert truth[key] - estimate <= epsilon * len(keys)

@@ -1,4 +1,4 @@
-"""Tuple model: StreamTuple, KeyGroup, grouping helpers, TupleBuffer."""
+"""Tuple model: StreamTuple, KeyGroup, grouping helpers."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ import pytest
 from repro.core.tuples import (
     KeyGroup,
     StreamTuple,
-    TupleBuffer,
     group_by_key,
-    key_sizes,
     sorted_key_groups,
     total_weight,
 )
@@ -46,15 +44,6 @@ def test_group_by_key_preserves_order_within_key():
     groups = group_by_key(tuples)
     assert [t.value for t in groups["a"]] == [1, 3]
     assert [t.value for t in groups["b"]] == [2]
-
-
-def test_key_sizes_sums_weights():
-    tuples = [
-        StreamTuple(ts=0.0, key="a", weight=2),
-        StreamTuple(ts=0.1, key="a", weight=3),
-        StreamTuple(ts=0.2, key="b", weight=1),
-    ]
-    assert key_sizes(tuples) == {"a": 5, "b": 1}
 
 
 def test_total_weight():
@@ -97,25 +86,3 @@ def test_sorted_key_groups_handles_mixed_key_types():
     tuples = [StreamTuple(ts=0.0, key=1), StreamTuple(ts=0.0, key="1")]
     groups = sorted_key_groups(tuples)
     assert len(groups) == 2
-
-
-def test_tuple_buffer_accounting():
-    buf = TupleBuffer()
-    assert len(buf) == 0
-    assert buf.weight == 0
-    buf.append(StreamTuple(ts=0.0, key="a", weight=2))
-    buf.extend([StreamTuple(ts=0.1, key="b", weight=3)])
-    assert len(buf) == 2
-    assert buf.weight == 5
-    assert buf[0].key == "a"
-    assert [t.key for t in buf] == ["a", "b"]
-    assert buf.as_list()[1].key == "b"
-    buf.clear()
-    assert len(buf) == 0
-    assert buf.weight == 0
-
-
-def test_tuple_buffer_from_iterable():
-    buf = TupleBuffer(StreamTuple(ts=0.0, key=i) for i in range(4))
-    assert len(buf) == 4
-    assert buf.weight == 4

@@ -1,36 +1,10 @@
-"""Back-pressure signal and the stability criterion."""
+"""Back-pressure signal: the Figure 11 stability criterion."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.backpressure import (
-    BackpressureConfig,
-    BackpressureMonitor,
-    run_is_stable,
-)
-from repro.engine.stats import BatchRecord, RunStats
-
-
-def _record(index, processing, interval=1.0, queue=0.0):
-    heartbeat = (index + 1) * interval
-    start = heartbeat + queue
-    return BatchRecord(
-        index=index,
-        t_start=index * interval,
-        heartbeat=heartbeat,
-        ready_at=heartbeat,
-        exec_start=start,
-        exec_finish=start + processing,
-        processing_time=processing,
-        tuple_count=100,
-        key_count=10,
-        map_tasks=4,
-        reduce_tasks=4,
-        map_durations=(processing,),
-        reduce_durations=(0.0,),
-        bucket_weights=(100,),
-    )
+from repro.engine.backpressure import BackpressureConfig, BackpressureMonitor
 
 
 def test_monitor_quiet_under_light_load():
@@ -78,15 +52,3 @@ def test_config_validation():
         BackpressureConfig(max_mean_load=0.0)
     with pytest.raises(ValueError):
         BackpressureConfig(warmup_batches=-1)
-
-
-def test_run_is_stable_post_hoc():
-    stats = RunStats(batch_interval=1.0)
-    for i in range(6):
-        stats.add(_record(i, processing=0.5))
-    assert run_is_stable(stats)
-
-    overloaded = RunStats(batch_interval=1.0)
-    for i in range(6):
-        overloaded.add(_record(i, processing=1.5, queue=float(i)))
-    assert not run_is_stable(overloaded)

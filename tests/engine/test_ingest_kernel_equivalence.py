@@ -21,8 +21,6 @@ from repro.partitioners.prompt import PromptPartitioner, ReferencePromptPartitio
 from repro.queries import wordcount_query
 from repro.workloads import ConstantRate, synd_source, tweets_source
 
-pytest.importorskip("numpy")
-
 NUM_BATCHES = 5
 
 WORKLOADS = {

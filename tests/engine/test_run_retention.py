@@ -22,8 +22,6 @@ from repro.queries import wordcount_query
 from repro.workloads import MultiTenantSource, TenantStream, synd_source
 from repro.workloads.arrival import ConstantRate
 
-pytest.importorskip("numpy")
-
 
 def _single_run():
     engine = MicroBatchEngine(

@@ -38,8 +38,6 @@ from repro.partitioners import make_partitioner
 from repro.queries import wordcount_query
 from repro.workloads import MultiTenantSource, TenantStream, synd_source
 
-pytest.importorskip("numpy")
-
 NUM_BATCHES = 6
 NUM_TENANTS = 4
 INTERVAL = 0.5

@@ -15,6 +15,7 @@ from repro.engine.windows import WindowedAggregator
 from repro.partitioners import HashPartitioner, PromptPartitioner, ShufflePartitioner
 from repro.queries import base, debs_query1, wordcount_query
 from repro.queries.base import Query, SumAggregator
+from repro.workloads.synd import synd_source
 
 from ..conftest import make_tuples
 
@@ -270,9 +271,6 @@ def test_no_fold_uses_a_compensated_sum():
 def test_reduce_key_counts_sum_to_distinct_map_keys():
     """Key locality makes the Reduce tasks' key counts partition the
     batch's emitted keys — also when hot keys are split over blocks."""
-    pytest.importorskip("numpy")
-    from repro.workloads.synd import synd_source  # generators need numpy
-
     source = synd_source(1.4, num_keys=5_000, rate=4_000.0, seed=3)
     partitioner = PromptPartitioner()
     split_total = 0

@@ -107,7 +107,6 @@ def test_merge_preserves_source_labels_under_the_shard_label():
 
 def test_sharded_run_exports_shard_labeled_series(tmp_path):
     """End to end: a sharded run's registry round-trips through the text format."""
-    pytest.importorskip("numpy")
     import repro
     from repro.queries import wordcount_query
     from repro.workloads import MultiTenantSource, TenantStream, synd_source

@@ -14,8 +14,6 @@ import repro
 from repro.queries import wordcount_query
 from repro.workloads import MultiTenantSource, TenantStream, synd_source
 
-pytest.importorskip("numpy")
-
 
 def _source(seed=7):
     return synd_source(1.2, num_keys=40, rate=400.0, seed=seed)

@@ -203,7 +203,6 @@ def test_run_rejects_unknown_router():
 
 
 def test_run_sharded_demo(capsys):
-    pytest.importorskip("numpy")
     assert main(["run", "sharded", "--quick", "--no-save"]) == 0
     out = capsys.readouterr().out
     assert "Sharded topology" in out

@@ -119,6 +119,27 @@ def test_scaled_rate():
         ScaledRate(base, -1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "field, make",
+    [
+        ("rate", ConstantRate),
+        ("mean", lambda x: SinusoidalRate(mean=x, amplitude=1.0, period=1.0)),
+        ("amplitude", lambda x: SinusoidalRate(mean=1.0, amplitude=x, period=1.0)),
+        ("period", lambda x: SinusoidalRate(mean=1.0, amplitude=1.0, period=x)),
+        ("start_rate", lambda x: RampRate(x, 1.0, 0.0, 1.0)),
+        ("end_rate", lambda x: RampRate(1.0, x, 0.0, 1.0)),
+        ("step rate", lambda x: PiecewiseRate([(0.0, 1.0), (1.0, x)])),
+        ("factor", lambda x: ScaledRate(ConstantRate(1.0), x)),
+    ],
+)
+def test_rejects_non_finite_parameters(field, make, bad):
+    # ``x < 0`` is false for NaN: a NaN rate used to be accepted and
+    # only failed later, converting the NaN count to an int.
+    with pytest.raises(ValueError, match=field):
+        make(bad)
+
+
 def test_integrated_count_matches_mean_rate():
     arr = SinusoidalRate(mean=1000.0, amplitude=500.0, period=2.0)
     count = arr.count_between(0.0, 2.0)  # full period: mean holds

@@ -13,8 +13,6 @@ from repro.workloads import (
     tenant_of,
 )
 
-pytest.importorskip("numpy")
-
 
 def _tenants(n=3, rate=300.0, keys=40):
     return [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,13 @@ def test_validation():
         ZipfSampler(10, 1.0).sample(-1)
     with pytest.raises(ValueError):
         ZipfSampler(10, 1.0).expected_top_share(0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["exponent", "shift"])
+def test_rejects_non_finite_parameters(field, bad):
+    # ``x < 0`` is false for NaN: without an explicit check a NaN
+    # exponent yielded a silently degenerate all-zeros stream.
+    kwargs = {"exponent": 1.0, "shift": 0.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        ZipfSampler(10, **kwargs)
