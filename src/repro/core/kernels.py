@@ -14,12 +14,13 @@ numpy, exploiting two structural facts:
    quasi-sorted traversal is a pure function of each key's *final
    tracked count*: sort by ``(count, token)`` descending.  Algorithm 1's
    budget mechanism is a per-key recurrence over that key's arrival
-   times, so the final tracked count can be computed by jumping from
-   update event to update event (at most ``budget`` of them per key)
-   instead of touching every tuple: the frequency trigger's firing index
-   is a closed form (``f.updated + f.step - 1``), and only the time
-   trigger needs a scan — over disjoint segments, so total scan work
-   stays ``O(m)`` per key and is vectorized when segments are long.
+   times that fires at most ``budget`` updates, so it runs in rounds:
+   each round advances every still-active key by one update.  The
+   frequency trigger's firing index is a closed form
+   (``f.updated + f.step - 1``); the time trigger is one masked compare
+   over every key's scan range at once.  A round costs a few numpy
+   passes, whatever the number of keys, and there are at most
+   ``budget`` of them.
 
 2. **Algorithm 2's zigzag deal is batched.**  With a capacity bound the
    pass order is rebuilt (open blocks ascending, then reversed) at every
@@ -74,8 +75,8 @@ def _simulate_key_dense(T, G, budget, est, f0, t_end):
     the matching 0-based global stream indexes.  Returns the key's final
     tracked count and the number of CountTree updates it consumed.
 
-    This is the reference recurrence; ``_simulate_key_jump`` computes
-    the same answer without visiting every arrival.
+    This is the reference recurrence (the test oracle); ``_simulate_keys``
+    computes the same answer for all of a batch's keys at once.
     """
     fu = 1
     lut = T[0]
@@ -109,120 +110,79 @@ def _simulate_key_dense(T, G, budget, est, f0, t_end):
     return tracked, updates
 
 
-def _simulate_key_jump(chain, G, base, m, budget, est, f0, t_end):
-    """Event-jumping equivalent of :func:`_simulate_key_dense`.
+def _simulate_keys(ts, order, starts, counts, budget, est, f0, t_end):
+    """:func:`_simulate_key_dense` for many keys at once, one round per event.
 
-    Between updates, ``f.step`` and ``t.step`` are constant, so the next
-    frequency trigger sits at the closed-form arrival index
-    ``f.updated + f.step - 1`` and only arrivals *before* it need the
-    time-trigger scan (the frequency branch wins ties — it is checked
-    first).  At most ``budget`` events fire and the scans cover disjoint
-    ranges, so the per-key work is ``O(m)`` worst case and
-    ``O(budget)`` when frequency triggers dominate.
+    ``ts`` holds the batch's arrival times in key-sorted order and
+    ``order`` the matching 0-based global stream indexes (the key
+    sort's permutation); key ``i`` occupies ``[starts[i], starts[i] +
+    counts[i])`` of both, with ``counts[i] >= 2``.  Returns the keys'
+    final tracked counts and the CountTree updates each consumed, as
+    int64 arrays aligned with ``starts``.
 
-    ``chain`` is the key's tuple list (timestamps are read lazily —
-    extracting a full timestamp column up front would touch every tuple
-    when the recurrence usually needs only a fraction); ``G`` the
-    key-sorted global-index array, with this key's arrivals occupying
-    ``[base, base + m)``.  The time predicate is written exactly as the
-    oracle's ``accept`` computes it — subtraction first — because
-    ``a - b >= c`` and ``a >= b + c`` can disagree in floats.
+    Every round, every still-active key fires its next update.  Between
+    updates ``f.step`` and ``t.step`` are constant, so the frequency
+    trigger fires at the closed-form arrival index ``jA = f.updated +
+    f.step - 1``; the time trigger is the first arrival after the last
+    update and before ``jA`` with ``T[j] - last_update >= t_step`` —
+    one masked compare over all keys' scan ranges concatenated (arrival
+    times need not be monotone: late tuples are admitted).  The
+    frequency branch wins ties, as the oracle checks it first.  A key
+    with neither trigger left is done; the rest have spent one more
+    update, so ``budget_left`` is the same for every active key and the
+    loop runs at most ``budget`` rounds.  The float expressions are the
+    oracle's, evaluated in float64.
     """
-    fu = 1
-    lut = chain[0].ts
-    f_step = f0
-    t_step = max(t_end - lut, 0.0) / budget
-    budget_left = budget
-    tracked = 1
-    updates = 0
-    j_last = 0
-    while budget_left > 0:
-        jA = fu + f_step - 1  # arrival index where the frequency trigger fires
-        hi = jA - 1
-        if hi > m - 1:
-            hi = m - 1
-        j = -1
-        time_fired = False
-        for jj in range(j_last + 1, hi + 1):
-            if chain[jj].ts - lut >= t_step:
-                j = jj
-                time_fired = True
-                break
-        if j < 0:
-            if jA <= m - 1:
-                j = jA
-            else:
-                break  # no trigger can fire on the remaining arrivals
-        tracked = j + 1
-        fu = j + 1
-        lut = chain[j].ts
-        budget_left -= 1
-        updates += 1
-        j_last = j
-        if time_fired:
-            t_step = max(t_end - lut, 0.0) / max(1, budget_left)
-        else:
-            n_c = int(G[base + j]) + 1
-            share = (j + 1) / n_c
-            step = (est / budget) * share
-            f_step = max(1, int(step))
+    tracked = np.ones(starts.size, dtype=np.int64)  # == f.updated
+    updates = np.zeros(starts.size, dtype=np.int64)
+    lut = ts[starts]
+    t_step = np.maximum(t_end - lut, 0.0) / budget
+    f_step = np.full(starts.size, f0, dtype=np.int64)
+    scale = est / budget
+    active = np.arange(starts.size)
+    for budget_left in range(budget - 1, -1, -1):  # budget left after the round
+        fu = tracked[active]
+        base = starts[active]
+        jA = fu + f_step[active] - 1
+        # scan range of arrival indexes: [fu, min(jA - 1, m - 1)]
+        length = np.minimum(jA, counts[active]) - fu
+        scanning = np.flatnonzero(length > 0)
+        j = jA
+        time_fired = np.zeros(active.size, dtype=bool)
+        if scanning.size:
+            scanned = active[scanning]
+            lengths = length[scanning]
+            seg_starts = np.cumsum(lengths) - lengths
+            offset = np.arange(int(lengths.sum())) - np.repeat(seg_starts, lengths)
+            pos = np.repeat(base[scanning] + fu[scanning], lengths) + offset
+            hit = ts[pos] - np.repeat(lut[scanned], lengths) >= np.repeat(
+                t_step[scanned], lengths
+            )
+            # first hit in each range; a range without one reads its length
+            first = np.minimum.reduceat(
+                np.where(hit, offset, np.repeat(lengths, lengths)), seg_starts
+            )
+            found = first < lengths
+            hit_keys = scanning[found]
+            time_fired[hit_keys] = True
+            j = jA.copy()
+            j[hit_keys] = fu[hit_keys] + first[found]
+        fired = time_fired | (jA < counts[active])
+        if not fired.any():
+            break
+        active, j, base, time_fired = (
+            active[fired], j[fired], base[fired], time_fired[fired]
+        )
+        tracked[active] = j + 1
+        updates[active] += 1
+        lut[active] = ts[base + j]
+        by_time = active[time_fired]
+        t_step[by_time] = np.maximum(t_end - lut[by_time], 0.0) / max(1, budget_left)
+        by_freq = ~time_fired
+        freq_j = j[by_freq]
+        share = (freq_j + 1) / (order[base[by_freq] + freq_j] + 1)
+        f_step[active[by_freq]] = np.maximum((scale * share).astype(np.int64), 1)
     return tracked, updates
-
-
-def _simulate_key_jump_arr(T, G, base, m, budget, est, f0, t_end):
-    """:func:`_simulate_key_jump` over a per-chain timestamp array.
-
-    Used for long chains (``m >= _LONG_CHAIN_THRESHOLD``), where the
-    time-trigger scans cover ranges wide enough that one vectorized
-    compare per event beats per-element attribute reads.  Scan ranges
-    are disjoint, so total vector work stays ``O(m)``.
-    """
-    fu = 1
-    lut = float(T[0])
-    f_step = f0
-    t_step = max(t_end - lut, 0.0) / budget
-    budget_left = budget
-    tracked = 1
-    updates = 0
-    j_last = 0
-    while budget_left > 0:
-        jA = fu + f_step - 1  # arrival index where the frequency trigger fires
-        hi = jA - 1
-        if hi > m - 1:
-            hi = m - 1
-        j = -1
-        time_fired = False
-        lo = j_last + 1
-        if lo <= hi:
-            mask = (T[lo : hi + 1] - lut) >= t_step
-            k = int(mask.argmax())
-            if mask[k]:
-                j = lo + k
-                time_fired = True
-        if j < 0:
-            if jA <= m - 1:
-                j = jA
-            else:
-                break  # no trigger can fire on the remaining arrivals
-        tracked = j + 1
-        fu = j + 1
-        lut = float(T[j])
-        budget_left -= 1
-        updates += 1
-        j_last = j
-        if time_fired:
-            t_step = max(t_end - lut, 0.0) / max(1, budget_left)
-        else:
-            n_c = int(G[base + j]) + 1
-            share = (j + 1) / n_c
-            step = (est / budget) * share
-            f_step = max(1, int(step))
-    return tracked, updates
-
-
-#: chain length from which the recurrence extracts a per-chain timestamp
-#: array and scans it vectorized instead of reading ``.ts`` per element
-_LONG_CHAIN_THRESHOLD = 2048
 
 
 @dataclass(slots=True)
@@ -341,38 +301,28 @@ def accumulate_batch(
     # a list into np.empty)
     ordered = np.fromiter(tuples, dtype=object, count=n)[order].tolist()
     starts_l = starts.tolist()
-    counts_l = counts.tolist()
     ends_l = (starts + counts).tolist()
     chains = list(map(ordered.__getitem__, map(slice, starts_l, ends_l)))
 
-    # -- Algorithm 1's budget recurrence, one key at a time --------------
+    # -- Algorithm 1's budget recurrence, all repeated keys at once -----
     tree_updates = 0
     if accumulator.exact_updates:
         # Every arrival refreshes the tree: counts are exact and each
         # non-first arrival is one update.
-        tracked = counts_l
+        tracked = counts.tolist()
         tree_updates = int((counts - 1).sum())
     else:
         # A key seen once is tracked at 1 with no update; only the
         # repeated keys run the recurrence.
-        tracked = [1] * num_keys
-        repeated = np.flatnonzero(counts > 1).tolist()
-        t_end = info.t_end
-        for c in repeated:
-            m_c = counts_l[c]
-            if m_c >= _LONG_CHAIN_THRESHOLD:
-                chain_ts = np.fromiter(
-                    map(_GET_TS, chains[c]), dtype=np.float64, count=m_c
-                )
-                count_c, updates_c = _simulate_key_jump_arr(
-                    chain_ts, order, starts_l[c], m_c, budget, est, f0, t_end
-                )
-            else:
-                count_c, updates_c = _simulate_key_jump(
-                    chains[c], order, starts_l[c], m_c, budget, est, f0, t_end
-                )
-            tracked[c] = count_c
-            tree_updates += updates_c
+        repeated = np.flatnonzero(counts > 1)
+        tracked_arr = np.ones(num_keys, dtype=np.int64)
+        if repeated.size:
+            ts = np.fromiter(map(_GET_TS, tuples), dtype=np.float64, count=n)[order]
+            tracked_arr[repeated], updates = _simulate_keys(
+                ts, order, starts[repeated], counts[repeated], budget, est, f0, info.t_end
+            )
+            tree_updates = int(updates.sum())
+        tracked = tracked_arr.tolist()
 
     # -- quasi-sort: descending (count, order-token) ---------------------
     # The CountTree orders nodes by (count, token) with unique tokens,
@@ -411,30 +361,6 @@ def accumulate_batch(
     )
 
 
-def _chunks(m: int, chunk_cap: int, weights: Optional["np.ndarray"]):
-    """``(start, end, weight)`` of each chunk a split key's chain of ``m``
-    tuples is diced into.
-
-    A chunk is the shortest span whose weight reaches ``chunk_cap`` (the
-    tail takes whatever remains) — the oracle cursor's rule.  With unit
-    weights (``weights`` None) that is exactly ``chunk_cap`` tuples;
-    otherwise chunk ends come from ``searchsorted`` over the chain's
-    cumulative weight.
-    """
-    if weights is None:
-        for start in range(0, m, chunk_cap):
-            end = min(start + chunk_cap, m)
-            yield start, end, end - start
-        return
-    cum = np.cumsum(weights)
-    start = base = 0
-    while start < m:
-        end = min(int(np.searchsorted(cum, base + chunk_cap, side="left")) + 1, m)
-        reached = int(cum[end - 1])
-        yield start, end, reached - base
-        base, start = reached, end
-
-
 def plan_greedy(
     partitioner: "PromptBatchPartitioner",
     ingest: KernelIngest,
@@ -443,10 +369,11 @@ def plan_greedy(
     """Algorithm 2 (greedy strategy) over :func:`accumulate_batch`'s columns.
 
     Mirrors ``PromptBatchPartitioner.partition(strategy="greedy")``
-    phase by phase, placing straight into the output blocks: LPT dicing
-    of split keys, the capacity-aware zigzag deal batched one run of
-    passes per numpy step, and the partitioner's own rebalance pass —
-    so the output is identical by construction, not by approximation.
+    phase by phase: LPT dicing of split keys (one heap step for a key
+    that fits one chunk), the capacity-aware zigzag deal batched one run
+    of passes per numpy step, one bulk install per block, and the
+    partitioner's own rebalance pass — so the output is identical by
+    construction, not by approximation.
 
     A key placed whole (every dealt key, and a split key that fits one
     chunk) gets the ingest's own chain list: the blocks adopt
@@ -474,28 +401,58 @@ def plan_greedy(
     split_indices = np.flatnonzero(split_mask)
     small_indices = np.flatnonzero(~split_mask)
 
-    # Phase 1: LPT placement of split keys, diced to chunks (see
-    # _chunks).  The oracle's per-chunk ``min(blocks, ...)`` becomes a
-    # heap keyed by the identical (size, cardinality, index) tuple;
-    # phase 1 only mutates the popped block, so every heap entry stays
-    # current and the pop equals the oracle's min.
-    heap = [(b.size, b.cardinality, b.index) for b in blocks]
-    heapq.heapify(heap)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    for gi in split_indices.tolist():
+    # Phase 1: LPT placement of split keys, diced to chunks.  The
+    # oracle's per-chunk ``min(blocks, ...)`` becomes a heap keyed by the
+    # identical (size, cardinality, index) tuple, which carries the
+    # block state: phase 1 only grows the popped block, so a peek and a
+    # ``heapreplace`` with the grown tuple keep every entry current, and
+    # the entries are unique, so the pop order is the oracle's.  Blocks
+    # are filled only at the install below, in placement order.
+    heap = [(0, 0, index) for index in range(num_blocks)]  # sorted: a heap
+    heapreplace = heapq.heapreplace
+    singletons = [frozenset((index,)) for index in range(num_blocks)]
+    queued_keys: list[list[Key]] = [[] for _ in range(num_blocks)]
+    queued_chains: list[list[list[StreamTuple]]] = [[] for _ in range(num_blocks)]
+    queued_weights: list[list[int]] = [[] for _ in range(num_blocks)]
+    for gi, size in zip(split_indices.tolist(), sizes[split_indices].tolist()):
         key, chain = keys[gi], chains[gi]
-        placed = placements.setdefault(key, set())
-        m = len(chain)
         weights = None if ingest.unit_weights else ingest.chain_weights[gi]
-        for start, end, weight in _chunks(m, chunk_cap, weights):
-            ti = heappop(heap)[2]
-            target = blocks[ti]
-            if end - start == m:  # the key's only chunk: adopt, as phase 2 does
-                target.adopt_fragment(key, chain, weight)
+        # A chunk is the shortest span whose weight reaches ``chunk_cap``
+        # (the oracle cursor's rule), so the key is one chunk iff all
+        # but its last tuple weigh less than the cap.
+        if size - (1 if weights is None else int(weights[-1])) < chunk_cap:
+            # the key's only chunk: its own chain, as phase 2 places keys
+            block_size, card, ti = heap[0]
+            heapreplace(heap, (block_size + size, card + 1, ti))
+            queued_keys[ti].append(key)
+            queued_chains[ti].append(chain)
+            queued_weights[ti].append(size)
+            placements[key] = singletons[ti]
+            continue
+        m = len(chain)
+        cum = None if weights is None else np.cumsum(weights)
+        placed = set()
+        start = base = 0
+        while start < m:
+            if cum is None:
+                end = reached = min(start + chunk_cap, m)
             else:
-                target.install_fragment(key, chain[start:end], weight)
-            heappush(heap, (target.size, target.cardinality, ti))
-            placed.add(ti)
+                end = min(int(np.searchsorted(cum, base + chunk_cap, side="left")) + 1, m)
+                reached = int(cum[end - 1])
+            weight = reached - base
+            block_size, card, ti = heap[0]
+            if ti in placed:  # extends this key's fragment in the block
+                queued_chains[ti][-1].extend(chain[start:end])
+                queued_weights[ti][-1] += weight
+            else:
+                placed.add(ti)
+                queued_keys[ti].append(key)
+                queued_chains[ti].append(chain[start:end])
+                queued_weights[ti].append(weight)
+                card += 1
+            heapreplace(heap, (block_size + weight, card, ti))
+            start, base = end, reached
+        placements[key] = placed
 
     # Phase 2: the zigzag deal.  Every pass rebuilds the open-block order
     # (ascending, then reversed — so always descending) from sizes *at
@@ -505,7 +462,9 @@ def plan_greedy(
     # fullest open block the largest key still to come, that takes more
     # than ``headroom // largest`` passes — so that many passes (plus the
     # one the current sizes already vouch for) are dealt in one step.
-    block_sizes = np.fromiter((b.size for b in blocks), dtype=np.int64, count=num_blocks)
+    block_sizes = np.zeros(num_blocks, dtype=np.int64)
+    for block_size, _, index in heap:
+        block_sizes[index] = block_size
     small_sizes = sizes[small_indices]
     num_small = int(small_indices.size)
     targets = np.empty(num_small, dtype=np.int64)
@@ -535,19 +494,19 @@ def plan_greedy(
         ).astype(np.int64)
         pos += take
 
-    # Install: a small key's fragment is its whole chain, new to its
-    # block, so each block adopts its share of the deal's chain lists in
-    # one bulk install, and the placement table points every small key
-    # at its block's one shared singleton — no per-key set or copy.
+    # Install: each block adopts its phase-1 fragments, then its share
+    # of the deal's chain lists (a small key's fragment is its whole
+    # chain, new to its block), in one bulk install; the placement table
+    # points every small key at its block's one shared singleton — no
+    # per-key set or copy.
     for index, block in enumerate(blocks):
         dealt = small_indices[targets == index]
         picks = dealt.tolist()
         block.adopt_chains(
-            list(map(keys.__getitem__, picks)),
-            map(chains.__getitem__, picks),
-            sizes[dealt].tolist(),
+            queued_keys[index] + list(map(keys.__getitem__, picks)),
+            queued_chains[index] + list(map(chains.__getitem__, picks)),
+            queued_weights[index] + sizes[dealt].tolist(),
         )
-    singletons = [frozenset((index,)) for index in range(num_blocks)]
     placements.update(
         zip(
             map(keys.__getitem__, small_indices.tolist()),

@@ -197,7 +197,11 @@ def bpvc_buckets(
     # Inside one round the chosen bucket retires and no other capacity
     # moves, so the round's WorstFit picks are exactly its open buckets
     # in ascending (load, index) order: sort once per round, deal the
-    # next clusters down that order.
+    # next clusters down that order.  Inside a run of equal cluster size
+    # ``s`` each round adds ``s`` to every open bucket, which keeps that
+    # order, so the same order repeats until the fullest open bucket
+    # reaches ``expected``: whole rounds up to that one are dealt in one
+    # step.
     expected = -(-total // r) if total else 0  # ceil(|C| / |R|)
     dealt_buckets: list[int] = []
     dealt = 0
@@ -208,7 +212,20 @@ def bpvc_buckets(
         )
         if not open_buckets:
             break
-        chunk = placed_sizes[dealt : min(dealt + len(open_buckets), m)]
+        width = len(open_buckets)
+        run_size = placed_sizes[dealt]
+        run_end = bisect_right(placed_sizes, -run_size, lo=dealt, hi=m, key=neg)
+        rounds = min(
+            (run_end - dealt) // width,
+            (expected - 1 - loads[open_buckets[-1]]) // run_size + 1,
+        )
+        if rounds:
+            dealt_buckets += open_buckets * rounds
+            for j in open_buckets:
+                loads[j] += run_size * rounds
+            dealt += width * rounds
+            continue
+        chunk = placed_sizes[dealt : min(dealt + width, m)]
         dealt_buckets += open_buckets[: len(chunk)]
         for j, size in zip(open_buckets, chunk):
             loads[j] += size

@@ -43,6 +43,7 @@ import hashlib
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Collection, Sequence
 
 from ..core.batch import DataBlock, MapInput, PartitionedBatch
@@ -52,6 +53,8 @@ from ..obs.tracing import NULL_TRACER, Tracer, WorkerSpan
 from ..partitioners.base import Partitioner, ReduceAllocation
 from ..queries.base import Aggregator, Query
 from .topology import ClusterTopology
+
+_GET_VALUE = attrgetter("value")
 
 #: shared no-op context for untraced per-task loops — entering it costs
 #: one bytecode-level call, versus building a fresh generator-backed
@@ -252,8 +255,9 @@ def execute_map_task(
     shipped, whose columns already are the values.
 
     A query with a block form (:meth:`Query.block_form`) folds each
-    fragment in one call; any other query runs its Map function and
-    aggregator per value.
+    fragment in one call; any other query hands each fragment's values
+    to its aggregator's :meth:`~repro.queries.base.Aggregator.fold`,
+    which runs the Map function and the fold per value.
 
     Cluster sizes model the shuffle payload: for map-side-combining
     (algebraic) queries a fragment collapses to one partial record, so
@@ -270,24 +274,13 @@ def execute_map_task(
         sizes = [1] * len(keys) if combine else list(map(len, fragments.values()))
     else:
         keys, sizes, parts = [], [], []
-        map_value = query.map_value
-        add, zero = query.aggregator.add, query.aggregator.zero
+        map_fn = query.map_fn
+        fold_fragment = query.aggregator.fold
         shipped = isinstance(block, MapInput)
         for key, fragment in fragments.items():
-            emitted = 0
-            acc = zero()
-            if shipped:
-                for value in fragment:
-                    mapped = map_value(key, value)
-                    if mapped is not None:
-                        emitted += 1
-                        acc = add(acc, mapped)
-            else:
-                for t in fragment:
-                    mapped = map_value(key, t.value)
-                    if mapped is not None:
-                        emitted += 1
-                        acc = add(acc, mapped)
+            acc, emitted = fold_fragment(
+                key, fragment if shipped else map(_GET_VALUE, fragment), map_fn
+            )
             if emitted:
                 keys.append(key)
                 sizes.append(1 if combine else emitted)

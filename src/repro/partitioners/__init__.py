@@ -20,7 +20,7 @@ from .key_split import (
     WChoicesPartitioner,
 )
 from .prompt import PromptPartitioner
-from .registry import PARTITIONER_NAMES, all_paper_techniques, make_partitioner
+from .registry import PARTITIONER_NAMES, make_partitioner
 from .shuffle import ShufflePartitioner
 from .time_based import TimeBasedPartitioner
 
@@ -45,6 +45,5 @@ __all__ = [
     "TimeBasedPartitioner",
     "WChoicesPartitioner",
     "WorkerLoadFeedback",
-    "all_paper_techniques",
     "make_partitioner",
 ]

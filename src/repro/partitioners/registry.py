@@ -25,7 +25,7 @@ from .prompt import PromptPartitioner
 from .shuffle import ShufflePartitioner
 from .time_based import TimeBasedPartitioner
 
-__all__ = ["PARTITIONER_NAMES", "make_partitioner", "all_paper_techniques"]
+__all__ = ["PARTITIONER_NAMES", "make_partitioner"]
 
 _FACTORIES: dict[str, Callable[[], Partitioner]] = {
     "time": TimeBasedPartitioner,
@@ -66,7 +66,3 @@ def make_partitioner(name: str, **kwargs) -> Partitioner:
         return _FACTORIES[name](**kwargs)  # type: ignore[call-arg]
     return factory()
 
-
-def all_paper_techniques() -> list[Partitioner]:
-    """The seven techniques compared throughout Section 7."""
-    return [make_partitioner(n) for n in ("time", "shuffle", "hash", "pk2", "pk5", "cam", "prompt")]

@@ -11,10 +11,11 @@ function (Figure 3), avoiding recomputation.
 We express the per-key computation as an :class:`Aggregator` (zero /
 add / merge / inverse), which gives the engine everything it needs:
 map-side partial aggregation, reduce-side merging across Map fragments,
-and window retraction.  Its bulk hooks (:meth:`Aggregator.merge_all`,
-:meth:`Aggregator.merge_into`, :meth:`Aggregator.retract_from`) apply
-those per-key operations to a whole batch output at once; the additive
-aggregators run them inline.
+and window retraction.  Its bulk hooks (:meth:`Aggregator.fold`,
+:meth:`Aggregator.merge_all`, :meth:`Aggregator.merge_into`,
+:meth:`Aggregator.retract_from`) apply those per-key operations to a
+whole Map fragment or batch output at once; the additive aggregators
+run them inline.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import abc
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
-from typing import Any, Callable, Mapping, Optional, Sequence, Sized
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Sized
 
 from ..core.tuples import Key
 
@@ -73,7 +74,28 @@ class Aggregator(abc.ABC):
         """Turn an accumulator into a result value (default: itself)."""
         return acc
 
-    # -- bulk hooks: one call per batch output --------------------------
+    # -- bulk hooks: one call per fragment or batch output ---------------
+    def fold(
+        self, key: Key, values: Iterable[Any], map_fn: Optional[Callable[[Key, Any], Any]]
+    ) -> tuple[Any, int]:
+        """Map: fold one fragment's mapped values into a partial.
+
+        Each value becomes ``map_fn(key, value)`` (itself when ``map_fn``
+        is None); a None result is filtered out and the rest are added
+        left to right with :meth:`add`, starting from :meth:`zero`.
+        Returns ``(partial, emitted)``, ``emitted`` being the number of
+        values that were not filtered out.
+        """
+        acc = self.zero()
+        emitted = 0
+        add = self.add
+        for value in values:
+            mapped = value if map_fn is None else map_fn(key, value)
+            if mapped is not None:
+                emitted += 1
+                acc = add(acc, mapped)
+        return acc, emitted
+
     def merge_all(self, fragments: Sequence[tuple[Key, Any]]) -> dict[Key, Any]:
         """Reduce: fold each key's partials left to right with :meth:`merge`.
 
@@ -176,10 +198,26 @@ class _AdditiveAggregator(Aggregator):
 
 
 class SumAggregator(_AdditiveAggregator):
-    """Numeric sum — WordCount, DEBS fares/distances, TPC-H quantities."""
+    """Numeric sum — WordCount, DEBS fares/distances, TPC-H quantities.
+
+    :meth:`fold` writes :meth:`add` inline, so a subclass that overrides
+    ``add`` must override ``fold`` as well.
+    """
 
     def add(self, acc: float, value: float) -> float:
         return acc + value
+
+    def fold(
+        self, key: Key, values: Iterable[Any], map_fn: Optional[Callable[[Key, Any], Any]]
+    ) -> tuple[Any, int]:
+        acc = 0
+        emitted = 0
+        for value in values:
+            mapped = value if map_fn is None else map_fn(key, value)
+            if mapped is not None:
+                emitted += 1
+                acc = acc + mapped
+        return acc, emitted
 
 
 class CountAggregator(_AdditiveAggregator):

@@ -188,11 +188,8 @@ class PiecewiseRate(ArrivalProcess):
 
 
 class ScaledRate(ArrivalProcess):
-    """Another process's profile multiplied by a constant factor.
-
-    The back-pressure throughput search scales a *shape* up and down
-    while preserving its variability.
-    """
+    """Another process's profile multiplied by a constant factor: the
+    same shape, with its variability, at another mean rate."""
 
     def __init__(self, base: ArrivalProcess, factor: float) -> None:
         super().__init__()

@@ -14,16 +14,10 @@ O(K) setup once, O(log K) per draw, fully vectorized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["ZipfSampler"]
-
-
-@dataclass(frozen=True)
-class _Table:
-    cdf: np.ndarray
 
 
 class ZipfSampler:

@@ -22,8 +22,8 @@ and chain object identity (kernels must not copy tuples; blocks adopt
 the kernel's own chain lists, never a list of the lazily built
 ``key_groups`` view).
 
-The per-key simulator variants (dense reference, event-jumping,
-vectorized scan) are also cross-checked directly.
+The batched budget recurrence is also cross-checked directly against
+the dense per-arrival reference, key by key over whole batches.
 """
 
 from __future__ import annotations
@@ -142,6 +142,65 @@ def test_kernel_matches_oracle_property(chunk):
             ), f"scenario={scenario} batch={index}"
 
 
+def _mixed_batch(rng, index, num_blocks, weight_mode):
+    """One interval whose Algorithm 2 phase 1 mixes both LPT paths.
+
+    Many small keys, a few medium keys and one to three hot keys sized
+    at 0.6-2.5 blocks, in shuffled arrival order: the medium keys and
+    some hot ones are split keys that fit one chunk, the others are
+    diced into several, and the quasi-sort interleaves the two kinds.
+    ``weight_mode`` 0 gives unit weights, 1 random weights 1-5 and 2
+    weights alternating 1, 4 along each key's chain, which moves chunk
+    boundaries off the unit grid.  Keys named ``k*`` recur across
+    batches; the rest are new each batch.
+    """
+    t_start = float(index)
+    t_end = t_start + 1.0
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(20, 200))]
+    sizes += [rng.randint(10, 60) for _ in range(rng.randint(2, 10))]
+    base = sum(sizes)
+    sizes += [
+        int(rng.uniform(0.6, 2.5) * base / num_blocks) + 1
+        for _ in range(rng.randint(1, 3))
+    ]
+    rng.shuffle(sizes)
+    out = []
+    for k, m in enumerate(sizes):
+        key = f"k{k}" if k % 3 == 0 else f"b{index}_{k}"
+        for i in range(m):
+            if weight_mode == 0:
+                weight = 1
+            elif weight_mode == 1:
+                weight = rng.randint(1, 5)
+            else:
+                weight = (1, 4)[i % 2]
+            out.append(
+                StreamTuple(ts=rng.uniform(t_start, t_end), key=key, weight=weight)
+            )
+    rng.shuffle(out)
+    return out, BatchInfo(index=index, t_start=t_start, t_end=t_end)
+
+
+@pytest.mark.parametrize("chunk", range(5))
+def test_kernel_matches_oracle_on_mixed_phase1_keys(chunk):
+    """Split keys that fit one chunk between keys diced into several,
+    under unit, random and alternating weights: byte-identical outputs
+    over ``NUM_SCENARIOS`` x ``BATCHES_PER_SCENARIO`` instances."""
+    per_chunk = NUM_SCENARIOS // 5
+    for scenario in range(chunk * per_chunk, (chunk + 1) * per_chunk):
+        rng = random.Random(12000 + scenario)
+        num_blocks = 2 + scenario % 7
+        oracle = ReferencePromptPartitioner()
+        kernel = PromptPartitioner()
+        for index in range(BATCHES_PER_SCENARIO):
+            tuples, info = _mixed_batch(rng, index, num_blocks, scenario % 3)
+            oracle_batch = oracle.partition(tuples, num_blocks, info)
+            kernel_batch = kernel.partition(tuples, num_blocks, info)
+            assert _snapshot(oracle, oracle_batch) == _snapshot(
+                kernel, kernel_batch
+            ), f"scenario={scenario} batch={index}"
+
+
 def _groups(accumulated):
     return [
         (g.key, g.tracked_count, list(map(id, g.tuples)))
@@ -229,46 +288,62 @@ def test_empty_and_single_tuple_batches_match():
         kernel.reset()
 
 
-def test_simulator_variants_agree():
-    """Dense reference vs event-jumping vs vectorized-scan recurrences.
+def _recurrence_batch(rng, trial):
+    """One batch for the recurrence: ``(T, G, starts, counts, t_end)``.
 
-    Random per-key chains (including lengths past the vectorization
-    threshold) with random global-index interleavings, budgets and
-    trigger seeds: all three implementations must return the identical
-    (tracked count, tree updates) pair.
+    ``T`` holds arrival times in arrival order, ``G`` the key sort's
+    permutation; keys of 2 to 2,061 arrivals (the old long-chain cutoff
+    plus 13) interleave at random.  Arrival times are shuffled, as late
+    tuples make them, and some repeat exactly or sit on a grid.
+    """
+    lengths = [rng.choice((2, 3, 7, 50, 400)) for _ in range(rng.randint(1, 12))]
+    if trial % 10 == 0:
+        lengths.append(2048 + 13)
+    codes = [c for c, m in enumerate(lengths) for _ in range(m)]
+    rng.shuffle(codes)
+    if trial % 4 == 1:
+        # a dyadic grid up to and past ``t_end``: gaps equal to
+        # ``t_step`` exactly, so ``>=`` and ``>`` disagree
+        t_end = 1.0
+        ts = sorted(rng.randrange(20) / 16 for _ in codes)
+    else:
+        t_end = rng.uniform(0.5, 2.0)
+        ts = sorted(rng.uniform(0.0, t_end) for _ in codes)
+    if trial % 3 == 0:  # out-of-order arrivals
+        for _ in range(len(ts) // 4):
+            i, j = rng.randrange(len(ts)), rng.randrange(len(ts))
+            ts[i], ts[j] = ts[j], ts[i]
+    if trial % 5 == 0:  # duplicate arrival times
+        for i in range(1, len(ts), 7):
+            ts[i] = ts[i - 1]
+    order = np.argsort(np.asarray(codes), kind="stable")
+    counts = np.asarray(lengths, dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return np.asarray(ts, dtype=np.float64), order, starts, counts, t_end
+
+
+def test_simulator_variants_agree():
+    """The batched recurrence vs the dense per-arrival reference.
+
+    Whole multi-key batches — shuffled, duplicate and grid arrival
+    times, chains past 2,048 arrivals, budgets 1 to 40, random trigger
+    seeds —
+    must give every key the dense recurrence's identical (tracked
+    count, tree updates) pair.
     """
     rng = random.Random(77)
-    lengths = [1, 2, 3, 7, 50, 400] + [kernels._LONG_CHAIN_THRESHOLD + 13]
-    cases = 0
-    for m in lengths:
-        for trial in range(40 if m < 1000 else 6):
-            t_end = rng.uniform(0.5, 2.0)
-            ts = sorted(rng.uniform(0.0, t_end) for _ in range(m))
-            if m >= 3 and trial % 5 == 0:
-                ts[1] = ts[0]  # duplicate arrival times
-            # strictly increasing global indexes simulate interleaving
-            G = []
-            g = 0
-            for _ in range(m):
-                g += rng.randint(1, 4)
-                G.append(g - 1)
-            T = np.asarray(ts, dtype=np.float64)
-            G_arr = np.asarray(G, dtype=np.int64)
-            chain = [StreamTuple(ts=t, key="k") for t in ts]
-            budget = rng.randint(1, 40)
-            est = rng.randint(1, 5000)
-            f0 = rng.randint(1, 10)
-            dense = kernels._simulate_key_dense(T, G_arr, budget, est, f0, t_end)
-            if m == 1:
-                jump = (1, 0)
-                jump_arr = (1, 0)
-            else:
-                jump = kernels._simulate_key_jump(
-                    chain, G_arr, 0, m, budget, est, f0, t_end
-                )
-                jump_arr = kernels._simulate_key_jump_arr(
-                    T, G_arr, 0, m, budget, est, f0, t_end
-                )
-            assert dense == jump == jump_arr, (m, trial, budget, est, f0)
-            cases += 1
-    assert cases > 200
+    keys = 0
+    for trial in range(200):
+        T, order, starts, counts, t_end = _recurrence_batch(rng, trial)
+        budget = (1, 2, 4, 8)[trial % 16 // 4] if trial % 4 == 1 else 1 + trial % 40
+        est = rng.randint(1, 5000)
+        f0 = rng.randint(1, 10)
+        tracked, updates = kernels._simulate_keys(
+            T[order], order, starts, counts, budget, est, f0, t_end
+        )
+        for i, (start, m) in enumerate(zip(starts.tolist(), counts.tolist())):
+            G = order[start : start + m]
+            dense = kernels._simulate_key_dense(T[G], G, budget, est, f0, t_end)
+            assert (int(tracked[i]), int(updates[i])) == dense, (trial, i, m)
+            keys += 1
+    assert keys > 1000

@@ -3,8 +3,8 @@
 WordCount (``count_one`` into a ``CountAggregator``) declares a block
 form (:meth:`~repro.queries.base.Query.block_form`): a fragment's
 partial is its length, computed in one call.  The same query with a
-look-alike map function has no block form and runs ``map_value`` +
-``add`` per tuple.  Over the Zipf/churn instance families of
+look-alike map function has no block form and runs its map function
+and ``add`` per tuple, through ``Aggregator.fold``.  Over the Zipf/churn instance families of
 ``test_kernels_property.py`` (skewed keys, weighted tuples, a drifting
 key universe) and several partitioners' blocks, both must give the same
 Map task result — clusters, partials and their order, the Reduce

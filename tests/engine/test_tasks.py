@@ -244,6 +244,9 @@ def test_float_sums_add_strictly_left_to_right():
     assert block0.partials["cab"] == strict  # Map: one fragment, four values
     output = execution.batch_output()
     assert output == {"cab": strict, "split": strict}  # Reduce: four partials
+    shipped = execute_map_task(_fare_batch().blocks[0].map_input(), query, TaskCostModel())
+    assert shipped[1]["cab"] == strict  # Map on a shipped value column
+    assert SumAggregator().fold("w", FLOATS, None) == (strict, 4)  # no map function
     windows = WindowedAggregator(query.aggregator, batches_per_window=4)
     for v in FLOATS:
         answer = windows.add_batch({"w": v})

@@ -7,11 +7,9 @@ import pytest
 from repro.partitioners import (
     PARTITIONER_NAMES,
     Partitioner,
-    all_paper_techniques,
     make_partitioner,
 )
 from repro.partitioners.cam import CAMPartitioner
-from repro.partitioners.prompt import PromptPartitioner
 
 
 def test_all_names_construct():
@@ -49,14 +47,6 @@ def test_kwargs_forwarded():
 def test_kwargs_rejected_for_fixed_variants():
     with pytest.raises(ValueError):
         make_partitioner("prompt-postsort", d=3)
-
-
-def test_all_paper_techniques_order_and_count():
-    techs = all_paper_techniques()
-    assert [t.name for t in techs] == [
-        "time", "shuffle", "hash", "pk2", "pk5", "cam", "prompt"
-    ]
-    assert isinstance(techs[-1], PromptPartitioner)
 
 
 def test_each_call_returns_fresh_instance():
