@@ -23,6 +23,7 @@ from repro.core import (
     ReduceBucketAllocator,
     evaluate_partition,
     hash_allocate,
+    kernels,
 )
 from repro.partitioners import PromptPartitioner
 from repro.workloads import synd_source, tweets_source
@@ -39,6 +40,7 @@ def test_ablation_accumulator_budget(benchmark, record_experiment):
 
     The budget bounds CountTree work to ~budget*K repositionings while
     the traversal stays near-sorted — the trade Figure 14a monetizes.
+    Each variant buffers the batch through Algorithm 1's kernel.
     """
     tuples = _tweets_batch()
 
@@ -56,9 +58,7 @@ def test_ablation_accumulator_budget(benchmark, record_experiment):
                                   expected_keys=4_000),
                 exact_updates=exact,
             )
-            acc.start_interval(INFO)
-            acc.accept_all(tuples)
-            batch = acc.finalize()
+            batch = kernels.accumulate_batch(tuples, INFO, acc).batch
             rows.append(
                 {
                     "Variant": label,

@@ -3,8 +3,8 @@
 Unlike the figure benches (single-shot experiment regenerations), these
 use pytest-benchmark's statistical machinery — multiple rounds, real
 timing distributions — on the operations a deployment would care about:
-accumulator ingestion, CountTree maintenance, Algorithm 2 partitioning,
-and Algorithm 3 allocation.
+accumulator ingestion (Algorithm 1's kernel, tree or sketch statistics),
+Algorithm 2 partitioning, and Algorithm 3 allocation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.batch import BatchInfo
 from repro.core.buffering import MicroBatchAccumulator
-from repro.core.count_tree import CountTree
+from repro.core.kernels import accumulate_batch
 from repro.core.reduce_allocator import KeyCluster, ReduceBucketAllocator
 from repro.core.sketch_accumulator import SketchMicroBatchAccumulator
 from repro.core.tuples import sorted_key_groups
@@ -32,13 +32,10 @@ def batch_tuples():
 
 
 def test_bench_accumulator_ingest(benchmark, batch_tuples):
-    """Algorithm 1 ingestion: HTable chaining + budgeted tree updates."""
+    """Algorithm 1 ingestion: per-key chains + the budgeted tree updates."""
 
     def ingest():
-        acc = MicroBatchAccumulator()
-        acc.start_interval(INFO)
-        acc.accept_all(batch_tuples)
-        return acc.finalize()
+        return accumulate_batch(batch_tuples, INFO, MicroBatchAccumulator()).batch
 
     batch = benchmark(ingest)
     assert batch.tuple_count == len(batch_tuples)
@@ -49,26 +46,10 @@ def test_bench_sketch_accumulator_ingest(benchmark, batch_tuples):
 
     def ingest():
         acc = SketchMicroBatchAccumulator(capacity=256)
-        acc.start_interval(INFO)
-        acc.accept_all(batch_tuples)
-        return acc.finalize()
+        return accumulate_batch(batch_tuples, INFO, acc).batch
 
     batch = benchmark(ingest)
     assert batch.tuple_count == len(batch_tuples)
-
-
-def test_bench_count_tree_updates(benchmark):
-    """Raw CountTree maintenance: 2k keys x 5 repositionings each."""
-
-    def churn():
-        tree = CountTree()
-        nodes = [tree.insert(i, 1) for i in range(2_000)]
-        for round_ in range(5):
-            for i, node in enumerate(nodes):
-                tree.update(node, node.count + (i % 7) + 1)
-        return len(tree)
-
-    assert benchmark(churn) == 2_000
 
 
 def test_bench_algorithm2_partition(benchmark, batch_tuples):

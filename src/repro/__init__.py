@@ -60,7 +60,6 @@ from .core import (
     AccumulatorConfig,
     AutoScaler,
     BatchInfo,
-    CountTree,
     ElasticityConfig,
     MicroBatchAccumulator,
     MPIWeights,
@@ -93,7 +92,6 @@ __all__ = [
     "AccumulatorConfig",
     "AutoScaler",
     "BatchInfo",
-    "CountTree",
     "ElasticityConfig",
     "EngineConfig",
     "ExecutorKind",

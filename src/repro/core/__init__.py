@@ -13,11 +13,9 @@ from .config import (
     PartitionerConfig,
     PromptConfig,
 )
-from .count_tree import CountNode, CountTree
 from .early_release import EarlyReleaseController, ReleaseWindow
 from .elasticity import AutoScaler, ScalingDecision, Zone
 from .hashing import candidate_buckets, hash_to_bucket, stable_hash
-from .htable import HTable, KeyRecord
 from .metrics import (
     PartitionQuality,
     block_cardinality_imbalance,
@@ -43,16 +41,12 @@ __all__ = [
     "AutoScaler",
     "BatchInfo",
     "BucketAssignment",
-    "CountNode",
-    "CountTree",
     "DataBlock",
     "EarlyReleaseConfig",
     "EarlyReleaseController",
     "ElasticityConfig",
-    "HTable",
     "KeyCluster",
     "KeyGroup",
-    "KeyRecord",
     "MPIWeights",
     "MicroBatchAccumulator",
     "PartitionQuality",

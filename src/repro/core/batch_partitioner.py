@@ -11,12 +11,12 @@ Two strategies are provided:
 - ``"greedy"`` (default) — the BestFitDecreasing realization.  The paper
   motivates its zigzag pass as achieving "the effect of
   BestFitDecreasing without the need and cost to maintain the block
-  sizes"; this strategy *does* maintain block state and picks, for each
-  key in quasi-sorted descending order, the lowest-cardinality block
-  with room (requirement 2 of Definition 1, ties broken BestFit),
-  fragmenting a key over the roomiest blocks only when no single block
-  can hold it (requirement 3).  Equal block sizes fall out of the
-  capacity bound (requirement 1).  O(K * B); B is small (<= cores).
+  sizes"; this strategy *does* maintain block state: split keys (size
+  > ``S_cut``) go LPT onto the least-loaded block, diced into chunks of
+  half a block or more (requirement 3: minimal fragments), then the
+  remaining keys are dealt zigzag over the blocks still below capacity
+  (requirements 1 and 2), and a rebalance pass drains any overshoot.
+  It runs in :func:`repro.core.kernels.plan_greedy`.
 
 - ``"zigzag"`` — the literal three-pass text of Algorithm 2: an
   ``S_cut`` split pass round-robin over blocks, a boustrophedon deal of
@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
+from . import kernels
 from .batch import BatchInfo, DataBlock, PartitionedBatch
 from .config import PartitionerConfig
 from .tuples import Key, KeyGroup, StreamTuple, _order_token
@@ -78,10 +79,6 @@ class _Residual:
     tuples: list[StreamTuple]
     home_block: int  # lookupLargePos(k): block holding the first fragment
 
-    @property
-    def size(self) -> int:
-        return sum(t.weight for t in self.tuples)
-
 
 class PromptBatchPartitioner:
     """Algorithm 2: partition a quasi-sorted batch into ``p`` data blocks."""
@@ -109,8 +106,13 @@ class PromptBatchPartitioner:
 
         ``key_groups`` must be (quasi-)sorted by descending size — the
         accumulator's traversal order.  The output's reference table
-        (``split_keys``) records every fragmented key.
+        (``split_keys``) records every fragmented key.  The blocks hold
+        copies of the groups' tuple lists, never the lists themselves.
         """
+        if self.strategy == "greedy":
+            return kernels.plan_greedy(
+                self, kernels.ingest_groups(key_groups, info), num_blocks
+            )
         if num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
         blocks = [DataBlock(i) for i in range(num_blocks)]
@@ -126,14 +128,11 @@ class PromptBatchPartitioner:
         p_card = max(1, len(key_groups) // num_blocks)
         s_cut = max(1, int((p_size / p_card) * self.config.split_cutoff_scale))
 
-        if self.strategy == "greedy":
-            self._greedy_assign(key_groups, blocks, placements, p_size, s_cut)
-        else:
-            residuals, whole_groups = self._split_pass(
-                key_groups, blocks, placements, s_cut
-            )
-            self._zigzag_pass(whole_groups, blocks, placements)
-            self._residual_pass(residuals, blocks, placements, p_size)
+        residuals, whole_groups = self._split_pass(
+            key_groups, blocks, placements, s_cut
+        )
+        self._zigzag_pass(whole_groups, blocks, placements)
+        self._residual_pass(residuals, blocks, placements, p_size)
 
         split_keys = {
             k: tuple(sorted(ixs)) for k, ixs in placements.items() if len(ixs) > 1
@@ -146,82 +145,8 @@ class PromptBatchPartitioner:
         )
 
     # ------------------------------------------------------------------
-    # greedy (LPT split + zigzag) strategy
+    # greedy strategy: phase 3, shared with the placement kernel
     # ------------------------------------------------------------------
-    def _greedy_assign(
-        self,
-        key_groups: Sequence[KeyGroup],
-        blocks: list[DataBlock],
-        placements: dict[Key, set[int]],
-        p_size: int,
-        s_cut: int,
-    ) -> None:
-        """BestFitDecreasing over split keys, then the zigzag deal.
-
-        Split keys (size > ``S_cut``) carry nearly all the size variance;
-        placing each on the currently least-loaded block (LPT — the
-        decreasing-order BestFit the zigzag pass emulates) equalizes the
-        per-block *split volume*, so the subsequent equal-count zigzag
-        deal of the remaining keys lands on blocks with equal headroom —
-        balancing size and cardinality simultaneously.  A key bigger
-        than half a block is diced into half-block chunks first
-        (requirement 3: minimal fragments, each split key touches
-        ``ceil(size / (p_size/2))`` blocks at most).
-
-        ``s_cut`` is the cutoff ``partition`` already derived from the
-        same ``p_size``/``p_card`` (line 3 of Algorithm 2) — passed
-        through rather than recomputed so the two strategies can never
-        drift apart under a ``split_cutoff_scale``/``p_card`` change.
-        """
-        # Chunk size for dicing hot keys: at least half a block (so no
-        # block is monopolized under extreme skew and every block keeps
-        # headroom for small keys), but when the expected per-block
-        # cardinality is tiny (keys comparable to blocks, the Figure 5/6
-        # regime) chunks grow toward a full block so each hot key spans
-        # the minimal number of blocks.
-        chunk_cap = max(1, max(p_size // 2, min(p_size - 1, 2 * s_cut)))
-
-        split_groups = [g for g in key_groups if g.size > s_cut]
-        small_groups = [g for g in key_groups if g.size <= s_cut]
-
-        # Phase 1: LPT placement of split keys, diced to chunks.  The
-        # chain is walked with an index cursor — each chunk slices only
-        # its own span, so a mega-key diced into c chunks copies O(n)
-        # tuples total, not the O(c*n) that re-slicing the remaining
-        # chain per chunk would.
-        for group in split_groups:
-            placed = placements.setdefault(group.key, set())
-            tuples: Sequence[StreamTuple] = group.tuples
-            n = len(tuples)
-            start = 0
-            while start < n:
-                # Shortest span whose weight reaches the chunk cap (the
-                # tail chunk takes whatever remains below it), exactly
-                # _split_with_weight's prefix rule.
-                acc = 0
-                end = start
-                while end < n:
-                    acc += tuples[end].weight
-                    end += 1
-                    if acc >= chunk_cap:
-                        break
-                target = min(blocks, key=lambda b: (b.size, b.cardinality, b.index))
-                target.add_fragment(group.key, tuples[start:end])
-                placed.add(target.index)
-                start = end
-
-        # Phase 2: zigzag deal of the small keys (equal counts per block;
-        # quasi-sorted order keeps per-pass sizes comparable).  Blocks
-        # already filled by hot-key chunks sit out (capacity awareness —
-        # under extreme skew a block can be mostly hot key).
-        self._zigzag_pass(small_groups, blocks, placements, capacity=p_size)
-
-        # Phase 3: smooth the leftover size imbalance by relocating the
-        # smallest fragments from overfull blocks to underfull ones —
-        # cheap (touches only the slack), and only non-split singles
-        # move so KSR is unaffected.
-        self._rebalance_sizes(blocks, placements, p_size)
-
     def _rebalance_sizes(
         self,
         blocks: list[DataBlock],
@@ -366,21 +291,12 @@ class PromptBatchPartitioner:
         key_groups: Sequence[KeyGroup],
         blocks: list[DataBlock],
         placements: dict[Key, set[int]],
-        capacity: int | None = None,
     ) -> None:
-        """Lines 10-16: deal unsplit keys one per block, reversing each pass.
-
-        With ``capacity`` set, blocks at or over it sit out the deal
-        (re-checked at every pass boundary); if everything is full the
-        deal continues over all blocks — the rebalance phase mops up.
-        """
+        """Lines 10-16: deal unsplit keys one per block, reversing each pass."""
         order = [b.index for b in blocks]
         i = len(order)  # force order (re)build on first key
         for group in key_groups:
             if i >= len(order):
-                if capacity is not None:
-                    open_ixs = [b.index for b in blocks if b.size < capacity]
-                    order = open_ixs if open_ixs else [b.index for b in blocks]
                 order.reverse()
                 i = 0
             target = order[i]

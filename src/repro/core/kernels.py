@@ -1,13 +1,12 @@
-"""Batch-at-a-time kernels for the ingest → quasi-sort → placement path.
+"""Algorithms 1 and 2, batch-at-a-time on numpy.
 
-The pure-Python path (``MicroBatchAccumulator`` + ``PromptBatchPartitioner``)
-pays Python-interpreter cost *per tuple*: a dict probe, attribute updates
-and an eligibility check for every arrival, then ``O(log K)`` AVL node
-moves for the updates that fire.  At high arrival rates that per-tuple
-constant — not the algorithms — is the single-node ceiling.
-
-This module reimplements the same two algorithms batch-at-a-time on
-numpy, exploiting two structural facts:
+The paper's Algorithm 1 is a per-tuple loop: a dict probe, attribute
+updates and an eligibility check for every arrival, then ``O(log K)``
+CountTree moves for the updates that fire.  At high arrival rates that
+per-tuple constant — not the algorithm — is the single-node ceiling.
+These kernels are the only implementation of Algorithms 1 and 2 a run
+takes; they compute the same outcome an interval at a time, on two
+structural facts:
 
 1. **The CountTree never needs to exist.**  Its nodes are ordered by
    ``(count, _order_token(key))`` and the token is unique per key, so the
@@ -29,11 +28,12 @@ numpy, exploiting two structural facts:
    fills — expressible as slice assignments over a sorted size array,
    one numpy step per run of passes instead of per key.
 
-Both kernels are *bit-compatible* with the pure-Python oracle: identical
-quasi-sort order, tracked counts, tree-update totals, block contents,
-placements and ``split_keys`` (the differential/property suites enforce
-this).  All float comparisons replicate the oracle's exact expressions
-(e.g. ``T[j] - last_update >= t_step``, never the algebraically equal
+The oracle is the paper's pseudocode, transcribed tuple by tuple in
+``tests/oracle/prompt_spec.py``; the property suites hold the kernels
+*bit-compatible* with it: identical quasi-sort order, tracked counts,
+tree-update totals, block contents, placements and ``split_keys``.  All
+float comparisons replicate the pseudocode's exact expressions (e.g.
+``T[j] - last_update >= t_step``, never the algebraically equal
 ``T[j] >= last_update + t_step``), and every number stored into output
 structures is converted back to a Python ``int``/``float``.
 """
@@ -52,6 +52,7 @@ import numpy as np
 
 from .batch import BatchInfo, DataBlock, PartitionedBatch
 from .buffering import AccumulatedBatch, MicroBatchAccumulator
+from .sketch_accumulator import SketchMicroBatchAccumulator
 from .tuples import Key, KeyGroup, StreamTuple, _order_tokens
 
 if TYPE_CHECKING:
@@ -60,6 +61,7 @@ if TYPE_CHECKING:
 __all__ = [
     "KernelIngest",
     "accumulate_batch",
+    "ingest_groups",
     "plan_greedy",
 ]
 
@@ -68,50 +70,8 @@ _GET_TS = attrgetter("ts")
 _GET_WEIGHT = attrgetter("weight")
 
 
-def _simulate_key_dense(T, G, budget, est, f0, t_end):
-    """Per-arrival transliteration of Algorithm 1's update mechanism.
-
-    ``T`` holds one key's arrival times (ascending arrival order), ``G``
-    the matching 0-based global stream indexes.  Returns the key's final
-    tracked count and the number of CountTree updates it consumed.
-
-    This is the reference recurrence (the test oracle); ``_simulate_keys``
-    computes the same answer for all of a batch's keys at once.
-    """
-    fu = 1
-    lut = T[0]
-    f_step = f0
-    t_step = max(t_end - T[0], 0.0) / budget
-    budget_left = budget
-    tracked = 1
-    updates = 0
-    for j in range(1, len(T)):
-        if budget_left <= 0:
-            break
-        freq = j + 1
-        when = T[j]
-        if freq - fu >= f_step:
-            tracked = freq
-            fu = freq
-            lut = when
-            budget_left -= 1
-            updates += 1
-            n_c = G[j] + 1
-            share = freq / n_c
-            step = (est / budget) * share
-            f_step = max(1, int(step))
-        elif when - lut >= t_step:
-            tracked = freq
-            fu = freq
-            lut = when
-            budget_left -= 1
-            updates += 1
-            t_step = max(t_end - when, 0.0) / max(1, budget_left)
-    return tracked, updates
-
-
 def _simulate_keys(ts, order, starts, counts, budget, est, f0, t_end):
-    """:func:`_simulate_key_dense` for many keys at once, one round per event.
+    """Algorithm 1's update mechanism for many keys at once, one round per event.
 
     ``ts`` holds the batch's arrival times in key-sorted order and
     ``order`` the matching 0-based global stream indexes (the key
@@ -127,11 +87,11 @@ def _simulate_keys(ts, order, starts, counts, budget, est, f0, t_end):
     update and before ``jA`` with ``T[j] - last_update >= t_step`` —
     one masked compare over all keys' scan ranges concatenated (arrival
     times need not be monotone: late tuples are admitted).  The
-    frequency branch wins ties, as the oracle checks it first.  A key
+    frequency branch wins ties, as the pseudocode checks it first.  A key
     with neither trigger left is done; the rest have spent one more
     update, so ``budget_left`` is the same for every active key and the
     loop runs at most ``budget`` rounds.  The float expressions are the
-    oracle's, evaluated in float64.
+    pseudocode's, evaluated in float64.
     """
     tracked = np.ones(starts.size, dtype=np.int64)  # == f.updated
     updates = np.zeros(starts.size, dtype=np.int64)
@@ -210,7 +170,7 @@ class KernelIngest:
 
 
 def _key_groups_view(ordered, keys, starts, ends, tracked, desc) -> list[KeyGroup]:
-    """The oracle's quasi-sorted ``KeyGroup`` list, built on demand.
+    """Algorithm 1's quasi-sorted ``KeyGroup`` list, built on demand.
 
     Each group's tuples are a *new* slice of the key-sorted tuple list
     ``ordered`` (``starts``/``ends``/``tracked`` are indexed by key
@@ -233,26 +193,24 @@ def _key_groups_view(ordered, keys, starts, ends, tracked, desc) -> list[KeyGrou
 def accumulate_batch(
     tuples: Sequence[StreamTuple],
     info: BatchInfo,
-    accumulator: MicroBatchAccumulator,
+    accumulator: MicroBatchAccumulator | SketchMicroBatchAccumulator,
 ) -> KernelIngest:
     """Algorithm 1 over a whole interval's tuples, batch-at-a-time.
 
-    Produces the same :class:`AccumulatedBatch` the accumulator's
-    ``start_interval``/``accept_all``/``finalize`` cycle would — same
-    quasi-sort order, tracked counts and update totals — and feeds the
-    interval's totals into the accumulator's ``N_est``/``K_avg`` history
-    so cross-batch adaptation stays identical.
+    With a :class:`MicroBatchAccumulator` this is the paper's budgeted
+    CountTree: the quasi-sort order, tracked counts and update totals
+    of the per-tuple pseudocode, and the interval's totals feed the
+    accumulator's ``N_est``/``K_avg`` history for the next interval.
+    With a :class:`SketchMicroBatchAccumulator` the order comes from
+    Space-Saving statistics instead (no tree updates).
     """
     if info.t_end <= info.t_start:
         raise ValueError(f"empty batch interval: {info}")
-    config = accumulator.config
-    budget = config.budget
-    est = accumulator.estimated_tuples()
-    f0 = max(1, est // (accumulator.average_keys() * budget))
-
+    tree = isinstance(accumulator, MicroBatchAccumulator)
     n = len(tuples)
     if n == 0:
-        accumulator.record_interval_stats(0, 0)
+        if tree:
+            accumulator.record_interval_stats(0, 0)
         batch = AccumulatedBatch(
             info=info, key_groups=[], tuple_count=0, total_weight=0, tree_updates=0
         )
@@ -304,34 +262,42 @@ def accumulate_batch(
     ends_l = (starts + counts).tolist()
     chains = list(map(ordered.__getitem__, map(slice, starts_l, ends_l)))
 
-    # -- Algorithm 1's budget recurrence, all repeated keys at once -----
     tree_updates = 0
-    if accumulator.exact_updates:
-        # Every arrival refreshes the tree: counts are exact and each
-        # non-first arrival is one update.
-        tracked = counts.tolist()
-        tree_updates = int((counts - 1).sum())
+    if not tree:
+        tracked, desc = accumulator.order(keys_col, code_of, counts)
     else:
-        # A key seen once is tracked at 1 with no update; only the
-        # repeated keys run the recurrence.
-        repeated = np.flatnonzero(counts > 1)
-        tracked_arr = np.ones(num_keys, dtype=np.int64)
-        if repeated.size:
-            ts = np.fromiter(map(_GET_TS, tuples), dtype=np.float64, count=n)[order]
-            tracked_arr[repeated], updates = _simulate_keys(
-                ts, order, starts[repeated], counts[repeated], budget, est, f0, info.t_end
-            )
-            tree_updates = int(updates.sum())
-        tracked = tracked_arr.tolist()
+        # -- Algorithm 1's budget recurrence, all repeated keys at once --
+        if accumulator.exact_updates:
+            # Every arrival refreshes the tree: counts are exact and each
+            # non-first arrival is one update.
+            tracked = counts.tolist()
+            tree_updates = int((counts - 1).sum())
+        else:
+            # A key seen once is tracked at 1 with no update; only the
+            # repeated keys run the recurrence.
+            budget = accumulator.config.budget
+            est = accumulator.estimated_tuples()
+            f0 = max(1, est // (accumulator.average_keys() * budget))
+            repeated = np.flatnonzero(counts > 1)
+            tracked_arr = np.ones(num_keys, dtype=np.int64)
+            if repeated.size:
+                ts = np.fromiter(map(_GET_TS, tuples), dtype=np.float64, count=n)[order]
+                tracked_arr[repeated], updates = _simulate_keys(
+                    ts, order, starts[repeated], counts[repeated], budget, est, f0,
+                    info.t_end,
+                )
+                tree_updates = int(updates.sum())
+            tracked = tracked_arr.tolist()
 
-    # -- quasi-sort: descending (count, order-token) ---------------------
-    # The CountTree orders nodes by (count, token) with unique tokens,
-    # so its descending traversal equals this sort exactly — done as two
-    # stable passes (token, then count) so neither builds a tuple or
-    # enters a Python frame per key.
-    tokens = _order_tokens(keys)
-    desc = sorted(range(num_keys), key=tokens.__getitem__, reverse=True)
-    desc.sort(key=tracked.__getitem__, reverse=True)
+        # -- quasi-sort: descending (count, order-token) -----------------
+        # The CountTree orders nodes by (count, token) with unique tokens,
+        # so its descending traversal equals this sort exactly — done as
+        # two stable passes (token, then count) so neither builds a tuple
+        # or enters a Python frame per key.
+        tokens = _order_tokens(keys)
+        desc = sorted(range(num_keys), key=tokens.__getitem__, reverse=True)
+        desc.sort(key=tracked.__getitem__, reverse=True)
+        accumulator.record_interval_stats(n, num_keys)
 
     keys_q = list(map(keys.__getitem__, desc))
     batch = AccumulatedBatch.deferred(
@@ -342,7 +308,6 @@ def accumulate_batch(
         total_weight=total_w,
         tree_updates=tree_updates,
     )
-    accumulator.record_interval_stats(n, num_keys)
     if unit_weights:
         chain_weights = None
     else:
@@ -361,6 +326,37 @@ def accumulate_batch(
     )
 
 
+def ingest_groups(key_groups: Sequence[KeyGroup], info: BatchInfo) -> KernelIngest:
+    """:func:`plan_greedy`'s input columns from caller-built key groups.
+
+    Each group's tuples are copied once (a slice), so the blocks adopt
+    lists of their own and never one the caller still holds.
+    """
+    chains = [g.tuples[:] for g in key_groups]
+    sizes = np.fromiter(
+        (sum(map(_GET_WEIGHT, chain)) for chain in chains),
+        dtype=np.int64,
+        count=len(chains),
+    )
+    tuple_count = sum(map(len, chains))
+    total_w = int(sizes.sum())
+    unit_weights = total_w == tuple_count
+    batch = AccumulatedBatch(info, list(key_groups), tuple_count, total_w, 0)
+    return KernelIngest(
+        batch=batch,
+        keys=[g.key for g in key_groups],
+        chains=chains,
+        sizes=sizes,
+        unit_weights=unit_weights,
+        chain_weights=None
+        if unit_weights
+        else [
+            np.fromiter(map(_GET_WEIGHT, chain), dtype=np.int64, count=len(chain))
+            for chain in chains
+        ],
+    )
+
+
 def plan_greedy(
     partitioner: "PromptBatchPartitioner",
     ingest: KernelIngest,
@@ -368,12 +364,12 @@ def plan_greedy(
 ) -> PartitionedBatch:
     """Algorithm 2 (greedy strategy) over :func:`accumulate_batch`'s columns.
 
-    Mirrors ``PromptBatchPartitioner.partition(strategy="greedy")``
-    phase by phase: LPT dicing of split keys (one heap step for a key
-    that fits one chunk), the capacity-aware zigzag deal batched one run
-    of passes per numpy step, one bulk install per block, and the
-    partitioner's own rebalance pass — so the output is identical by
-    construction, not by approximation.
+    Phase 1 places the split keys LPT, diced to chunks (one heap step
+    for a key that fits one chunk); phase 2 is the capacity-aware
+    zigzag deal, batched one run of passes per numpy step; each block
+    is installed in bulk; phase 3 is the partitioner's own rebalance
+    pass.  ``PromptBatchPartitioner.partition(strategy="greedy")`` runs
+    this too, over :func:`ingest_groups`' columns.
 
     A key placed whole (every dealt key, and a split key that fits one
     chunk) gets the ingest's own chain list: the blocks adopt
@@ -514,8 +510,7 @@ def plan_greedy(
         )
     )
 
-    # Phase 3: identical by reuse — the oracle's own rebalance pass runs
-    # on these blocks.
+    # Phase 3: the partitioner's rebalance pass (the spec runs it too).
     partitioner._rebalance_sizes(blocks, placements, p_size)
 
     # The reference table: a C-level compress picks the split keys out

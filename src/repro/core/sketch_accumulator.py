@@ -1,4 +1,4 @@
-"""Sketch-backed micro-batch accumulator (tuple-at-a-time style stats).
+"""Sketch-backed micro-batch ordering (tuple-at-a-time style stats).
 
 An alternative to Algorithm 1's CountTree: instead of a balanced BST of
 (approximate) counts with budgeted repositioning, keep a
@@ -12,104 +12,50 @@ the long tail is emitted in arrival order.
 Algorithm 2 tolerates that (the split pass scans the whole list and
 small keys are placement-insensitive), so this accumulator trades
 partition quality on mid-weight keys for per-tuple cheapness — the
-sketch-vs-tree ablation quantifies the trade.
+sketch-vs-tree ablation quantifies the trade.  The interval's chains
+come from :func:`repro.core.kernels.accumulate_batch`'s column build;
+this module decides only their order.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .batch import BatchInfo
-from .buffering import AccumulatedBatch
 from .sketches import SpaceSavingSketch
-from .tuples import Key, KeyGroup, StreamTuple
+from .tuples import Key
 
 __all__ = ["SketchMicroBatchAccumulator"]
 
 
 class SketchMicroBatchAccumulator:
-    """Buffer tuples with Space-Saving statistics instead of a CountTree."""
+    """Order an interval's keys by Space-Saving statistics, not a CountTree."""
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.sketch = SpaceSavingSketch(capacity)
-        self._chains: dict[Key, list[StreamTuple]] = {}
-        self._info: Optional[BatchInfo] = None
-        self._tuple_count = 0
-        self._weight = 0
 
-    # ------------------------------------------------------------------
-    @property
-    def info(self) -> BatchInfo:
-        if self._info is None:
-            raise RuntimeError("accumulator has no open interval; call start_interval")
-        return self._info
+    def order(
+        self, keys_col: list[Key], code_of: dict[Key, int], counts
+    ) -> tuple[list[int], list[int]]:
+        """Tracked counts by key code, and the key codes in emission order.
 
-    @property
-    def tuple_count(self) -> int:
-        return self._tuple_count
-
-    @property
-    def key_count(self) -> int:
-        return len(self._chains)
-
-    # ------------------------------------------------------------------
-    def start_interval(self, info: BatchInfo) -> None:
-        if info.t_end <= info.t_start:
-            raise ValueError(f"empty batch interval: {info}")
-        self._chains.clear()
-        self.sketch.clear()
-        self._info = info
-        self._tuple_count = 0
-        self._weight = 0
-
-    def accept(self, t: StreamTuple, now: float | None = None) -> None:
-        """Chain the tuple under its key; O(1) sketch update."""
-        self.info  # raises if no interval open
-        chain = self._chains.get(t.key)
-        if chain is None:
-            self._chains[t.key] = [t]
-        else:
-            chain.append(t)
-        self.sketch.add(t.key)
-        self._tuple_count += 1
-        self._weight += t.weight
-
-    def accept_all(self, tuples) -> None:
-        for t in tuples:
-            self.accept(t)
-
-    def finalize(self) -> AccumulatedBatch:
-        """Emit heavy hitters (sketch order) first, then the untracked tail.
-
-        ``tracked_count`` carries the sketch estimate for tracked keys
-        and the exact chain length otherwise (the tail is exact anyway —
-        its keys just are not *ordered*).
+        ``keys_col`` is the interval's key column in arrival order,
+        ``code_of`` numbers its keys in first-appearance order and
+        ``counts`` holds each code's exact tuple count.  Heavy hitters
+        come first, in sketch order (descending estimate), tracked at
+        their estimate; the untracked tail follows in first-appearance
+        order, tracked at its exact count.
         """
-        info = self.info
-        groups: list[KeyGroup] = []
-        seen: set[Key] = set()
-        for key, estimate in self.sketch.items():
-            chain = self._chains.get(key)
-            if chain is None:
-                continue  # evicted key re-tracked under an old identity
-            groups.append(KeyGroup(key=key, tuples=chain, tracked_count=estimate))
-            seen.add(key)
-        for key, chain in self._chains.items():
-            if key not in seen:
-                groups.append(
-                    KeyGroup(key=key, tuples=chain, tracked_count=len(chain))
-                )
-        batch = AccumulatedBatch(
-            info=info,
-            key_groups=groups,
-            tuple_count=self._tuple_count,
-            total_weight=self._weight,
-            tree_updates=0,
-        )
-        self._chains = {}
-        self.sketch.clear()
-        self._info = None
-        return batch
+        sketch = self.sketch
+        sketch.clear()
+        add = sketch.add
+        for key in keys_col:
+            add(key)
+        tracked = counts.tolist()
+        head = []
+        for key, estimate in sketch.items():
+            code = code_of[key]
+            tracked[code] = estimate
+            head.append(code)
+        in_head = set(head)
+        return tracked, head + [c for c in range(len(tracked)) if c not in in_head]

@@ -1,7 +1,7 @@
 """Approximate frequency sketch: Space-Saving.
 
-Prompt's accumulator (Algorithm 1) keeps *exact* per-key statistics in
-the HTable — affordable because micro-batches bound the state to one
+Prompt's accumulator (Algorithm 1) keeps *exact* per-key chains and
+counts — affordable because micro-batches bound the state to one
 interval.  The tuple-at-a-time systems Prompt is compared against
 cannot do that: Gedik's partitioning for System S relies on *lossy
 counting*, and the key-splitting family detects heavy hitters with
@@ -9,11 +9,11 @@ counting*, and the key-splitting family detects heavy hitters with
 implementation serves two purposes:
 
 - an alternative accumulator statistic for extreme-cardinality streams
-  (millions of keys per batch) where even one HTable node per key is
+  (millions of keys per batch) where even one HTable record per key is
   too much;
-- the substrate for the sketch-vs-exact ablation
-  (`benchmarks/test_ablations_sketch.py`) and the key-splitting rivals'
-  heavy-hitter detection.
+- the substrate for the sketch-vs-tree ablation
+  (``benchmarks/test_ablations.py::test_ablation_sketch_vs_tree_statistics``)
+  and the key-splitting rivals' heavy-hitter detection.
 
 Its interface is ``add(key)``, ``estimate(key)``,
 ``heavy_hitters(threshold)``, ``items()``.
@@ -34,6 +34,7 @@ class _Counter:
     key: Key
     count: int
     error: int  # maximum overestimation of ``count``
+    token: str  # ``_order_token(key)``, formatted once per counter
 
 
 class SpaceSavingSketch:
@@ -73,16 +74,15 @@ class SpaceSavingSketch:
         if counter is not None:
             counter.count += count
             return
+        token = _order_token(key)
         if len(self._counters) < self.capacity:
-            self._counters[key] = _Counter(key=key, count=count, error=0)
+            self._counters[key] = _Counter(key=key, count=count, error=0, token=token)
             return
         # Evict the minimum counter; the newcomer inherits its count.
-        victim = min(
-            self._counters.values(), key=lambda c: (c.count, _order_token(c.key))
-        )
+        victim = min(self._counters.values(), key=lambda c: (c.count, c.token))
         del self._counters[victim.key]
         self._counters[key] = _Counter(
-            key=key, count=victim.count + count, error=victim.count
+            key=key, count=victim.count + count, error=victim.count, token=token
         )
 
     def estimate(self, key: Key) -> int:
@@ -106,19 +106,13 @@ class SpaceSavingSketch:
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"threshold must be in (0, 1), got {threshold}")
         cut = threshold * self._total
-        out = [
-            (c.key, c.count)
-            for c in self._counters.values()
-            if c.count - c.error > cut
-        ]
-        out.sort(key=lambda kv: (-kv[1], _order_token(kv[0])))
-        return out
+        hitters = [c for c in self._counters.values() if c.count - c.error > cut]
+        hitters.sort(key=lambda c: (-c.count, c.token))
+        return [(c.key, c.count) for c in hitters]
 
     def items(self) -> Iterator[tuple[Key, int]]:
         """Tracked (key, estimate) pairs, descending by estimate."""
-        ordered = sorted(
-            self._counters.values(), key=lambda c: (-c.count, _order_token(c.key))
-        )
+        ordered = sorted(self._counters.values(), key=lambda c: (-c.count, c.token))
         return iter([(c.key, c.count) for c in ordered])
 
     def clear(self) -> None:

@@ -34,7 +34,7 @@ from ..core.sketch_accumulator import SketchMicroBatchAccumulator
 from ..core.tuples import Key, StreamTuple, sorted_key_groups
 from .base import Partitioner
 
-__all__ = ["PromptPartitioner", "ReferencePromptPartitioner"]
+__all__ = ["PromptPartitioner"]
 
 
 class PromptPartitioner(Partitioner):
@@ -86,15 +86,6 @@ class PromptPartitioner(Partitioner):
         )
         self.last_batch: AccumulatedBatch | None = None
 
-    def _kernel_active(self) -> bool:
-        """Whether this call takes the array kernels of :mod:`repro.core.kernels`.
-
-        The kernels replicate the CountTree accumulator; the sketch
-        accumulator and the post-sort ablation measure *different*
-        mechanisms, so they always run their own (Python) code.
-        """
-        return self.stats == "tree" and not self.post_sort
-
     def reset(self) -> None:
         """Forget cross-batch state, including the accumulator's adaptive
         N_est/K_avg history, so a fresh run replays identically."""
@@ -131,26 +122,6 @@ class PromptPartitioner(Partitioner):
             self.last_batch = None
             return batch
 
-        if self._kernel_active():
-            batch, accumulated = self._partition_kernels(tuples, num_blocks, info)
-        else:
-            batch, accumulated = self._partition_reference(tuples, num_blocks, info)
-        self.last_batch = accumulated
-        self.metrics.counter(
-            "prompt_tree_updates_total",
-            "CountTree updates spent by Algorithm 1's per-key budget",
-        ).inc(accumulated.tree_updates)
-        self.metrics.gauge(
-            "prompt_accumulator_keys",
-            "Distinct keys the accumulator tracked in the last interval",
-        ).set(accumulated.key_count)
-        return batch
-
-    def _partition_kernels(
-        self, tuples: Sequence[StreamTuple], num_blocks: int, info: BatchInfo
-    ) -> tuple[PartitionedBatch, AccumulatedBatch]:
-        """Algorithms 1-2 batch-at-a-time on the array kernels."""
-        assert isinstance(self.accumulator, MicroBatchAccumulator)
         buffering_started = time.perf_counter()
         ingest = kernels.accumulate_batch(tuples, info, self.accumulator)
         accumulated = ingest.batch
@@ -163,29 +134,16 @@ class PromptPartitioner(Partitioner):
             )
         batch.plan_elapsed = time.perf_counter() - started
         batch.buffer_elapsed = started - buffering_started
-        return batch, accumulated
-
-    def _partition_reference(
-        self, tuples: Sequence[StreamTuple], num_blocks: int, info: BatchInfo
-    ) -> tuple[PartitionedBatch, AccumulatedBatch]:
-        """Algorithms 1-2 tuple-at-a-time on HTable + CountTree + DataBlocks.
-
-        The oracle the kernels are differentially tested against
-        (:class:`ReferencePromptPartitioner`), and the path
-        ``prompt-sketch`` runs: the kernels do not replicate its sketch
-        accumulator.
-        """
-        buffering_started = time.perf_counter()
-        self.accumulator.start_interval(info)
-        self.accumulator.accept_all(tuples)
-        accumulated = self.accumulator.finalize()
-        started = time.perf_counter()
-        batch = self.batch_partitioner.partition(
-            accumulated.key_groups, num_blocks, info
-        )
-        batch.plan_elapsed = time.perf_counter() - started
-        batch.buffer_elapsed = started - buffering_started
-        return batch, accumulated
+        self.last_batch = accumulated
+        self.metrics.counter(
+            "prompt_tree_updates_total",
+            "CountTree updates spent by Algorithm 1's per-key budget",
+        ).inc(accumulated.tree_updates)
+        self.metrics.gauge(
+            "prompt_accumulator_keys",
+            "Distinct keys the accumulator tracked in the last interval",
+        ).set(accumulated.key_count)
+        return batch
 
     def heartbeat_overhead(self, batch: PartitionedBatch) -> float:
         """Post-sort pays an explicit K log K sort inside the heartbeat.
@@ -221,15 +179,3 @@ class PromptPartitioner(Partitioner):
         module-level function instead.
         """
         return bpvc_reduce_allocation
-
-
-class ReferencePromptPartitioner(PromptPartitioner):
-    """Prompt on the object-graph path only — the kernels' test oracle.
-
-    Deliberately absent from the registry, the CLI and ``repro.__all__``:
-    no run takes this class; the differential suites compare the
-    kernels against it.
-    """
-
-    def _kernel_active(self) -> bool:
-        return False

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from collections.abc import Sequence as CollectionsSequence
 
-from repro.core.batch import BatchInfo, DataBlock
+from repro.core.batch import BatchInfo
 from repro.core.batch_partitioner import PromptBatchPartitioner, _split_with_weight
 from repro.core.config import PartitionerConfig
 from repro.core.metrics import evaluate_partition
@@ -338,17 +338,17 @@ def test_mega_key_dicing_is_linear():
 
 
 def test_greedy_assign_honors_passed_cutoff():
-    """``_greedy_assign`` must use the cutoff ``partition`` hands it.
+    """The greedy entry splits by the cutoff ``partition`` derives from
+    its config (line 3 of Algorithm 2), not by one of its own.
 
-    The pre-fix code silently recomputed ``s_cut`` from the key groups
-    (yielding 10 here, so nothing would split); the caller's value must
-    be authoritative so the two code paths can never drift apart.
+    Four keys of 10 over 4 blocks give ``S_cut = 10 * scale``: at the
+    default scale no key is a split key, at 0.4 (``S_cut = 4``) every
+    key is one, diced into chunks of 8 and 2.
     """
-    part = PromptBatchPartitioner()
     groups = _groups({k: 10 for k in "abcd"})
-    blocks = [DataBlock(i) for i in range(4)]
-    placements: dict = {}
-    part._greedy_assign(groups, blocks, placements, p_size=10, s_cut=4)
-    # With the caller's cutoff of 4 every size-10 key is a split key.
-    assert placements
-    assert all(len(ixs) > 1 for ixs in placements.values())
+    whole = PromptBatchPartitioner().partition(groups, 4, INFO)
+    assert not whole.split_keys
+    part = PromptBatchPartitioner(PartitionerConfig(split_cutoff_scale=0.4))
+    batch = part.partition(groups, 4, INFO)
+    assert sorted(batch.split_keys) == list("abcd")
+    assert all(len(ixs) > 1 for ixs in batch.split_keys.values())

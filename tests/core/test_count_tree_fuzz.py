@@ -1,24 +1,14 @@
-"""Seeded fuzz of CountTree invariants and Algorithm 1's update budget.
+"""Seeded fuzz of Algorithm 1's count-tree order and update budget.
 
-Two layers of randomized checking:
+Random tuple streams through :func:`~repro.core.kernels.accumulate_batch`
+on a :class:`MicroBatchAccumulator` under varying ``budget`` settings
+(which drive both ``f.step`` and ``t.step``), asserting the budget
+mechanism's contract on each interval's batch:
 
-1. **Tree-level** — random insert/update/remove/clear sequences against
-   ``CountTree.check_invariants()`` (AVL balance, exact heights, parent
-   links, BST order on ``(count, token)``, size bookkeeping) plus an
-   independent sortedness oracle over ``in_order()``.
-
-2. **Accumulator-level** — random tuple streams through
-   :class:`MicroBatchAccumulator` under varying ``budget`` settings
-   (which drive both ``f.step`` and ``t.step``), asserting the budget
-   mechanism's contract after *every* accepted tuple:
-
-   - ``budget_left`` never goes negative;
-   - while a key still has budget, its tracked count never drifts by
-     ``f.step`` or more (a drift of ``f.step`` must have triggered an
-     update and reset to zero);
-   - total tree repositionings stay within ``budget * K``;
-   - ``finalize()`` returns every key exactly once with its exact tuple
-     chain, ordered by non-increasing tracked count.
+- total tree repositionings stay within ``budget * K``;
+- every key comes back exactly once with its exact tuple chain, and a
+  tracked count never above its exact count;
+- the order is the CountTree's traversal: non-increasing tracked count.
 
 Each sequence is driven by ``random.Random(seed)`` with the seed in the
 test id, so failures replay deterministically.
@@ -33,99 +23,10 @@ import pytest
 from repro.core.batch import BatchInfo
 from repro.core.buffering import MicroBatchAccumulator
 from repro.core.config import AccumulatorConfig
-from repro.core.count_tree import CountTree
-from repro.core.tuples import StreamTuple, _order_token
+from repro.core.kernels import accumulate_batch
+from repro.core.tuples import StreamTuple
 
 
-def _assert_sorted(tree: CountTree, live: dict) -> None:
-    """Oracle: traversal equals an independent sort of the live handles."""
-    tree.check_invariants()
-    walked = [(n.count, _order_token(n.key)) for n in tree.in_order()]
-    assert walked == sorted(walked)
-    expected = sorted((count, _order_token(key)) for key, count in live.items())
-    assert walked == expected
-    assert len(tree) == len(live)
-    assert list(tree.in_order_desc()) == list(tree.in_order())[::-1]
-    if live:
-        assert tree.min_node().sort_key() == walked[0]
-        assert tree.max_node().sort_key() == walked[-1]
-    else:
-        assert tree.min_node() is None and tree.max_node() is None
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 42, 1234])
-def test_count_tree_random_op_sequences(seed):
-    rng = random.Random(seed)
-    tree = CountTree()
-    nodes: dict[str, object] = {}  # key -> CountNode handle
-    counts: dict[str, int] = {}  # independent model of live contents
-    next_key = 0
-    for step in range(400):
-        op = rng.random()
-        if op < 0.45 or not nodes:
-            key = f"k{next_key}"
-            next_key += 1
-            count = rng.randint(1, 50)
-            nodes[key] = tree.insert(key, count)
-            counts[key] = count
-        elif op < 0.80:
-            key = rng.choice(list(nodes))
-            # includes new_count == old count: update must be a no-op
-            new_count = rng.randint(1, 50)
-            tree.update(nodes[key], new_count)
-            counts[key] = new_count
-        elif op < 0.98:
-            key = rng.choice(list(nodes))
-            tree.remove(nodes.pop(key))
-            del counts[key]
-        else:
-            tree.clear()
-            nodes.clear()
-            counts.clear()
-        if step % 7 == 0:  # full O(n) oracle periodically, not every op
-            _assert_sorted(tree, counts)
-    _assert_sorted(tree, counts)
-
-
-@pytest.mark.parametrize("seed", [3, 11])
-def test_count_tree_duplicate_counts_and_churn(seed):
-    """Many equal counts stress the (count, token) tie-break ordering."""
-    rng = random.Random(seed)
-    tree = CountTree()
-    nodes = {}
-    counts = {}
-    for i in range(120):
-        key = f"dup{i}"
-        count = rng.randint(1, 4)  # heavy duplication
-        nodes[key] = tree.insert(key, count)
-        counts[key] = count
-    _assert_sorted(tree, counts)
-    # churn every node through an update, then drain in random order
-    for key in list(nodes):
-        counts[key] = rng.randint(1, 4)
-        tree.update(nodes[key], counts[key])
-    _assert_sorted(tree, counts)
-    order = list(nodes)
-    rng.shuffle(order)
-    for i, key in enumerate(order):
-        tree.remove(nodes.pop(key))
-        del counts[key]
-        if i % 10 == 0:
-            _assert_sorted(tree, counts)
-    _assert_sorted(tree, counts)
-
-
-def test_count_tree_rejects_negative_update():
-    tree = CountTree()
-    node = tree.insert("k", 5)
-    with pytest.raises(ValueError):
-        tree.update(node, -1)
-    tree.check_invariants()
-
-
-# ----------------------------------------------------------------------
-# accumulator budget mechanism under random streams
-# ----------------------------------------------------------------------
 def _random_stream(rng: random.Random, *, num_keys: int, n: int, t_end: float):
     """Zipf-ish random stream with strictly increasing timestamps."""
     weights = [1.0 / (i + 1) for i in range(num_keys)]
@@ -137,14 +38,9 @@ def _random_stream(rng: random.Random, *, num_keys: int, n: int, t_end: float):
     ]
 
 
-def _check_budget_contract(acc: MicroBatchAccumulator) -> None:
-    for record in acc.htable:
-        assert record.budget_left >= 0, record.key
-        if record.budget_left > 0:
-            # a pending delta of f.step would have fired an update
-            assert record.pending_delta < record.f_step, record.key
-        assert record.f_step >= 1
-        assert record.t_step >= 0.0
+def _assert_traversal_order(batch) -> None:
+    tracked = [g.tracked_count for g in batch.key_groups]
+    assert tracked == sorted(tracked, reverse=True)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 4, 8])
@@ -156,27 +52,20 @@ def test_accumulator_budget_invariants(budget, seed):
     )
     acc = MicroBatchAccumulator(config)
     info = BatchInfo(index=0, t_start=0.0, t_end=1.0)
-    acc.start_interval(info)
     stream = _random_stream(rng, num_keys=20, n=600, t_end=1.0)
     exact: dict[str, list[StreamTuple]] = {}
-    for i, t in enumerate(stream):
-        acc.accept(t)
+    for t in stream:
         exact.setdefault(t.key, []).append(t)
-        _check_budget_contract(acc)
-        if i % 50 == 0:
-            acc.count_tree.check_invariants()
-    assert acc.tree_updates <= budget * len(exact)
-    batch = acc.finalize()
+    batch = accumulate_batch(stream, info, acc).batch
+    assert batch.tree_updates <= budget * len(exact)
     # every key exactly once, with its exact tuple chain
+    assert len(batch.key_groups) == len(exact)
     assert {g.key for g in batch.key_groups} == set(exact)
     for group in batch.key_groups:
         assert group.tuples == exact[group.key]
-        assert group.tracked_count <= len(group.tuples)
-    # quasi-sorted: the traversal order is non-increasing tracked_count
-    tracked = [g.tracked_count for g in batch.key_groups]
-    assert tracked == sorted(tracked, reverse=True)
+        assert 1 <= group.tracked_count <= len(group.tuples)
+    _assert_traversal_order(batch)
     assert batch.tuple_count == len(stream)
-    assert batch.tree_updates == acc._tree_updates or batch.tree_updates >= 0
 
 
 @pytest.mark.parametrize("seed", [2, 9])
@@ -187,15 +76,10 @@ def test_accumulator_exact_updates_disable_budget(seed):
         AccumulatorConfig(budget=1, expected_tuples=300, expected_keys=15),
         exact_updates=True,
     )
-    acc.start_interval(BatchInfo(index=0, t_start=0.0, t_end=1.0))
     stream = _random_stream(rng, num_keys=15, n=300, t_end=1.0)
-    for t in stream:
-        acc.accept(t)
-    acc.count_tree.check_invariants()
-    distinct = acc.key_count
+    batch = accumulate_batch(stream, BatchInfo(index=0, t_start=0.0, t_end=1.0), acc).batch
     # one repositioning per non-first tuple of each key
-    assert acc.tree_updates == len(stream) - distinct
-    batch = acc.finalize()
+    assert batch.tree_updates == len(stream) - batch.key_count
     assert batch.sort_quality() == 1.0
     for group in batch.key_groups:
         assert group.tracked_count == len(group.tuples)
@@ -213,18 +97,12 @@ def test_accumulator_time_step_refreshes_rare_keys(budget):
         budget=budget, expected_tuples=10_000, expected_keys=2
     )
     acc = MicroBatchAccumulator(config)
-    acc.start_interval(BatchInfo(index=0, t_start=0.0, t_end=1.0))
     # initial f.step = 10_000 / (2 * budget) >> 12, so only time triggers
-    for i in range(12):
-        acc.accept(StreamTuple(ts=i * 0.08, key="rare", value=i))
-        _check_budget_contract(acc)
-    record = acc.htable.get("rare")
-    assert record.f_step > 12  # frequency trigger provably never fired
+    assert config.initial_frequency_step > 12
+    rare = [StreamTuple(ts=i * 0.08, key="rare", value=i) for i in range(12)]
+    batch = accumulate_batch(rare, BatchInfo(index=0, t_start=0.0, t_end=1.0), acc).batch
     # the heartbeat still spent budget repositioning the key
-    assert acc.tree_updates >= 1
-    assert acc.tree_updates <= budget
-    assert record.budget_left == budget - acc.tree_updates
-    batch = acc.finalize()
+    assert 1 <= batch.tree_updates <= budget
     assert batch.key_groups[0].tracked_count >= 2  # refreshed past insert
 
 
@@ -235,9 +113,9 @@ def test_accumulator_multi_interval_fuzz(seed):
     acc = MicroBatchAccumulator(
         AccumulatorConfig(budget=4, expected_tuples=200, expected_keys=10)
     )
+    sizes = []
     for index in range(4):
         t0 = float(index)
-        acc.start_interval(BatchInfo(index=index, t_start=t0, t_end=t0 + 1.0))
         n = rng.randint(50, 250)
         stream = [
             StreamTuple(
@@ -247,13 +125,13 @@ def test_accumulator_multi_interval_fuzz(seed):
             )
             for i in range(n)
         ]
-        for t in stream:
-            acc.accept(t)
-            _check_budget_contract(acc)
-        acc.count_tree.check_invariants()
-        assert acc.tree_updates <= 4 * acc.key_count
-        batch = acc.finalize()
+        info = BatchInfo(index=index, t_start=t0, t_end=t0 + 1.0)
+        batch = accumulate_batch(stream, info, acc).batch
+        sizes.append((n, batch.key_count))
         assert batch.tuple_count == n
-        assert len(acc.htable) == 0 and len(acc.count_tree) == 0
-        tracked = [g.tracked_count for g in batch.key_groups]
-        assert tracked == sorted(tracked, reverse=True)
+        assert sum(g.count for g in batch.key_groups) == n
+        assert batch.tree_updates <= 4 * batch.key_count
+        _assert_traversal_order(batch)
+        # N_est / K_avg are the running means of the intervals so far
+        assert acc.estimated_tuples() == sum(t for t, _ in sizes) // len(sizes)
+        assert acc.average_keys() == sum(k for _, k in sizes) // len(sizes)

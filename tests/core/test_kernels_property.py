@@ -1,7 +1,8 @@
-"""Property suite: the numpy ingest/placement kernels vs the Python oracle.
+"""Property suite: the numpy ingest/placement kernels vs the paper's pseudocode.
 
 The kernels in :mod:`repro.core.kernels` promise *bit-compatibility*
-with the per-tuple reference path — not statistical closeness.  This
+with Algorithms 1 and 2 as printed (transcribed tuple by tuple in
+``tests/oracle/prompt_spec.py``) — not statistical closeness.  This
 suite hammers that promise with >1000 seeded random instances:
 
 - Zipf-skewed key populations across cardinalities, batch sizes and
@@ -23,7 +24,9 @@ the kernel's own chain lists, never a list of the lazily built
 ``key_groups`` view).
 
 The batched budget recurrence is also cross-checked directly against
-the dense per-arrival reference, key by key over whole batches.
+the spec's dense per-arrival recurrence, key by key over whole batches,
+and the ``prompt-postsort`` and ``prompt-sketch`` variants against the
+spec's Algorithm 2 fed each variant's own key order.
 """
 
 from __future__ import annotations
@@ -38,8 +41,13 @@ from repro.core import kernels
 from repro.core.batch import BatchInfo
 from repro.core.batch_partitioner import PromptBatchPartitioner
 from repro.core.buffering import MicroBatchAccumulator
-from repro.core.tuples import StreamTuple
-from repro.partitioners.prompt import PromptPartitioner, ReferencePromptPartitioner
+from repro.core.sketches import SpaceSavingSketch
+from repro.core.tuples import KeyGroup, StreamTuple, group_by_key, sorted_key_groups
+from repro.partitioners import make_partitioner
+from repro.partitioners.prompt import PromptPartitioner
+
+from ..oracle import prompt_spec
+from ..oracle.prompt_spec import SpecPromptPartitioner
 
 #: scenarios x batches = instances; the accept gate is >= 1000
 NUM_SCENARIOS = 250
@@ -69,7 +77,8 @@ def _gen_batch(rng, index, n, num_keys, key_base, weighted):
     return out, BatchInfo(index=index, t_start=t_start, t_end=t_end)
 
 
-def _snapshot(partitioner, batch):
+def _blocks(batch):
+    """Block contents in key order, and the split-key table in its order."""
     blocks = [
         (
             b.index,
@@ -82,11 +91,14 @@ def _snapshot(partitioner, batch):
         )
         for b in batch.blocks
     ]
+    return pickle.dumps((blocks, list(batch.split_keys.items())))
+
+
+def _snapshot(partitioner, batch):
     accumulated = partitioner.last_batch
     return pickle.dumps(
         (
-            blocks,
-            list(batch.split_keys.items()),
+            _blocks(batch),
             [(g.key, g.tracked_count, len(g.tuples)) for g in accumulated.key_groups],
             (accumulated.tree_updates, accumulated.total_weight),
         )
@@ -119,7 +131,7 @@ def test_kernel_matches_oracle_property(chunk):
     per_chunk = NUM_SCENARIOS // 5
     replays = _replays(range(chunk * per_chunk, (chunk + 1) * per_chunk))
     for scenario, num_blocks, batches in replays:
-        oracle = ReferencePromptPartitioner()
+        oracle = SpecPromptPartitioner()
         kernel = PromptPartitioner()
         for index, (tuples, info) in enumerate(batches):
             oracle_batch = oracle.partition(tuples, num_blocks, info)
@@ -190,7 +202,7 @@ def test_kernel_matches_oracle_on_mixed_phase1_keys(chunk):
     for scenario in range(chunk * per_chunk, (chunk + 1) * per_chunk):
         rng = random.Random(12000 + scenario)
         num_blocks = 2 + scenario % 7
-        oracle = ReferencePromptPartitioner()
+        oracle = SpecPromptPartitioner()
         kernel = PromptPartitioner()
         for index in range(BATCHES_PER_SCENARIO):
             tuples, info = _mixed_batch(rng, index, num_blocks, scenario % 3)
@@ -213,7 +225,7 @@ def test_key_count_builds_no_view_and_a_late_view_equals_the_oracle():
     read, and read after placement it still equals the oracle's groups,
     tuple object for tuple object."""
     for _, num_blocks, batches in _replays(range(60)):
-        oracle = ReferencePromptPartitioner()
+        oracle = SpecPromptPartitioner()
         kernel = PromptPartitioner()
         for tuples, info in batches:
             oracle.partition(tuples, num_blocks, info)
@@ -244,10 +256,11 @@ def test_unsplit_keys_keep_the_kernels_own_chain_lists():
 
 
 def test_kernel_matches_oracle_exact_updates():
-    """The prompt-exact ablation (no budget) stays bit-identical too."""
+    """The prompt-exact ablation (no budget) stays bit-identical too, and
+    its order is exactly sorted by frequency, weighted batches included."""
     for scenario in range(25):
         rng = random.Random(4400 + scenario)
-        oracle = ReferencePromptPartitioner(exact_updates=True)
+        oracle = SpecPromptPartitioner(exact_updates=True)
         kernel = PromptPartitioner(exact_updates=True)
         for index in range(3):
             tuples, info = _gen_batch(
@@ -256,15 +269,15 @@ def test_kernel_matches_oracle_exact_updates():
             oracle_batch = oracle.partition(tuples, 4, info)
             kernel_batch = kernel.partition(tuples, 4, info)
             assert _snapshot(oracle, oracle_batch) == _snapshot(kernel, kernel_batch)
+            assert kernel.last_batch.sort_quality() == 1.0
 
 
 def test_kernel_buffering_feeds_the_zigzag_planner_identically():
-    """``strategy="zigzag"`` keeps its Python planner but now buffers
-    through the Algorithm 1 kernel by default: same groups in, same
-    blocks out."""
+    """``strategy="zigzag"`` keeps its Python planner and buffers
+    through the Algorithm 1 kernel: same groups in, same blocks out."""
     for scenario in range(25):
         rng = random.Random(5500 + scenario)
-        oracle = ReferencePromptPartitioner(strategy="zigzag")
+        oracle = SpecPromptPartitioner(strategy="zigzag")
         kernel = PromptPartitioner(strategy="zigzag")
         for index in range(3):
             tuples, info = _gen_batch(
@@ -276,7 +289,7 @@ def test_kernel_buffering_feeds_the_zigzag_planner_identically():
 
 
 def test_empty_and_single_tuple_batches_match():
-    oracle = ReferencePromptPartitioner()
+    oracle = SpecPromptPartitioner()
     kernel = PromptPartitioner()
     solo = [StreamTuple(ts=0.5, key="only")]
     for tuples in ([], solo):
@@ -323,7 +336,7 @@ def _recurrence_batch(rng, trial):
 
 
 def test_simulator_variants_agree():
-    """The batched recurrence vs the dense per-arrival reference.
+    """The batched recurrence vs the spec's dense per-arrival recurrence.
 
     Whole multi-key batches — shuffled, duplicate and grid arrival
     times, chains past 2,048 arrivals, budgets 1 to 40, random trigger
@@ -343,7 +356,51 @@ def test_simulator_variants_agree():
         )
         for i, (start, m) in enumerate(zip(starts.tolist(), counts.tolist())):
             G = order[start : start + m]
-            dense = kernels._simulate_key_dense(T[G], G, budget, est, f0, t_end)
+            dense = prompt_spec.simulate_key_dense(T[G], G, budget, est, f0, t_end)
             assert (int(tracked[i]), int(updates[i])) == dense, (trial, i, m)
             keys += 1
     assert keys > 1000
+
+
+def _sketch_order(tuples, capacity):
+    """``prompt-sketch``'s key order: heavy hitters in Space-Saving order
+    (tracked at their estimate), then the rest in first-appearance order."""
+    sketch = SpaceSavingSketch(capacity)
+    for t in tuples:
+        sketch.add(t.key)
+    chains = group_by_key(tuples)
+    # a counter may hold a later, equal key object; blocks keep the
+    # first arrival's, and the snapshots pickle identity
+    first = dict(zip(chains, chains))
+    head = [
+        KeyGroup(first[k], chains.pop(k), estimate) for k, estimate in sketch.items()
+    ]
+    return head + [KeyGroup(k, chain, len(chain)) for k, chain in chains.items()]
+
+
+@pytest.mark.parametrize("variant", ["prompt-postsort", "prompt-sketch"])
+def test_variants_match_the_spec_plan_on_their_own_order(variant):
+    """Each variant's blocks are the spec's Algorithm 2 over the key order
+    the variant defines: the exact sort for ``prompt-postsort``, the
+    sketch order for ``prompt-sketch`` (whose ``last_batch`` must list
+    that order, with the sketch's tracked counts).  The registry's
+    sketch holds 256 counters, more than a replay has keys, so most
+    scenarios shrink it to 1-32 counters to give the order a tail."""
+    for scenario, num_blocks, batches in _replays(range(NUM_SCENARIOS)):
+        kernel = make_partitioner(variant)
+        if variant == "prompt-sketch" and scenario % 8:
+            kernel = PromptPartitioner(stats="sketch", sketch_capacity=scenario % 32 + 1)
+        planner = PromptBatchPartitioner()
+        for index, (tuples, info) in enumerate(batches):
+            if variant == "prompt-postsort":
+                groups = sorted_key_groups(tuples, descending=True)
+            else:
+                groups = _sketch_order(tuples, kernel.sketch_capacity)
+            batch = kernel.partition(tuples, num_blocks, info)
+            expected = prompt_spec.plan_greedy(planner, groups, num_blocks, info)
+            assert _blocks(batch) == _blocks(expected), (scenario, index)
+            if variant == "prompt-sketch":
+                assert [(g.key, g.tracked_count, g.tuples) for g in groups] == [
+                    (g.key, g.tracked_count, g.tuples)
+                    for g in kernel.last_batch.key_groups
+                ], (scenario, index)

@@ -1,10 +1,11 @@
-"""Sketch-backed accumulator: heavy-head ordering, conservation."""
+"""Sketch-ordered accumulation: heavy-head ordering, conservation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.batch import BatchInfo
+from repro.core.kernels import accumulate_batch
 from repro.core.sketch_accumulator import SketchMicroBatchAccumulator
 from repro.core.tuples import StreamTuple
 
@@ -14,22 +15,14 @@ INFO = BatchInfo(0, 0.0, 1.0)
 
 
 def _fill(acc, freqs, **kw):
-    acc.start_interval(INFO)
-    acc.accept_all(make_tuples(freqs, **kw))
-    return acc.finalize()
-
-
-def test_requires_open_interval():
-    acc = SketchMicroBatchAccumulator()
-    with pytest.raises(RuntimeError):
-        acc.accept(StreamTuple(ts=0.0, key="a"))
+    return accumulate_batch(make_tuples(freqs, **kw), INFO, acc).batch
 
 
 def test_rejects_bad_capacity_and_interval():
     with pytest.raises(ValueError):
         SketchMicroBatchAccumulator(0)
     with pytest.raises(ValueError):
-        SketchMicroBatchAccumulator().start_interval(BatchInfo(0, 1.0, 1.0))
+        accumulate_batch([], BatchInfo(0, 1.0, 1.0), SketchMicroBatchAccumulator())
 
 
 def test_all_tuples_preserved():
@@ -60,12 +53,12 @@ def test_small_capacity_still_total():
 
 
 def test_finalize_resets():
+    """Each interval starts from an empty sketch: nothing carries over."""
     acc = SketchMicroBatchAccumulator()
     _fill(acc, {"a": 3})
-    with pytest.raises(RuntimeError):
-        _ = acc.info
     batch = _fill(acc, {"b": 2})
     assert {g.key for g in batch.key_groups} == {"b"}
+    assert [(g.key, g.tracked_count) for g in batch.key_groups] == [("b", 2)]
 
 
 def test_tracked_counts_upper_bound_exact():
@@ -81,7 +74,5 @@ def test_tracked_counts_upper_bound_exact():
 
 def test_weight_tracked():
     acc = SketchMicroBatchAccumulator()
-    acc.start_interval(INFO)
-    acc.accept(StreamTuple(ts=0.0, key="a", weight=4))
-    batch = acc.finalize()
+    batch = accumulate_batch([StreamTuple(ts=0.0, key="a", weight=4)], INFO, acc).batch
     assert batch.total_weight == 4

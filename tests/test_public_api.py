@@ -29,8 +29,10 @@ from repro.engine import executors, make_executor
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
-#: The curated v1 surface, frozen.  v1 is a strict superset of v0 —
-#: every v0 name is still here — plus the topology tier (RunSpec,
+#: The curated v1 surface, frozen.  v1 is a superset of v0 — every v0
+#: name is still here but ``CountTree``, removed with its module (no
+#: run used it: the tree's traversal is a sort on the final counts; see
+#: the "Removed" note in docs/api.md) — plus the topology tier (RunSpec,
 #: Topology shapes, sharding).  Additions are allowed (append here and
 #: to the docs table); removals or renames are a breaking change and
 #: need a deprecation story first.
@@ -38,7 +40,6 @@ V1_SURFACE = [
     "AccumulatorConfig",
     "AutoScaler",
     "BatchInfo",
-    "CountTree",
     "ElasticityConfig",
     "EngineConfig",
     "ExecutorKind",
@@ -72,12 +73,11 @@ V1_SURFACE = [
     "run",
 ]
 
-#: every name the v0 freeze shipped — v1 must keep all of them
+#: every name the v0 freeze shipped that v1 keeps (all but ``CountTree``)
 V0_SURFACE = [
     "AccumulatorConfig",
     "AutoScaler",
     "BatchInfo",
-    "CountTree",
     "ElasticityConfig",
     "EngineConfig",
     "ExecutorKind",
@@ -199,20 +199,6 @@ def test_engine_config_fields_are_pinned():
     fields = {f.name for f in dataclasses.fields(repro.EngineConfig)}
     assert fields == ENGINE_CONFIG_FIELDS
     assert len(fields) == 16
-
-
-def test_reference_partitioner_is_not_public():
-    """The object-graph oracle is reachable only by its module path."""
-    from repro.partitioners import PARTITIONER_NAMES
-    from repro.partitioners.prompt import ReferencePromptPartitioner
-
-    assert "ReferencePromptPartitioner" not in repro.__all__
-    assert not hasattr(repro, "ReferencePromptPartitioner")
-    assert not hasattr(repro.partitioners, "ReferencePromptPartitioner")
-    for name in PARTITIONER_NAMES:
-        assert not isinstance(
-            repro.make_partitioner(name), ReferencePromptPartitioner
-        ), name
 
 
 def test_make_executor_keywords_are_pinned():
