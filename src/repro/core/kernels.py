@@ -53,7 +53,7 @@ import numpy as np
 from .batch import BatchInfo, DataBlock, PartitionedBatch
 from .buffering import AccumulatedBatch, MicroBatchAccumulator
 from .sketch_accumulator import SketchMicroBatchAccumulator
-from .tuples import Key, KeyGroup, StreamTuple, _order_tokens
+from .tuples import Key, KeyGroup, StreamTuple, token_order
 
 if TYPE_CHECKING:
     from .batch_partitioner import PromptBatchPartitioner
@@ -270,7 +270,7 @@ def accumulate_batch(
         if accumulator.exact_updates:
             # Every arrival refreshes the tree: counts are exact and each
             # non-first arrival is one update.
-            tracked = counts.tolist()
+            tracked_arr = counts
             tree_updates = int((counts - 1).sum())
         else:
             # A key seen once is tracked at 1 with no update; only the
@@ -287,16 +287,17 @@ def accumulate_batch(
                     info.t_end,
                 )
                 tree_updates = int(updates.sum())
-            tracked = tracked_arr.tolist()
+        tracked = tracked_arr.tolist()
 
         # -- quasi-sort: descending (count, order-token) -----------------
         # The CountTree orders nodes by (count, token) with unique tokens,
-        # so its descending traversal equals this sort exactly — done as
-        # two stable passes (token, then count) so neither builds a tuple
-        # or enters a Python frame per key.
-        tokens = _order_tokens(keys)
-        desc = sorted(range(num_keys), key=tokens.__getitem__, reverse=True)
-        desc.sort(key=tracked.__getitem__, reverse=True)
+        # so its descending traversal equals this sort exactly: one sort
+        # on (tracked count, token rank), reversed.  The pair packs into
+        # one unique int64, so numpy's default argsort (4-6x faster here
+        # than a stable lexsort) gives the one possible order.
+        rank = np.empty(num_keys, dtype=np.int64)
+        rank[token_order(keys)] = np.arange(num_keys)
+        desc = np.argsort(tracked_arr * num_keys + rank)[::-1].tolist()
         accumulator.record_interval_stats(n, num_keys)
 
     keys_q = list(map(keys.__getitem__, desc))

@@ -32,7 +32,7 @@ from operator import neg
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .hashing import hash_to_bucket
-from .tuples import Key, _order_tokens
+from .tuples import Key, token_order
 
 __all__ = [
     "KeyCluster",
@@ -168,9 +168,9 @@ def bpvc_buckets(
                 loads[j] += sizes[i]
             else:
                 non_split.append(i)
-        order = [non_split[i] for i in _token_order([keys[i] for i in non_split])]
+        order = [non_split[i] for i in token_order([keys[i] for i in non_split]).tolist()]
     else:
-        order = _token_order(keys)
+        order = token_order(keys).tolist()
 
     # Line 4: non-split clusters by decreasing size, ties on the key's
     # order token — a stable size sort over the token order.
@@ -249,12 +249,6 @@ def bpvc_buckets(
     for i in order[z:]:
         buckets[i] = -1
     return buckets, loads
-
-
-def _token_order(keys: Sequence[Key]) -> list[int]:
-    """Indexes of ``keys`` in ascending order-token order."""
-    tokens = _order_tokens(keys)
-    return sorted(range(len(tokens)), key=tokens.__getitem__)
 
 
 def hash_allocate(

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from itertools import accumulate, chain
+from typing import Any, Mapping, Optional
 
 from ..core.batch import BatchInfo
 from ..core.config import EarlyReleaseConfig, ElasticityConfig
@@ -111,7 +112,7 @@ class RunResult:
     """Everything a finished run exposes to callers and benches."""
 
     stats: RunStats
-    window_answers: list[dict[Key, Any]]
+    window_answers: list[Mapping[Key, Any]]
     state_store: StateStore
     scaling_history: list[ScalingDecision]
     backpressure: BackpressureMonitor
@@ -142,7 +143,7 @@ class RunResult:
     def stable(self) -> bool:
         return not self.backpressure.triggered
 
-    def final_window_answer(self) -> dict[Key, Any]:
+    def final_window_answer(self) -> Mapping[Key, Any]:
         return self.window_answers[-1] if self.window_answers else {}
 
 
@@ -229,7 +230,7 @@ class MicroBatchEngine:
         store = StateStore(replicate_inputs=cfg.replicate_inputs)
         monitor = BackpressureMonitor(cfg.backpressure)
         stats = RunStats(batch_interval=cfg.batch_interval)
-        window_answers: list[dict[Key, Any]] = []
+        window_answers: list[Mapping[Key, Any]] = []
         scaling_history: list[ScalingDecision] = []
         recoveries: list[RecoveryEvent] = []
 
@@ -270,6 +271,10 @@ class MicroBatchEngine:
                         tuples, map_tasks, info
                     )
                 early.record(partitioned.plan_elapsed, window)
+                replica = ()
+                if cfg.replicate_inputs:  # laid out block by block for recovery
+                    chains = [list(b.tuples()) for b in partitioned.blocks]
+                    replica = (list(chain(*chains)), list(accumulate(map(len, chains))))
                 publish_partition_quality(partitioned)
                 with tracer.span("execute", batch=k, backend=backend.name):
                     execution = backend.run_batch(
@@ -312,6 +317,7 @@ class MicroBatchEngine:
                         sizer=sizer,
                         obs=obs,
                         batch_span_id=batch_span.span_id,
+                        replica=replica,
                     )
 
                 # event-time completion: elasticity and batch sizing read
@@ -411,12 +417,13 @@ class MicroBatchEngine:
         store: StateStore,
         monitor: BackpressureMonitor,
         stats: RunStats,
-        window_answers: list[dict[Key, Any]],
+        window_answers: list[Mapping[Key, Any]],
         scaling_history: list[ScalingDecision],
         recoveries: list[RecoveryEvent],
         sizer: Optional[BatchSizeController] = None,
         obs: Optional[RunObservability] = None,
         batch_span_id: Optional[int] = None,
+        replica: tuple = (),
     ) -> None:
         """Batch ``k`` finished processing: state, windows, feedback."""
         cfg = self.config
@@ -428,7 +435,7 @@ class MicroBatchEngine:
         output = execution.batch_output() if cfg.track_outputs else {}
         if cfg.track_outputs:
             with tracer.span("window_merge", parent=batch_span_id, batch=k):
-                store.put(k, output, tuples if cfg.replicate_inputs else None)
+                store.put(k, output, *replica)
                 if self.failure_injector and self.failure_injector.should_fail(k):
                     recoveries.append(
                         self.failure_injector.fail_and_recover(

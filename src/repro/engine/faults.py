@@ -64,13 +64,15 @@ class RecoveryEvent:
 def recover_batch(
     store: StateStore, index: int, query: Query
 ) -> Mapping[Key, Any]:
-    """Recompute a lost batch state from its replicated input."""
+    """Recompute a lost batch state from its replicated input, folded
+    block by block as the engine did, so float sums come back bit-equal
+    to the lost original, split keys included."""
     state = store.get(index)
     if not state.recoverable:
         raise RuntimeError(
             f"batch {index} has no replicated input; state is unrecoverable"
         )
-    output = query.reference_output(state.replicated_input)
+    output = query.reference_output(state.replicated_input, state.block_ends)
     store.restore(index, output)
     log.info("recovered batch %d state from replicated input (%d keys)",
              index, len(output))

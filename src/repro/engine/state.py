@@ -10,11 +10,12 @@ this state is recomputed using the replicated batched data."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Any, Mapping, Optional, Sequence
 
 from ..core.tuples import Key, StreamTuple
+from .columns import FrozenMapping
 
 __all__ = ["BatchState", "StateStore"]
 
@@ -26,6 +27,9 @@ class BatchState:
     index: int
     output: Mapping[Key, Any]
     replicated_input: Optional[tuple[StreamTuple, ...]] = None
+    #: end offset of each Map block in ``replicated_input`` (empty: the
+    #: input is one block), so a recomputation can fold as the engine did
+    block_ends: tuple[int, ...] = ()
 
     @property
     def recoverable(self) -> bool:
@@ -56,8 +60,12 @@ class StateStore:
         index: int,
         output: Mapping[Key, Any],
         input_tuples: Sequence[StreamTuple] | None = None,
+        block_ends: Sequence[int] = (),
     ) -> BatchState:
-        """Preserve a batch's output (immutably) and optionally its input."""
+        """Preserve a batch's output (immutably) and optionally its input.
+
+        An output that already is a :class:`FrozenMapping` is kept as it
+        is; any other mapping is copied."""
         if index in self._states:
             raise ValueError(f"batch {index} already has preserved state")
         if index <= self._evicted_through:
@@ -71,8 +79,9 @@ class StateStore:
             replicated = tuple(input_tuples)
         state = BatchState(
             index=index,
-            output=MappingProxyType(dict(output)),
+            output=_frozen(output),
             replicated_input=replicated,
+            block_ends=tuple(block_ends),
         )
         self._states[index] = state
         return state
@@ -89,18 +98,11 @@ class StateStore:
         The replicated input, held on other nodes, survives.
         """
         state = self.get(index)
-        self._states[index] = BatchState(
-            index=index, output=MappingProxyType({}), replicated_input=state.replicated_input
-        )
+        self._states[index] = replace(state, output=MappingProxyType({}))
 
     def restore(self, index: int, output: Mapping[Key, Any]) -> BatchState:
         """Install a recomputed output for a previously lost state."""
-        state = self.get(index)
-        restored = BatchState(
-            index=index,
-            output=MappingProxyType(dict(output)),
-            replicated_input=state.replicated_input,
-        )
+        restored = replace(self.get(index), output=_frozen(output))
         self._states[index] = restored
         return restored
 
@@ -116,3 +118,9 @@ class StateStore:
             del self._states[i]
         self._evicted_through = max(self._evicted_through, index)
         return len(victims)
+
+
+def _frozen(output: Mapping[Key, Any]) -> Mapping[Key, Any]:
+    if isinstance(output, FrozenMapping):
+        return output
+    return MappingProxyType(dict(output))

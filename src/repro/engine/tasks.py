@@ -43,8 +43,11 @@ import hashlib
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import count
 from operator import attrgetter
-from typing import Collection, Sequence
+from typing import Collection, Mapping, Sequence
+
+import numpy as np
 
 from ..core.batch import DataBlock, MapInput, PartitionedBatch
 from ..core.reduce_allocator import BucketAssignment, ClusterColumns
@@ -52,6 +55,7 @@ from ..core.tuples import Key
 from ..obs.tracing import NULL_TRACER, Tracer, WorkerSpan
 from ..partitioners.base import Partitioner, ReduceAllocation
 from ..queries.base import Aggregator, Query
+from .columns import KeyColumns, columns_of
 from .topology import ClusterTopology
 
 _GET_VALUE = attrgetter("value")
@@ -135,7 +139,7 @@ class MapTaskResult:
     duration: float
     # per-key aggregated partial value from this block (map-side results),
     # in the order of ``clusters.keys``
-    partials: dict[Key, object]
+    partials: Mapping[Key, object]
     #: deterministic per-task seed (see :func:`derive_task_seed`)
     task_seed: int = 0
     #: measured wall-clock of the task body (real time, not simulated)
@@ -156,7 +160,7 @@ class ReduceTaskResult:
     key_count: int
     duration: float
     # final per-key aggregate for keys owned by this bucket
-    results: dict[Key, object]
+    results: Mapping[Key, object]
     # fragments fetched across the network (0 without a topology)
     remote_fragments: int = 0
     #: deterministic per-task seed (see :func:`derive_task_seed`)
@@ -177,10 +181,13 @@ class BucketInput:
     weight: int
     fragment_count: int
     remote_fragments: int
-    #: one ``(key, map-side partial)`` pair per fragment routed here, Map
-    #: results in block order and each in its own key order — so a split
-    #: key's partials arrive in block order
-    fragments: list[tuple[Key, object]]
+    #: three aligned columns, one entry per fragment routed here: Map
+    #: results in block order and each in its own key order, so a split
+    #: key's partials arrive in block order.  ``codes`` holds batch-local
+    #: key codes, numbered by each key's first fragment in that order.
+    keys: list[Key]
+    codes: np.ndarray
+    partials: list[object]
 
 
 @dataclass(slots=True)
@@ -223,25 +230,23 @@ class BatchExecution:
         """Measured wall-clock of each Reduce task (real time)."""
         return [r.wall_seconds for r in self.reduce_results]
 
-    def batch_output(self) -> dict[Key, object]:
-        """The batch's per-key aggregate (union of all Reduce outputs)."""
-        out: dict[Key, object] = {}
+    def batch_output(self) -> KeyColumns:
+        """The batch's per-key aggregate: every Reduce output in bucket
+        order.  The shuffle asserted key locality, so no key repeats."""
+        keys: list[Key] = []
+        values: list[object] = []
         for r in self.reduce_results:
-            overlap = out.keys() & r.results.keys()
-            if overlap:
-                raise AssertionError(
-                    f"key locality violated: keys {sorted(map(repr, overlap))[:5]} "
-                    f"reduced by multiple tasks"
-                )
-            out.update(r.results)
-        return out
+            k, v = columns_of(r.results)
+            keys += k
+            values += v
+        return KeyColumns(keys, values)
 
 
 def execute_map_task(
     block: DataBlock | MapInput,
     query: Query,
     cost_model: TaskCostModel,
-) -> tuple[ClusterColumns, dict[Key, object], float]:
+) -> tuple[ClusterColumns, KeyColumns, float]:
     """Apply the query's Map function over one block.
 
     Returns the intermediate key clusters (as aligned key/size columns,
@@ -286,7 +291,7 @@ def execute_map_task(
                 sizes.append(1 if combine else emitted)
                 parts.append(acc)
     duration = cost_model.map_time(block.size, block.cardinality)
-    return ClusterColumns(keys, sizes), dict(zip(keys, parts)), duration
+    return ClusterColumns(keys, sizes), KeyColumns(keys, parts), duration
 
 
 def run_map_task(
@@ -329,44 +334,83 @@ def shuffle_map_results(
 ) -> list[BucketInput]:
     """Gather every Map task's fragments per Reduce bucket (driver-side).
 
-    Iterates Map results in block order and each task's clusters in its
-    own key order, zipping keys, bucket ids and partials, so every
-    bucket's fragment column has a stable order — the property that
-    makes downstream Reduce outputs byte-identical across backends.
-    Asserts key locality: a key routed to two buckets is a hard failure.
+    Concatenates the Map results' key, partial, size and bucket columns
+    in block order (each task's in its own key order) and groups them by
+    bucket with one stable argsort, so every bucket's columns have a
+    stable order — the property that makes downstream Reduce outputs
+    byte-identical across backends.  Asserts key locality: a key routed
+    to two buckets is a hard failure.
     """
-    fragments: list[list[tuple[Key, object]]] = [[] for _ in range(num_reducers)]
-    appends = [column.append for column in fragments]
-    weights = [0] * num_reducers
-    remote = [0] * num_reducers
-    emitted: list[list[Key]] = []
+    keys: list[Key] = []
+    parts: list[object] = []
+    sizes: list[int] = []
+    routes: list[int] = []
     for m in map_results:
-        keys, sizes = m.clusters.keys, m.clusters.sizes
-        emitted.append(keys)
-        buckets = _in_key_order(m.assignment.assignment, keys)
-        if topology is not None:
-            before = list(map(len, fragments))
-        for pair, j in zip(zip(keys, m.partials.values()), buckets):
-            appends[j](pair)
-        for j, size in zip(buckets, sizes):
-            weights[j] += size
-        if topology is not None:
-            counts = [len(column) - n for column, n in zip(fragments, before)]
-            for j, count in enumerate(counts):
-                if not topology.is_local(m.block_index, j):
-                    remote[j] += count
-    # Only a key emitted by two Map tasks can be routed to two buckets.
-    if sum(map(len, emitted)) != len(set().union(*emitted)):
-        _check_key_locality(map_results)
+        m_keys = m.clusters.keys
+        keys += m_keys
+        parts += columns_of(m.partials)[1]
+        sizes += m.clusters.sizes
+        routes += _in_key_order(m.assignment.assignment, m_keys)
+    n = len(keys)
+    buckets = np.array(routes, dtype=np.intp)
+    stray = np.flatnonzero((buckets < 0) | (buckets >= num_reducers))
+    if stray.size:
+        i = int(stray[0])
+        task_ends = np.cumsum([len(m.clusters) for m in map_results])
+        m = map_results[int(np.searchsorted(task_ends, i, side="right"))]
+        raise ValueError(
+            f"Map task {m.block_index} routed key {keys[i]!r} to bucket "
+            f"{routes[i]}, outside the {num_reducers} Reduce buckets"
+        )
+    if num_reducers <= 32767:
+        buckets = buckets.astype(np.int16)  # a 16-bit stable sort is a radix sort
+    # Only a key emitted by two Map tasks repeats, and only such a key can
+    # be routed to two buckets.
+    distinct = dict.fromkeys(keys)
+    if len(distinct) == n:
+        codes = np.arange(n)
+    else:
+        code_of = dict(zip(distinct, count()))
+        codes = np.fromiter(map(code_of.__getitem__, keys), dtype=np.intp, count=n)
+        # codes rise at each key's first fragment: its route is the owner
+        owner = buckets[np.diff(np.maximum.accumulate(codes), prepend=-1) > 0]
+        moved = np.flatnonzero(owner[codes] != buckets)
+        if moved.size:
+            i = moved[0]
+            raise AssertionError(
+                f"key locality violated: {keys[i]!r} sent to buckets "
+                f"{owner[codes[i]]} and {buckets[i]}"
+            )
+    order = np.argsort(buckets, kind="stable")
+    ends = np.cumsum(np.bincount(buckets, minlength=num_reducers)).tolist()
+    weights = np.bincount(
+        buckets, weights=np.array(sizes, dtype=np.float64), minlength=num_reducers
+    )
+    remote = np.zeros(num_reducers, dtype=np.intp)
+    if topology is not None:
+        local = np.array(
+            [[topology.is_local(m.block_index, j) for j in range(num_reducers)]
+             for m in map_results],
+            dtype=bool,
+        ).reshape(len(map_results), num_reducers)
+        task = np.repeat(np.arange(len(map_results)), [len(m.clusters) for m in map_results])
+        remote = np.bincount(
+            buckets[~local[task, buckets]], minlength=num_reducers
+        )
+    keys = np.fromiter(keys, dtype=object, count=n)[order].tolist()
+    parts = np.fromiter(parts, dtype=object, count=n)[order].tolist()
+    codes = codes[order].astype(np.min_scalar_type(-n))  # narrow on the wire
     return [
         BucketInput(
             bucket_index=j,
-            weight=weights[j],
-            fragment_count=len(fragments[j]),
-            remote_fragments=remote[j],
-            fragments=fragments[j],
+            weight=int(weights[j]),
+            fragment_count=hi - lo,
+            remote_fragments=int(remote[j]),
+            keys=keys[lo:hi],
+            codes=codes[lo:hi],
+            partials=parts[lo:hi],
         )
-        for j in range(num_reducers)
+        for j, (lo, hi) in enumerate(zip([0] + ends, ends))
     ]
 
 
@@ -382,29 +426,27 @@ def _in_key_order(by_key: dict[Key, object], keys: list[Key]) -> list:
     return list(map(by_key.__getitem__, keys))
 
 
-def _check_key_locality(map_results: Sequence[MapTaskResult]) -> None:
-    """Raise naming the first key, in shuffle order, routed to two buckets."""
-    owner: dict[Key, int] = {}
-    for m in map_results:
-        route = m.assignment.assignment
-        for key in m.clusters.keys:
-            prior = owner.setdefault(key, route[key])
-            if prior != route[key]:
-                raise AssertionError(
-                    f"key locality violated: {key!r} sent to buckets "
-                    f"{prior} and {route[key]}"
-                )
-
-
 def run_reduce_task(
     bucket: BucketInput,
     aggregator: Aggregator,
     cost_model: TaskCostModel,
     task_seed: int = 0,
 ) -> ReduceTaskResult:
-    """One complete Reduce task: merge each key's partials in fragment order."""
+    """One complete Reduce task: merge each key's partials in fragment order.
+
+    Codes rise with each key's first fragment, so strictly rising codes
+    mean every key has one fragment: the columns are the result as they
+    are.  A bucket holding a split key folds its fragments with the
+    aggregator's :meth:`~repro.queries.base.Aggregator.merge_all`, which
+    merges only the repeated keys, left to right.
+    """
     started = time.perf_counter()
-    results = aggregator.merge_all(bucket.fragments)
+    codes = bucket.codes
+    if (codes[1:] > codes[:-1]).all():
+        results = KeyColumns(bucket.keys, bucket.partials)
+    else:
+        merged = aggregator.merge_all(list(zip(bucket.keys, bucket.partials)))
+        results = KeyColumns(list(merged), list(merged.values()))
     duration = cost_model.reduce_time(
         bucket.weight, bucket.fragment_count, bucket.remote_fragments
     )

@@ -14,8 +14,7 @@ map-side partial aggregation, reduce-side merging across Map fragments,
 and window retraction.  Its bulk hooks (:meth:`Aggregator.fold`,
 :meth:`Aggregator.merge_all`, :meth:`Aggregator.merge_into`,
 :meth:`Aggregator.retract_from`) apply those per-key operations to a
-whole Map fragment or batch output at once; the additive aggregators
-run them inline.
+whole Map fragment or batch output at once.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from functools import partial, reduce
-from operator import add
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Sized
 
-from ..core.tuples import Key
+from ..core.tuples import Key, group_by_key
 
 __all__ = [
     "Aggregator",
@@ -103,7 +101,10 @@ class Aggregator(abc.ABC):
         keys come out in order of first appearance.  A key's single
         partial is its result as it is, with no merge call.
         """
-        return _fold_fragments(fragments, self.merge)
+        grouped: dict[Key, list[Any]] = {}
+        for key, part in fragments:
+            grouped.setdefault(key, []).append(part)
+        return dict(zip(grouped, map(partial(reduce, self.merge), grouped.values())))
 
     def merge_into(self, answer: dict[Key, Any], output: Mapping[Key, Any]) -> None:
         """Window: merge one batch output into ``answer`` in place.
@@ -141,28 +142,16 @@ class Aggregator(abc.ABC):
                 answer[key] = reduced
 
 
-def _fold_fragments(
-    fragments: Sequence[tuple[Key, Any]], merge: Callable[[Any, Any], Any]
-) -> dict[Key, Any]:
-    out = dict(fragments)
-    if len(out) == len(fragments):
-        return out  # no key has two fragments: nothing to merge
-    grouped: dict[Key, list[Any]] = {}
-    for key, part in fragments:
-        grouped.setdefault(key, []).append(part)
-    return dict(zip(grouped, map(partial(reduce, merge), grouped.values())))
-
-
 class _AdditiveAggregator(Aggregator):
     """Accumulators are numbers under ``+``/``-`` with identity ``0``.
 
-    The bulk hooks are the base class's, with :meth:`merge` and
-    :meth:`inverse` written inline — the same expressions in the same
-    order, so int and float results are bit-identical to the per-key
-    calls.  No fold here may call builtin ``sum`` or ``math.fsum``: on
-    floats neither adds strictly left to right (3.12's ``sum`` is
-    compensated).  A subclass that overrides ``merge`` or ``inverse``
-    must override the hooks as well.
+    While every partial is an exact ``int`` or ``float``, the window
+    keeps this aggregator's answer in an accumulator array
+    (:mod:`repro.engine.windows`), which adds and subtracts exactly as
+    :meth:`merge` and :meth:`inverse` do; the base class's dict hooks
+    take any other partial.  No fold here may call builtin ``sum`` or
+    ``math.fsum``: on floats neither adds strictly left to right (3.12's
+    ``sum`` is compensated).
     """
 
     def zero(self) -> int:
@@ -173,28 +162,6 @@ class _AdditiveAggregator(Aggregator):
 
     def inverse(self, a: Any, b: Any) -> Any:
         return a - b
-
-    def merge_all(self, fragments: Sequence[tuple[Key, Any]]) -> dict[Key, Any]:
-        return _fold_fragments(fragments, add)
-
-    def merge_into(self, answer: dict[Key, Any], output: Mapping[Key, Any]) -> None:
-        get, pop = answer.get, answer.pop
-        for key, acc in output.items():
-            current = get(key)
-            merged = acc if current is None else current + acc
-            if merged == 0:
-                pop(key, None)
-            else:
-                answer[key] = merged
-
-    def retract_from(self, answer: dict[Key, Any], expired: Mapping[Key, Any]) -> None:
-        get, pop = answer.get, answer.pop
-        for key, acc in expired.items():
-            reduced = get(key, 0) - acc
-            if reduced == 0:
-                pop(key, None)
-            else:
-                answer[key] = reduced
 
 
 class SumAggregator(_AdditiveAggregator):
@@ -293,12 +260,6 @@ class Query:
     #: tuple counts.
     map_side_combine: bool = True
 
-    def map_value(self, key: Key, value: Any) -> Any:
-        """Apply the Map-stage value transform; None filters the tuple."""
-        if self.map_fn is None:
-            return value
-        return self.map_fn(key, value)
-
     def block_form(self) -> Optional[Callable[[Sized], Any]]:
         """The Map stage of one whole fragment in a single call, or None.
 
@@ -316,19 +277,18 @@ class Query:
             return len
         return None
 
-    def reference_output(self, tuples) -> dict[Key, Any]:
-        """Ground-truth per-key aggregate over raw tuples (test oracle).
-
-        Computes the batch answer directly, bypassing partitioning,
-        tasks, and shuffle — what any correct execution must equal.
+    def reference_output(self, tuples, block_ends: Sequence[int] = ()) -> dict[Key, Any]:
+        """Ground-truth per-key aggregate over raw tuples, bypassing
+        partitioning, tasks and shuffle — what any correct execution must
+        equal.  ``block_ends`` splits ``tuples`` into Map blocks (default:
+        one): each block folds its keys left to right, then each key's
+        partials merge in block order, as the engine associates a sum.
         """
-        out: dict[Key, Any] = {}
-        for t in tuples:
-            mapped = self.map_value(t.key, t.value)
-            if mapped is None:
-                continue
-            acc = out.get(t.key)
-            if acc is None:
-                acc = self.aggregator.zero()
-            out[t.key] = self.aggregator.add(acc, mapped)
+        agg, out = self.aggregator, {}
+        bounds = zip((0, *block_ends), block_ends)
+        for block in [tuples[a:b] for a, b in bounds] if block_ends else [tuples]:
+            for key, chain in group_by_key(block).items():
+                acc, emitted = agg.fold(key, (t.value for t in chain), self.map_fn)
+                if emitted:
+                    out[key] = agg.merge(out[key], acc) if key in out else acc
         return out

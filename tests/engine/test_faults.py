@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.tuples import StreamTuple
+from repro.engine.engine import EngineConfig, MicroBatchEngine
 from repro.engine.faults import (
     FailureInjector,
     InjectedTaskFault,
@@ -14,7 +15,10 @@ from repro.engine.faults import (
     recover_batch,
 )
 from repro.engine.state import StateStore
+from repro.partitioners import make_partitioner
+from repro.queries import debs_query1
 from repro.queries.base import Query, SumAggregator
+from repro.workloads import debs_taxi_source
 
 
 def _query():
@@ -70,6 +74,33 @@ def test_injector_detects_nondeterministic_query():
     injector = FailureInjector([0])
     event = injector.fail_and_recover(store, 0, query)
     assert not event.matched_original
+
+
+def test_recovered_float_batch_matches_when_prompt_splits_keys():
+    """A recovered batch folds each block's fragments, then merges the
+    blocks' partials in block order, as the engine did: float sums of
+    split keys come back bit-equal and the window carries on as if no
+    state had been lost."""
+
+    def run(fail):
+        cfg = EngineConfig(
+            batch_interval=1.0, num_blocks=8, num_reducers=8, replicate_inputs=True
+        )
+        engine = MicroBatchEngine(
+            make_partitioner("prompt"),
+            debs_query1(time_scale=1 / 600),
+            cfg,
+            failure_injector=FailureInjector(fail),
+        )
+        source = debs_taxi_source(num_taxis=50, rate=3000.0, activity_skew=1.5, seed=3)
+        return engine.run(source, 5)
+
+    faulted, clean = run([1, 2, 3]), run([])
+    assert [e.batch_index for e in faulted.recoveries] == [1, 2, 3]
+    assert all(e.matched_original for e in faulted.recoveries)
+    assert len(faulted.window_answers) == len(clean.window_answers) == 5
+    for got, want in zip(faulted.window_answers, clean.window_answers):
+        assert repr(sorted(got.items())) == repr(sorted(want.items()))
 
 
 def test_injector_empty_by_default():
