@@ -1,9 +1,8 @@
 """Shared benchmark plumbing.
 
 Every bench regenerates one table or figure from the paper's Section 7,
-prints the rows (run pytest with ``-s`` to see them inline; they are
-also echoed into the benchmark's ``extra_info``), and persists JSON to
-``benchmarks/results/`` for EXPERIMENTS.md.
+prints the rows (run pytest with ``-s`` to see them inline) and
+persists JSON to ``benchmarks/results/`` for EXPERIMENTS.md.
 """
 
 from __future__ import annotations

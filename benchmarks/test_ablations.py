@@ -8,21 +8,22 @@ Algorithm 3, and the early-release slack.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench import format_table
 from repro.core import (
     AccumulatorConfig,
     BatchInfo,
+    ClusterColumns,
     EarlyReleaseConfig,
     EarlyReleaseController,
-    KeyCluster,
     MicroBatchAccumulator,
     PartitionerConfig,
     PromptBatchPartitioner,
-    ReduceBucketAllocator,
+    bpvc_buckets,
     evaluate_partition,
-    hash_allocate,
+    hash_buckets,
     kernels,
 )
 from repro.partitioners import PromptPartitioner
@@ -35,7 +36,7 @@ def _tweets_batch(rate=20_000.0, seed=5):
     return tweets_source(rate=rate, seed=seed).tuples_between(0.0, 1.0)
 
 
-def test_ablation_accumulator_budget(benchmark, record_experiment):
+def test_ablation_accumulator_budget(record_experiment):
     """Budgeted lazy updates vs exact per-tuple maintenance.
 
     The budget bounds CountTree work to ~budget*K repositionings while
@@ -69,7 +70,7 @@ def test_ablation_accumulator_budget(benchmark, record_experiment):
             )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     record_experiment(
         "ablation_budget",
         format_table(rows, title="Ablation: CountTree update budget (Tweets batch)"),
@@ -85,7 +86,7 @@ def test_ablation_accumulator_budget(benchmark, record_experiment):
     assert by["budget=1"]["TreeUpdates"] <= by["budget=32"]["TreeUpdates"]
 
 
-def test_ablation_partition_strategy(benchmark, record_experiment):
+def test_ablation_partition_strategy(record_experiment):
     """Greedy (BestFitDecreasing) vs the literal zigzag three-pass text."""
     datasets = {
         "tweets": _tweets_batch(),
@@ -112,7 +113,7 @@ def test_ablation_partition_strategy(benchmark, record_experiment):
                 )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     record_experiment(
         "ablation_strategy",
         format_table(rows, title="Ablation: Algorithm 2 placement strategy"),
@@ -123,7 +124,7 @@ def test_ablation_partition_strategy(benchmark, record_experiment):
     assert tweets["greedy"]["MPI"] <= tweets["zigzag"]["MPI"]
 
 
-def test_ablation_split_cutoff_scale(benchmark, record_experiment):
+def test_ablation_split_cutoff_scale(record_experiment):
     """S_cut scaling: lower cutoffs split more keys (KSR) for balance."""
     tuples = synd_source(1.4, rate=20_000.0, seed=5).tuples_between(0.0, 1.0)
 
@@ -149,7 +150,7 @@ def test_ablation_split_cutoff_scale(benchmark, record_experiment):
             )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     record_experiment(
         "ablation_cutoff",
         format_table(rows, title="Ablation: key-split cutoff scale (zigzag, SynD z=1.4)"),
@@ -159,7 +160,14 @@ def test_ablation_split_cutoff_scale(benchmark, record_experiment):
     assert rows[0]["KSR"] >= rows[-1]["KSR"] - 1e-9
 
 
-def test_ablation_reduce_allocation(benchmark, record_experiment):
+def _bucket_imbalance(buckets, sizes, r):
+    """Bucket-size imbalance (Eqn. 3) of one allocation: the largest
+    bucket load over the mean."""
+    loads = np.bincount(buckets, weights=sizes, minlength=r).astype(int).tolist()
+    return max(loads) - sum(loads) / r
+
+
+def test_ablation_reduce_allocation(record_experiment):
     """Algorithm 3 vs conventional hashing on reduce-bucket imbalance."""
 
     def run():
@@ -169,21 +177,21 @@ def test_ablation_reduce_allocation(benchmark, record_experiment):
             sizes: dict = {}
             for t in tuples:
                 sizes[t.key] = sizes.get(t.key, 0) + 1
-            clusters = [KeyCluster(key=k, size=s) for k, s in sizes.items()]
-            split = {c.key for c in clusters if c.size > 200}
-            ours = ReduceBucketAllocator(8).allocate(clusters, split)
-            hashed = hash_allocate(clusters, 8)
+            clusters = ClusterColumns(list(sizes), list(sizes.values()))
+            split = {k for k, s in sizes.items() if s > 200}
+            ours = _bucket_imbalance(bpvc_buckets(clusters, split, 8), clusters.sizes, 8)
+            hashed = _bucket_imbalance(hash_buckets(clusters, split, 8), clusters.sizes, 8)
             rows.append(
                 {
                     "Zipf_z": z,
-                    "Alg3_Imbalance": ours.imbalance,
-                    "Hash_Imbalance": hashed.imbalance,
-                    "Improvement": hashed.imbalance / max(1e-9, ours.imbalance),
+                    "Alg3_Imbalance": ours,
+                    "Hash_Imbalance": hashed,
+                    "Improvement": hashed / max(1e-9, ours),
                 }
             )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     record_experiment(
         "ablation_reduce",
         format_table(rows, title="Ablation: Algorithm 3 vs hash reduce allocation"),
@@ -193,7 +201,7 @@ def test_ablation_reduce_allocation(benchmark, record_experiment):
         assert row["Alg3_Imbalance"] <= row["Hash_Imbalance"] + 1e-9
 
 
-def test_ablation_early_release_slack(benchmark, record_experiment):
+def test_ablation_early_release_slack(record_experiment):
     """How much slack does Algorithm 2 actually need? (paper: <= 5%).
 
     Uses the Figure 14b workload (SynD z=1.0, 8 blocks).  Note the
@@ -227,7 +235,7 @@ def test_ablation_early_release_slack(benchmark, record_experiment):
             )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     record_experiment(
         "ablation_slack",
         format_table(rows, title="Ablation: early-release slack vs measured Alg 2 cost"),
@@ -240,7 +248,7 @@ def test_ablation_early_release_slack(benchmark, record_experiment):
     assert by[0.05]["MissRate"] <= 0.35
 
 
-def test_ablation_sketch_vs_tree_statistics(benchmark, record_experiment):
+def test_ablation_sketch_vs_tree_statistics(record_experiment):
     """CountTree (Alg 1) vs Space-Saving sketch accumulator statistics.
 
     The sketch tracks only the heavy head in O(1) per tuple; the tail
@@ -279,7 +287,7 @@ def test_ablation_sketch_vs_tree_statistics(benchmark, record_experiment):
                 )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     record_experiment(
         "ablation_sketch",
         format_table(rows, title="Ablation: accumulator statistics (tree vs sketch)"),

@@ -45,7 +45,7 @@ def _run(*, batch_sizing=None, elasticity=None, cores=8):
     return engine.run(source, BATCHES)
 
 
-def test_ext_batch_sizing_vs_elasticity(benchmark, record_experiment):
+def test_ext_batch_sizing_vs_elasticity(record_experiment):
     def run():
         fixed = _run()
         sized = _run(
@@ -79,7 +79,7 @@ def test_ext_batch_sizing_vs_elasticity(benchmark, record_experiment):
             )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     record_experiment(
         "ext_batch_sizing",
         format_table(rows, title="Extension: stabilization strategies under overload"),

@@ -15,13 +15,9 @@ from repro.bench import fig10_partition_metrics, format_table
 # tweets/tpch are the figure's datasets; gcm/debs regenerate the results
 # the paper reports as "similar ... but omitted due to space limitation".
 @pytest.mark.parametrize("dataset", ["tweets", "tpch", "gcm", "debs"])
-def test_fig10_partition_metrics(benchmark, record_experiment, dataset):
-    rows = benchmark.pedantic(
-        lambda: fig10_partition_metrics(
-            dataset, num_blocks=16, rate=20_000.0, interval=1.0
-        ),
-        rounds=1,
-        iterations=1,
+def test_fig10_partition_metrics(record_experiment, dataset):
+    rows = fig10_partition_metrics(
+        dataset, num_blocks=16, rate=20_000.0, interval=1.0
     )
     record_experiment(
         f"fig10_{dataset}",

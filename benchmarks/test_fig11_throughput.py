@@ -21,18 +21,14 @@ from repro.bench import (
 COST_SCALE = 2.0
 
 
-def test_fig11abc_throughput_vs_interval(benchmark, record_experiment):
-    rows = benchmark.pedantic(
-        lambda: fig11_throughput_vs_interval(
-            intervals=(1.0, 2.0, 3.0),
-            num_batches=3,
-            num_keys=10_000,
-            tolerance=0.12,
-            initial_rate=6_000.0,
-            cost_scale=COST_SCALE,
-        ),
-        rounds=1,
-        iterations=1,
+def test_fig11abc_throughput_vs_interval(record_experiment):
+    rows = fig11_throughput_vs_interval(
+        intervals=(1.0, 2.0, 3.0),
+        num_batches=3,
+        num_keys=10_000,
+        tolerance=0.12,
+        initial_rate=6_000.0,
+        cost_scale=COST_SCALE,
     )
     record_experiment(
         "fig11abc_throughput",
@@ -61,19 +57,15 @@ def test_fig11abc_throughput_vs_interval(benchmark, record_experiment):
     assert rate(3.0, "prompt") >= rate(1.0, "prompt")
 
 
-def test_fig11d_throughput_vs_skew(benchmark, record_experiment):
-    rows = benchmark.pedantic(
-        lambda: fig11d_skew_sweep(
-            exponents=(0.2, 0.6, 1.0, 1.4, 1.8, 2.0),
-            batch_interval=3.0,
-            num_batches=3,
-            num_keys=10_000,
-            tolerance=0.12,
-            initial_rate=6_000.0,
-            cost_scale=COST_SCALE,
-        ),
-        rounds=1,
-        iterations=1,
+def test_fig11d_throughput_vs_skew(record_experiment):
+    rows = fig11d_skew_sweep(
+        exponents=(0.2, 0.6, 1.0, 1.4, 1.8, 2.0),
+        batch_interval=3.0,
+        num_batches=3,
+        num_keys=10_000,
+        tolerance=0.12,
+        initial_rate=6_000.0,
+        cost_scale=COST_SCALE,
     )
     record_experiment(
         "fig11d_skew",

@@ -14,12 +14,8 @@ from repro.bench import fig12_elasticity, format_table
 
 
 @pytest.mark.parametrize("direction", ["out", "in"])
-def test_fig12_elasticity(benchmark, record_experiment, direction):
-    result = benchmark.pedantic(
-        lambda: fig12_elasticity(direction=direction, num_batches=40),
-        rounds=1,
-        iterations=1,
-    )
+def test_fig12_elasticity(record_experiment, direction):
+    result = fig12_elasticity(direction=direction, num_batches=40)
     series = result["series"]
     record_experiment(
         f"fig12_scale_{direction}",

@@ -11,16 +11,12 @@ from __future__ import annotations
 from repro.bench import fig13_latency_distribution, format_table
 
 
-def test_fig13_latency_distribution(benchmark, record_experiment):
-    out = benchmark.pedantic(
-        lambda: fig13_latency_distribution(
-            techniques=("time", "prompt"),
-            num_batches=60,
-            rate=12_000.0,
-            exponent=1.2,
-        ),
-        rounds=1,
-        iterations=1,
+def test_fig13_latency_distribution(record_experiment):
+    out = fig13_latency_distribution(
+        techniques=("time", "prompt"),
+        num_batches=60,
+        rate=12_000.0,
+        exponent=1.2,
     )
     summary_rows = [
         {

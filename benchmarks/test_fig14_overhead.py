@@ -15,18 +15,14 @@ from repro.bench import (
 )
 
 
-def test_fig14a_post_sort_throughput(benchmark, record_experiment):
-    rows = benchmark.pedantic(
-        lambda: fig14a_post_sort_throughput(
-            num_batches=3,
-            num_keys=40_000,
-            exponent=0.6,
-            tolerance=0.1,
-            initial_rate=6_000.0,
-            cost_scale=2.0,
-        ),
-        rounds=1,
-        iterations=1,
+def test_fig14a_post_sort_throughput(record_experiment):
+    rows = fig14a_post_sort_throughput(
+        num_batches=3,
+        num_keys=40_000,
+        exponent=0.6,
+        tolerance=0.1,
+        initial_rate=6_000.0,
+        cost_scale=2.0,
     )
     record_experiment(
         "fig14a_post_sort",
@@ -37,13 +33,9 @@ def test_fig14a_post_sort_throughput(benchmark, record_experiment):
     assert by_name["prompt"] >= by_name["prompt-postsort"]
 
 
-def test_fig14b_partition_overhead(benchmark, record_experiment):
-    rows = benchmark.pedantic(
-        lambda: fig14b_partition_overhead(
-            rates=(5_000.0, 10_000.0, 20_000.0, 40_000.0)
-        ),
-        rounds=1,
-        iterations=1,
+def test_fig14b_partition_overhead(record_experiment):
+    rows = fig14b_partition_overhead(
+        rates=(5_000.0, 10_000.0, 20_000.0, 40_000.0)
     )
     record_experiment(
         "fig14b_overhead",

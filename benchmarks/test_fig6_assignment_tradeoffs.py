@@ -10,8 +10,8 @@ from __future__ import annotations
 from repro.bench import fig6_assignment_tradeoffs, format_table
 
 
-def test_fig6_assignment_tradeoffs(benchmark, record_experiment):
-    rows = benchmark.pedantic(fig6_assignment_tradeoffs, rounds=1, iterations=1)
+def test_fig6_assignment_tradeoffs(record_experiment):
+    rows = fig6_assignment_tradeoffs()
     record_experiment(
         "fig6_assignment_tradeoffs",
         format_table(rows, title="Figure 6: assignment trade-offs (385 tuples, 8 keys, 4 blocks)"),

@@ -16,18 +16,14 @@ from __future__ import annotations
 from repro.bench import bench_parallel_speedup, format_table
 
 
-def test_parallel_speedup(benchmark, record_experiment):
-    rows = benchmark.pedantic(
-        lambda: bench_parallel_speedup(
-            rate=4_000.0,
-            num_batches=5,
-            num_keys=2_000,
-            exponent=1.4,
-            num_blocks=8,
-            workers=2,
-        ),
-        rounds=1,
-        iterations=1,
+def test_parallel_speedup(record_experiment):
+    rows = bench_parallel_speedup(
+        rate=4_000.0,
+        num_batches=5,
+        num_keys=2_000,
+        exponent=1.4,
+        num_blocks=8,
+        workers=2,
     )
     record_experiment(
         "BENCH_parallel_speedup",

@@ -24,12 +24,8 @@ from repro.bench.shootout import (
 )
 
 
-def test_partitioner_shootout(benchmark, record_experiment):
-    payload = benchmark.pedantic(
-        lambda: partitioner_shootout(rate=6_000.0, num_keys=3_000, cost_scale=2.0),
-        rounds=1,
-        iterations=1,
-    )
+def test_partitioner_shootout(record_experiment):
+    payload = partitioner_shootout(rate=6_000.0, num_keys=3_000, cost_scale=2.0)
     quality = payload["quality"]
     runtime = payload["runtime"]
     for row in quality:

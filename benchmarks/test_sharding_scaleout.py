@@ -20,12 +20,8 @@ from repro.bench.sharding import (
 )
 
 
-def test_sharding_scaleout(benchmark, record_experiment):
-    rows = benchmark.pedantic(
-        lambda: bench_sharding_scaleout(),
-        rounds=1,
-        iterations=1,
-    )
+def test_sharding_scaleout(record_experiment):
+    rows = bench_sharding_scaleout()
     gate = scaleout_gate(rows)
     payload = {"rows": rows, "gate": gate}
     record_experiment(

@@ -5,12 +5,8 @@ from __future__ import annotations
 from repro.bench import format_table, table1_dataset_stats
 
 
-def test_table1_dataset_stats(benchmark, record_experiment):
-    rows = benchmark.pedantic(
-        lambda: table1_dataset_stats(rate=10_000.0, sample_seconds=2.0),
-        rounds=1,
-        iterations=1,
-    )
+def test_table1_dataset_stats(record_experiment):
+    rows = table1_dataset_stats(rate=10_000.0, sample_seconds=2.0)
     record_experiment(
         "table1_datasets",
         format_table(rows, title="Table 1: Datasets (paper vs scaled stand-ins)"),

@@ -66,7 +66,6 @@ from .core import (
     PartitionedBatch,
     PromptBatchPartitioner,
     PromptConfig,
-    ReduceBucketAllocator,
     StreamTuple,
     evaluate_partition,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "PromptConfig",
     "Query",
     "Rebalance",
-    "ReduceBucketAllocator",
     "RunObservability",
     "RunResult",
     "RunSpec",

@@ -27,12 +27,7 @@ from .metrics import (
 )
 from .sketch_accumulator import SketchMicroBatchAccumulator
 from .sketches import SpaceSavingSketch
-from .reduce_allocator import (
-    BucketAssignment,
-    KeyCluster,
-    ReduceBucketAllocator,
-    hash_allocate,
-)
+from .reduce_allocator import ClusterColumns, KeyCluster, bpvc_buckets, hash_buckets
 from .tuples import KeyGroup, StreamTuple, group_by_key, sorted_key_groups
 
 __all__ = [
@@ -40,7 +35,7 @@ __all__ = [
     "AccumulatorConfig",
     "AutoScaler",
     "BatchInfo",
-    "BucketAssignment",
+    "ClusterColumns",
     "DataBlock",
     "EarlyReleaseConfig",
     "EarlyReleaseController",
@@ -54,7 +49,6 @@ __all__ = [
     "PartitionerConfig",
     "PromptBatchPartitioner",
     "PromptConfig",
-    "ReduceBucketAllocator",
     "ReleaseWindow",
     "ScalingDecision",
     "SketchMicroBatchAccumulator",
@@ -63,10 +57,11 @@ __all__ = [
     "Zone",
     "block_cardinality_imbalance",
     "block_size_imbalance",
+    "bpvc_buckets",
     "candidate_buckets",
     "evaluate_partition",
     "group_by_key",
-    "hash_allocate",
+    "hash_buckets",
     "hash_to_bucket",
     "key_split_ratio",
     "micro_batch_partitioning_imbalance",

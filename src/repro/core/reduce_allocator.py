@@ -21,30 +21,25 @@ eroded unevenly by the hashed split keys, is *Balanced Bin Packing with
 Variable Capacity* (Definition 2), NP-complete (Theorem 2).  Because
 each Map task independently minimizes its own imbalance, the additive
 overall imbalance shrinks (Section 5).
+
+Both allocations here, :func:`bpvc_buckets` and the hashing baseline
+:func:`hash_buckets`, map ``(clusters, split_keys, num_buckets)`` to one
+Reduce bucket id per cluster, in cluster order.  They are module-level
+and stateless, so execution backends ship them to worker processes by
+reference.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import neg
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterator
 
 from .hashing import hash_to_bucket
 from .tuples import Key, token_order
 
-__all__ = [
-    "KeyCluster",
-    "ClusterColumns",
-    "BucketAssignment",
-    "ReduceBucketAllocator",
-    "hash_allocate",
-    "hash_buckets",
-    "bpvc_buckets",
-    "hash_reduce_allocation",
-    "bpvc_reduce_allocation",
-]
+__all__ = ["KeyCluster", "ClusterColumns", "hash_buckets", "bpvc_buckets"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,14 +69,6 @@ class ClusterColumns:
         self.keys = keys
         self.sizes = sizes
 
-    @classmethod
-    def of(cls, clusters: Iterable[KeyCluster]) -> ClusterColumns:
-        """``clusters`` as columns: returned as is when they already are."""
-        if isinstance(clusters, ClusterColumns):
-            return clusters
-        clusters = list(clusters)
-        return cls([c.key for c in clusters], [c.size for c in clusters])
-
     def __len__(self) -> int:
         return len(self.keys)
 
@@ -97,55 +84,27 @@ class ClusterColumns:
         return f"ClusterColumns(keys={self.keys!r}, sizes={self.sizes!r})"
 
 
-@dataclass(slots=True)
-class BucketAssignment:
-    """Cluster-to-bucket routing produced by one Map task."""
-
-    num_buckets: int
-    assignment: dict[Key, int] = field(default_factory=dict)
-    bucket_loads: list[int] = field(default_factory=list)
-
-    def load_of(self, bucket: int) -> int:
-        return self.bucket_loads[bucket]
-
-    @property
-    def max_load(self) -> int:
-        return max(self.bucket_loads, default=0)
-
-    @property
-    def imbalance(self) -> float:
-        """Bucket-size imbalance (Eqn. 3) of this task's own output."""
-        if not self.bucket_loads:
-            return 0.0
-        return self.max_load - sum(self.bucket_loads) / len(self.bucket_loads)
-
-
 def hash_buckets(
-    keys: Sequence[Key], sizes: Sequence[int], num_buckets: int
-) -> tuple[list[int], list[int]]:
-    """The conventional hashing assignment (Figure 8a) on cluster columns.
+    clusters: ClusterColumns,
+    split_keys: Collection[Key],
+    num_buckets: int,
+) -> list[int]:
+    """The conventional hashing allocation (Figure 8a): ``buckets[i]`` is
+    cluster ``i``'s Reduce bucket.
 
-    Returns ``(buckets, loads)``: ``buckets[i]`` is cluster ``i``'s
-    Reduce bucket, ``loads[j]`` the summed size routed to bucket ``j``.
+    Every key is hashed, so ``split_keys`` does not matter to it.
     """
     if num_buckets < 1:
         raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
-    buckets = [hash_to_bucket(key, num_buckets) for key in keys]
-    loads = [0] * num_buckets
-    for j, size in zip(buckets, sizes):
-        loads[j] += size
-    return buckets, loads
+    return [hash_to_bucket(key, num_buckets) for key in clusters.keys]
 
 
 def bpvc_buckets(
-    keys: Sequence[Key],
-    sizes: Sequence[int],
-    split_keys: Collection[Key] | Mapping[Key, object],
+    clusters: ClusterColumns,
+    split_keys: Collection[Key],
     num_buckets: int,
-) -> tuple[list[int], list[int]]:
-    """Algorithm 3 on cluster columns: ``(buckets, loads)`` as in
-    :func:`hash_buckets`, with bucket -1 for a negative-size cluster,
-    which is left unplaced.
+) -> list[int]:
+    """Algorithm 3: ``buckets[i]`` is cluster ``i``'s Reduce bucket.
 
     ``split_keys`` holds the keys this Map task must route by hashing
     (they also exist in other blocks).
@@ -153,8 +112,10 @@ def bpvc_buckets(
     r = num_buckets
     if r < 1:
         raise ValueError(f"num_buckets must be >= 1, got {r}")
-    n = len(keys)
-    buckets = [0] * n
+    keys, sizes = clusters.keys, clusters.sizes
+    if sizes and min(sizes) < 0:
+        raise ValueError(f"cluster size must be >= 0, got {min(sizes)}")
+    buckets = [0] * len(keys)
     loads = [0] * r
     total = sum(sizes)
 
@@ -178,21 +139,20 @@ def bpvc_buckets(
     placed_sizes = [sizes[i] for i in order]
 
     # Zero-size clusters carry no load, so WorstFit has no signal to
-    # spread them (with total == 0 every capacity is 0 and the overflow
-    # tail would dump them all on bucket 0 — worst-case cardinality
-    # imbalance).  Round-robin keeps their *count* balanced instead;
-    # they sorted behind the positive prefix in deterministic key
-    # order, so the placement is stable.  A negative size, which no Map
-    # task emits, counts into ``total`` but is left unplaced (bucket -1).
+    # spread them (with total == 0 every capacity is 0).  Round-robin
+    # keeps their *count* balanced instead; they sorted behind the
+    # positive prefix in deterministic key order, so the placement is
+    # stable.
     m = bisect_left(placed_sizes, 0, key=neg)  # the positive prefix
-    z = bisect_right(placed_sizes, 0, lo=m, key=neg)  # ... then the zeros
 
     # Lines 5-12: WorstFit with bucket retirement.  Capacity is the
     # residual of the expected equal share Bucket_size = |C| / |R| after
     # the hashed split keys landed (the variable capacities of B-BPVC);
     # buckets eroded past their share (e.g. the one owning a hot split
     # key) are excluded until nothing else has room — B-BPVC
-    # requirement (1) limits bucket overflow.
+    # requirement (1) limits bucket overflow.  Some bucket always has
+    # room while a positive cluster waits: the loads sum to less than
+    # the total, which is at most ``r * expected``.
     #
     # Inside one round the chosen bucket retires and no other capacity
     # moves, so the round's WorstFit picks are exactly its open buckets
@@ -210,8 +170,6 @@ def bpvc_buckets(
         open_buckets = sorted(
             [j for j in range(r) if loads[j] < expected], key=loads.__getitem__
         )
-        if not open_buckets:
-            break
         width = len(open_buckets)
         run_size = placed_sizes[dealt]
         run_end = bisect_right(placed_sizes, -run_size, lo=dealt, hi=m, key=neg)
@@ -230,79 +188,8 @@ def bpvc_buckets(
         for j, size in zip(open_buckets, chunk):
             loads[j] += size
         dealt += len(chunk)
-    if dealt < m:
-        # Every bucket is at/over its share and loads only grow, so none
-        # reopens: the rest go to the globally least-loaded bucket, one
-        # (load, index) heap step each.  Unreachable with non-negative
-        # sizes (the placed load would exceed the total).
-        heap = [(loads[j], j) for j in range(r)]
-        heapq.heapify(heap)
-        for size in placed_sizes[dealt:m]:
-            load, j = heap[0]
-            dealt_buckets.append(j)
-            loads[j] = load + size
-            heapq.heapreplace(heap, (loads[j], j))
     for i, j in zip(order, dealt_buckets):
         buckets[i] = j
-    for turn, i in enumerate(order[m:z]):
+    for turn, i in enumerate(order[m:]):
         buckets[i] = turn % r
-    for i in order[z:]:
-        buckets[i] = -1
-    return buckets, loads
-
-
-def hash_allocate(
-    clusters: Iterable[KeyCluster], num_buckets: int
-) -> BucketAssignment:
-    """The conventional hashing assignment (Figure 8a) — baseline behaviour."""
-    c = ClusterColumns.of(clusters)
-    buckets, loads = hash_buckets(c.keys, c.sizes, num_buckets)
-    return BucketAssignment(num_buckets, dict(zip(c.keys, buckets)), loads)
-
-
-def hash_reduce_allocation(
-    clusters: Iterable[KeyCluster],
-    split_keys: Collection[Key] | Mapping[Key, object],
-    num_buckets: int,
-) -> BucketAssignment:
-    """Module-level hashing allocation (``split_keys`` is irrelevant to it).
-
-    Execution backends ship this by *reference* to worker processes —
-    pickling a function defined at module scope costs bytes, not a copy
-    of any partitioner state.
-    """
-    return hash_allocate(clusters, num_buckets)
-
-
-def bpvc_reduce_allocation(
-    clusters: Iterable[KeyCluster],
-    split_keys: Collection[Key] | Mapping[Key, object],
-    num_buckets: int,
-) -> BucketAssignment:
-    """Module-level Algorithm 3 allocation (stateless; safe across processes)."""
-    return ReduceBucketAllocator(num_buckets).allocate(clusters, split_keys)
-
-
-class ReduceBucketAllocator:
-    """Algorithm 3: local, load-aware Reduce bucket allocation."""
-
-    def __init__(self, num_buckets: int) -> None:
-        if num_buckets < 1:
-            raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
-        self.num_buckets = num_buckets
-
-    def allocate(
-        self,
-        clusters: Iterable[KeyCluster],
-        split_keys: Collection[Key] | Mapping[Key, object] = (),
-    ) -> BucketAssignment:
-        """Route ``clusters`` to buckets given the block reference table
-        (see :func:`bpvc_buckets`); the assignment lists keys in cluster
-        order."""
-        c = ClusterColumns.of(clusters)
-        r = self.num_buckets
-        buckets, loads = bpvc_buckets(c.keys, c.sizes, split_keys, r)
-        assignment = dict(zip(c.keys, buckets))
-        if -1 in buckets:  # unplaced negative-size clusters
-            assignment = {k: j for k, j in assignment.items() if j >= 0}
-        return BucketAssignment(r, assignment, loads)
+    return buckets

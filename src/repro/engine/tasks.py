@@ -50,7 +50,7 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from ..core.batch import DataBlock, MapInput, PartitionedBatch
-from ..core.reduce_allocator import BucketAssignment, ClusterColumns
+from ..core.reduce_allocator import ClusterColumns
 from ..core.tuples import Key
 from ..obs.tracing import NULL_TRACER, Tracer, WorkerSpan
 from ..partitioners.base import Partitioner, ReduceAllocation
@@ -135,7 +135,8 @@ class MapTaskResult:
     input_cardinality: int
     #: the emitted keys, in block key order, and their cluster sizes
     clusters: ClusterColumns
-    assignment: BucketAssignment
+    #: each cluster's Reduce bucket, in the order of ``clusters``
+    buckets: list[int]
     duration: float
     # per-key aggregated partial value from this block (map-side results),
     # in the order of ``clusters.keys``
@@ -313,13 +314,13 @@ def run_map_task(
     started = time.perf_counter()
     clusters, partials, duration = execute_map_task(block, query, cost_model)
     block_split = {k for k in split_keys if k in partials}
-    assignment = allocate(clusters, block_split, num_reducers)
+    buckets = allocate(clusters, block_split, num_reducers)
     return MapTaskResult(
         block_index=block.index,
         input_weight=block.size,
         input_cardinality=block.cardinality,
         clusters=clusters,
-        assignment=assignment,
+        buckets=buckets,
         duration=duration,
         partials=partials,
         task_seed=task_seed,
@@ -339,18 +340,23 @@ def shuffle_map_results(
     bucket with one stable argsort, so every bucket's columns have a
     stable order — the property that makes downstream Reduce outputs
     byte-identical across backends.  Asserts key locality: a key routed
-    to two buckets is a hard failure.
+    to two buckets is a hard failure, and so is a bucket column whose
+    length is not its Map task's cluster count.
     """
     keys: list[Key] = []
     parts: list[object] = []
     sizes: list[int] = []
     routes: list[int] = []
     for m in map_results:
-        m_keys = m.clusters.keys
-        keys += m_keys
+        if len(m.buckets) != len(m.clusters):
+            raise ValueError(
+                f"Map task {m.block_index} routed {len(m.buckets)} clusters "
+                f"of the {len(m.clusters)} it emitted"
+            )
+        keys += m.clusters.keys
         parts += columns_of(m.partials)[1]
         sizes += m.clusters.sizes
-        routes += _in_key_order(m.assignment.assignment, m_keys)
+        routes += m.buckets
     n = len(keys)
     buckets = np.array(routes, dtype=np.intp)
     stray = np.flatnonzero((buckets < 0) | (buckets >= num_reducers))
@@ -412,18 +418,6 @@ def shuffle_map_results(
         )
         for j, (lo, hi) in enumerate(zip([0] + ends, ends))
     ]
-
-
-def _in_key_order(by_key: dict[Key, object], keys: list[Key]) -> list:
-    """``by_key``'s values for ``keys``, in that order.
-
-    The built-in allocations build their dicts in cluster order, so the
-    values usually are the column already; any other order (a custom
-    allocation) is looked up key by key.
-    """
-    if list(by_key) == keys:
-        return list(by_key.values())
-    return list(map(by_key.__getitem__, keys))
 
 
 def run_reduce_task(

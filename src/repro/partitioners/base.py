@@ -7,32 +7,29 @@ blocks.  Tuple-at-a-time techniques (time-based, shuffle, hashing,
 PK2/PK5, cAM) decide per tuple in arrival order, exactly as they must in
 a native DSPS; Prompt decides over the whole batch.
 
-The interface also covers the processing phase: ``allocate_reduce`` maps
-one Map task's key clusters to Reduce buckets.  The default is the
-conventional hashing assignment every baseline uses (Section 5,
-Figure 8a); Prompt overrides it with Algorithm 3.
+The interface also covers the processing phase: ``reduce_allocation``
+returns the function that gives each of one Map task's key clusters a
+Reduce bucket.  The default is the conventional hashing assignment every
+baseline uses (Section 5, Figure 8a); Prompt returns Algorithm 3.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Sequence
 
 from ..core.batch import BatchInfo, DataBlock, PartitionedBatch
-from ..core.reduce_allocator import (
-    BucketAssignment,
-    KeyCluster,
-    hash_allocate,
-    hash_reduce_allocation,
-)
+from ..core.reduce_allocator import ClusterColumns, hash_buckets
 from ..core.tuples import Key, StreamTuple
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from .feedback import WorkerLoadFeedback
 
 __all__ = ["Partitioner", "StreamingPartitioner", "ReduceAllocation"]
 
-#: pure callable routing one Map task's clusters to Reduce buckets
-ReduceAllocation = Callable[[Iterable[KeyCluster], Collection[Key], int], BucketAssignment]
+#: pure callable routing one Map task's clusters to Reduce buckets:
+#: ``(clusters, split_keys, num_buckets)`` to one bucket id per cluster,
+#: in cluster order
+ReduceAllocation = Callable[[ClusterColumns, Collection[Key], int], list[int]]
 
 
 class Partitioner(abc.ABC):
@@ -73,35 +70,17 @@ class Partitioner(abc.ABC):
         must place every tuple exactly once.
         """
 
-    def allocate_reduce(
-        self,
-        clusters: Iterable[KeyCluster],
-        split_keys: Collection[Key],
-        num_buckets: int,
-    ) -> BucketAssignment:
-        """Route one Map task's key clusters to Reduce buckets.
+    def reduce_allocation(self) -> ReduceAllocation:
+        """The function that routes one Map task's key clusters to Reduce
+        buckets.
 
         Default: conventional hashing (key locality is guaranteed, load
-        balance is not).  ``split_keys`` is ignored by hashing since it
-        routes every key identically anyway.
+        balance is not).  Execution backends dispatch Map tasks to worker
+        processes and the allocation travels with them, so it must be
+        (a) free of shared mutable state and (b) cheap to pickle: a
+        module-level function, not a bound method of a partitioner.
         """
-        return hash_allocate(clusters, num_buckets)
-
-    def reduce_allocation(self) -> ReduceAllocation:
-        """A picklable, pure callable equivalent to :meth:`allocate_reduce`.
-
-        Execution backends dispatch Map tasks to worker processes; the
-        allocation logic travels with each task and must therefore be
-        (a) free of shared mutable state and (b) cheap to pickle.  The
-        default returns the module-level hashing function when
-        ``allocate_reduce`` is not overridden; a subclass that overrides
-        only ``allocate_reduce`` falls back to its bound method (which
-        pickles the whole partitioner — correct, but heavier; override
-        this method too for a slim handle).
-        """
-        if type(self).allocate_reduce is Partitioner.allocate_reduce:
-            return hash_reduce_allocation
-        return self.allocate_reduce
+        return hash_buckets
 
     def observe_load(self, feedback: WorkerLoadFeedback) -> None:
         """Consume one completed batch's observed per-worker load.

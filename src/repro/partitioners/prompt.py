@@ -17,22 +17,17 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Collection, Iterable, Sequence
+from typing import Sequence
 
 from ..core import kernels
 from ..core.batch import BatchInfo, PartitionedBatch
 from ..core.batch_partitioner import PromptBatchPartitioner
 from ..core.buffering import AccumulatedBatch, MicroBatchAccumulator
 from ..core.config import PromptConfig
-from ..core.reduce_allocator import (
-    BucketAssignment,
-    KeyCluster,
-    ReduceBucketAllocator,
-    bpvc_reduce_allocation,
-)
+from ..core.reduce_allocator import bpvc_buckets
 from ..core.sketch_accumulator import SketchMicroBatchAccumulator
-from ..core.tuples import Key, StreamTuple, sorted_key_groups
-from .base import Partitioner
+from ..core.tuples import StreamTuple, sorted_key_groups
+from .base import Partitioner, ReduceAllocation
 
 __all__ = ["PromptPartitioner"]
 
@@ -160,22 +155,12 @@ class PromptPartitioner(Partitioner):
         return self.SORT_COST_PER_KEY_LOG * keys * max(1.0, math.log2(keys))
 
     # ------------------------------------------------------------------
-    def allocate_reduce(
-        self,
-        clusters: Iterable[KeyCluster],
-        split_keys: Collection[Key],
-        num_buckets: int,
-    ) -> BucketAssignment:
-        """Algorithm 3: local load-aware allocation instead of hashing."""
-        allocator = ReduceBucketAllocator(num_buckets)
-        return allocator.allocate(clusters, split_keys)
+    def reduce_allocation(self) -> ReduceAllocation:
+        """Algorithm 3: local load-aware allocation instead of hashing.
 
-    def reduce_allocation(self):
-        """Slim process-safe handle: Algorithm 3 without the accumulator.
-
-        The partitioner instance drags the whole buffered batch
-        (``last_batch``) along; pickling it into every Map task would
-        dwarf the task payload, so parallel backends get the stateless
-        module-level function instead.
+        The stateless module-level function, not a bound method: the
+        partitioner instance drags the whole buffered batch
+        (``last_batch``) along, and pickling it into every Map task
+        would dwarf the task payload.
         """
-        return bpvc_reduce_allocation
+        return bpvc_buckets

@@ -1,13 +1,14 @@
 """Property suite: Algorithm 3 on cluster columns vs the object form it replaced.
 
 :func:`~repro.core.reduce_allocator.bpvc_buckets` reads a Map task's
-clusters as two aligned columns (keys, sizes) and returns one bucket id
-per cluster; it builds no ``KeyCluster``.  Over seeded random instances
-it must give every key the bucket, and every bucket the load, that
-``ReduceBucketAllocator.allocate`` gave when it walked ``KeyCluster``
-objects one at a time — frozen below as it stood.  The families reach
-every branch: hashed split keys, WorstFit rounds (equal-size runs and
-mixed sizes), the heap-overflow tail and round-robin zero-size clusters.
+clusters as a :class:`~repro.core.reduce_allocator.ClusterColumns`
+(keys, sizes) and returns one bucket id per cluster; it builds no
+``KeyCluster``.  Over seeded random instances it must give every key
+the bucket, and every bucket the load, that the allocator gave when it
+walked ``KeyCluster`` objects one at a time — frozen below as it stood.
+The families reach every branch: hashed split keys, WorstFit rounds
+(equal-size runs and mixed sizes), the frozen form's heap-overflow tail
+and round-robin zero-size clusters.
 
 Note that the ``synd_flat_wc`` benchmark row has
 no split keys, so the benchmark never exercises the split branch; this
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import NamedTuple
 
 import pytest
 
@@ -26,27 +26,20 @@ from repro.core.hashing import hash_to_bucket
 from repro.core.reduce_allocator import (
     ClusterColumns,
     KeyCluster,
-    ReduceBucketAllocator,
     bpvc_buckets,
-    hash_allocate,
     hash_buckets,
 )
 from repro.core.tuples import _order_tokens
 
+from .test_reduce_allocator import _instance, _loads
+
 INSTANCES_PER_FAMILY = 300
 
 
-class _RawCluster(NamedTuple):
-    """A cluster without ``KeyCluster``'s size check (overflow family)."""
-
-    key: object
-    size: int
-
-
 def _frozen_object_allocate(clusters, split_keys, r):
-    """``ReduceBucketAllocator.allocate`` over ``KeyCluster`` objects, as
-    it stood before the column form.  Frozen as the oracle; do not
-    "tidy" it.  Also counts which branches the instance reached."""
+    """The allocator over ``KeyCluster`` objects, as it stood before the
+    column form.  Frozen as the oracle; do not "tidy" it.  Also counts
+    which branches the instance reached."""
     reached = {"hashed": 0, "rounds": 0, "overflow": 0, "zeros": 0}
     assignment: dict = {}
     loads = [0] * r
@@ -97,47 +90,6 @@ def _frozen_object_allocate(clusters, split_keys, r):
     return assignment, loads, reached
 
 
-def _keys(rng, n, family):
-    if family == "mixed-keys":
-        # ints, strs and tuples together: the type-prefixed token path
-        pool = [i for i in range(n)] + [f"k{i}" for i in range(n)]
-        pool += [(i, "t") for i in range(n)]
-        return rng.sample(pool, n)
-    keys = [f"k{i}" for i in range(n)]
-    rng.shuffle(keys)
-    return keys
-
-
-def _instance(rng, family):
-    """``(clusters, split_keys, r)`` for one family."""
-    r = rng.randint(1, 12)
-    n = rng.randint(0, 80)
-    keys = _keys(rng, n, family)
-    if family in ("unit", "split-unit", "mixed-keys"):
-        sizes = [1] * n  # what every map-side-combining query emits
-    elif family == "steps":
-        # a few long runs of equal sizes, rounds ending part-way through
-        sizes = [rng.choice((1, 2, 3, 7)) for _ in range(n)]
-    elif family == "zeros":
-        sizes = [rng.choice((0, 0, 1, 3)) for _ in range(n)]
-    else:
-        sizes = [int(rng.paretovariate(0.9)) for _ in range(n)]
-    clusters = [KeyCluster(key=k, size=s) for k, s in zip(keys, sizes)]
-    split = set()
-    if family != "unit":
-        split = set(rng.sample(keys, min(n, rng.randint(0, 6))))
-    if family == "hot-split":
-        clusters.append(KeyCluster(key="hot", size=10 * (sum(sizes) + 1)))
-        split.add("hot")
-    if family == "overflow":
-        # Valid clusters never fill every bucket while one still waits;
-        # only a negative size (counted into the total) reaches the tail.
-        clusters = [_RawCluster(c.key, c.size) for c in clusters]
-        clusters.append(_RawCluster("ghost", -rng.randint(1, sum(sizes) + 1)))
-    rng.shuffle(clusters)
-    return clusters, split, r
-
-
 FAMILIES = (
     "unit", "split-unit", "mixed-keys", "steps", "skewed", "hot-split",
     "zeros", "overflow",
@@ -154,6 +106,11 @@ MUST_REACH = {
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_column_form_matches_frozen_object_form(family):
+    """Every family matches the frozen form bucket for bucket.  The
+    ``overflow`` family's negative-size ghost, which the frozen form
+    left unplaced while its heap tail placed the rest, is rejected by the
+    column form with ``ValueError``; the same instance without the ghost
+    matches the frozen form."""
     reached = {"hashed": 0, "rounds": 0, "overflow": 0, "zeros": 0}
     for seed in range(INSTANCES_PER_FAMILY):
         rng = random.Random(f"columns-{family}-{seed}")
@@ -161,19 +118,21 @@ def test_column_form_matches_frozen_object_form(family):
         want, want_loads, hit = _frozen_object_allocate(clusters, split, r)
         for branch, count in hit.items():
             reached[branch] += count
-        keys = [c.key for c in clusters]
-        buckets, loads = bpvc_buckets(keys, [c.size for c in clusters], split, r)
         where = (family, seed)
+        keys = [c.key for c in clusters]
+        sizes = [c.size for c in clusters]
+        if family == "overflow":
+            with pytest.raises(ValueError, match="cluster size must be >= 0"):
+                bpvc_buckets(ClusterColumns(keys, sizes), split, r)
+            clusters = [c for c in clusters if c.size >= 0]
+            want, want_loads, _ = _frozen_object_allocate(clusters, split, r)
+            keys = [c.key for c in clusters]
+            sizes = [c.size for c in clusters]
+        buckets = bpvc_buckets(ClusterColumns(keys, sizes), split, r)
         assert len(buckets) == len(keys), where
-        assert loads == want_loads, where
-        # both forms leave the negative-size ghost unplaced (bucket -1)
-        placed = [(k, j) for k, j in zip(keys, buckets) if j >= 0]
-        assert len(placed) == len(keys) - (family == "overflow"), where
-        assert dict(placed) == want, where
-        # the object entry point is the column form, keys in cluster order
-        out = ReduceBucketAllocator(r).allocate(clusters, split)
-        assert list(out.assignment.items()) == placed, where
-        assert out.bucket_loads == loads, where
+        assert all(0 <= j < r for j in buckets), where
+        assert _loads(buckets, sizes, r) == want_loads, where
+        assert dict(zip(keys, buckets)) == want, where
     assert reached["rounds"] > 0
     if family in MUST_REACH:
         assert reached[MUST_REACH[family]] > 0, reached
@@ -181,35 +140,34 @@ def test_column_form_matches_frozen_object_form(family):
         assert reached["overflow"] == 0  # unreachable with valid sizes
 
 
+def _keys(rng, n):
+    """``n`` distinct ints, strs and tuples together."""
+    pool = [i for i in range(n)] + [f"k{i}" for i in range(n)]
+    pool += [(i, "t") for i in range(n)]
+    return rng.sample(pool, n)
+
+
 def test_hash_column_form_matches_per_cluster_hashing():
     for seed in range(200):
         rng = random.Random(f"hash-{seed}")
         r = rng.randint(1, 12)
-        keys = _keys(rng, rng.randint(0, 60), "mixed-keys")
+        keys = _keys(rng, rng.randint(0, 60))
         sizes = [rng.randint(0, 9) for _ in keys]
-        buckets, loads = hash_buckets(keys, sizes, r)
+        split = set(rng.sample(keys, min(len(keys), 3)))
+        buckets = hash_buckets(ClusterColumns(keys, sizes), split, r)
         assert buckets == [hash_to_bucket(k, r) for k in keys]
-        want_loads = [0] * r
-        for key, size in zip(keys, sizes):
-            want_loads[hash_to_bucket(key, r)] += size
-        assert loads == want_loads
-        clusters = [KeyCluster(k, s) for k, s in zip(keys, sizes)]
-        assert hash_allocate(clusters, r) == hash_allocate(
-            ClusterColumns(keys, sizes), r
-        )
 
 
 def test_columns_iterate_as_key_clusters_and_are_read_in_place():
     columns = ClusterColumns(["a", "b"], [1, 3])
     assert list(columns) == [KeyCluster("a", 1), KeyCluster("b", 3)]
     assert len(columns) == 2
-    assert ClusterColumns.of(columns) is columns
-    assert ClusterColumns.of(iter(columns)) == columns
+    assert columns == ClusterColumns(["a", "b"], [1, 3])
     assert columns != list(columns)  # columns compare only with columns
 
 
 def test_column_form_rejects_zero_buckets():
     with pytest.raises(ValueError):
-        bpvc_buckets(["a"], [1], (), 0)
+        bpvc_buckets(ClusterColumns(["a"], [1]), (), 0)
     with pytest.raises(ValueError):
-        hash_buckets(["a"], [1], 0)
+        hash_buckets(ClusterColumns(["a"], [1]), (), 0)

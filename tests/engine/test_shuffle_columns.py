@@ -19,6 +19,7 @@ import random
 import pytest
 
 from repro.core.batch import BatchInfo
+from repro.core.reduce_allocator import hash_buckets
 from repro.core.tuples import StreamTuple
 from repro.engine.cluster import ClusterConfig
 from repro.engine.tasks import (
@@ -43,9 +44,7 @@ def _oracle_shuffle(map_results, num_reducers, topology=None):
     weights = [0] * num_reducers
     remote = [0] * num_reducers
     for m in map_results:
-        route = m.assignment.assignment
-        for key, size in zip(m.clusters.keys, m.clusters.sizes):
-            j = route[key]
+        for key, size, j in zip(m.clusters.keys, m.clusters.sizes, m.buckets):
             fragments[j].append((key, m.partials[key]))
             weights[j] += size
             if topology is not None and not topology.is_local(m.block_index, j):
@@ -57,11 +56,10 @@ def _oracle_locality(map_results):
     """The first key, in shuffle order, routed to two buckets."""
     owner = {}
     for m in map_results:
-        route = m.assignment.assignment
-        for key in m.clusters.keys:
-            prior = owner.setdefault(key, route[key])
-            if prior != route[key]:
-                return f"key locality violated: {key!r} sent to buckets {prior} and {route[key]}"
+        for key, j in zip(m.clusters.keys, m.buckets):
+            prior = owner.setdefault(key, j)
+            if prior != j:
+                return f"key locality violated: {key!r} sent to buckets {prior} and {j}"
     return None
 
 
@@ -143,27 +141,31 @@ def test_split_float_key_folds_left_to_right_in_block_order():
 class _BrokenHash(HashPartitioner):
     """Sends the first cluster of every other Map task one bucket on."""
 
-    def allocate_reduce(self, clusters, split_keys, num_buckets):
-        out = super().allocate_reduce(clusters, split_keys, num_buckets)
-        self._calls = getattr(self, "_calls", 0) + 1
-        if out.assignment and self._calls % 2 == 0:
-            key = next(iter(out.assignment))
-            out.assignment[key] = (out.assignment[key] + 1) % num_buckets
-        return out
+    _calls = 0
+
+    def reduce_allocation(self):
+        def allocate(clusters, split_keys, num_buckets):
+            out = hash_buckets(clusters, split_keys, num_buckets)
+            self._calls += 1
+            if out and self._calls % 2 == 0:
+                out[0] = (out[0] + 1) % num_buckets
+            return out
+
+        return allocate
 
 
 def test_key_locality_violation_raises_the_oracle_message():
     rng = random.Random(5)
     raised = 0
     for _ in range(30):
-        part = _BrokenHash()
+        allocate = _BrokenHash().reduce_allocation()
         tuples = [
             StreamTuple(ts=i * 1e-3, key=rng.randrange(6), value=1.0) for i in range(200)
         ]
         batch = ShufflePartitioner().partition(tuples, 4, BatchInfo(0, 0.0, 1.0))
         query = Query(name="sum", aggregator=SumAggregator())
         map_results = [
-            run_map_task(b, query, part.allocate_reduce, 3, set(), TaskCostModel())
+            run_map_task(b, query, allocate, 3, set(), TaskCostModel())
             for b in batch.blocks
         ]
         message = _oracle_locality(map_results)
@@ -178,30 +180,41 @@ def test_key_locality_violation_raises_the_oracle_message():
 
 
 class _StrayBucket(HashPartitioner):
-    """Sends one key of the third Map task to a bucket that does not exist."""
+    """Changes the bucket column of the third Map task: ``bucket`` for its
+    second cluster, or a column ``extra`` entries longer (negative:
+    shorter) than its clusters."""
 
-    def __init__(self, bucket):
+    def __init__(self, bucket=None, extra=0):
         super().__init__()
-        self.bucket, self._calls = bucket, 0
+        self.bucket, self.extra, self._calls = bucket, extra, 0
 
-    def allocate_reduce(self, clusters, split_keys, num_buckets):
-        out = super().allocate_reduce(clusters, split_keys, num_buckets)
-        self._calls += 1
-        if self._calls == 3:
-            out.assignment[clusters.keys[1]] = self.bucket
-        return out
+    def reduce_allocation(self):
+        def allocate(clusters, split_keys, num_buckets):
+            out = hash_buckets(clusters, split_keys, num_buckets)
+            self._calls += 1
+            if self._calls == 3:
+                if self.bucket is not None:
+                    out[1] = self.bucket
+                out = out[: len(out) + self.extra] + [0] * self.extra
+            return out
+
+        return allocate
+
+
+def _stray_map_results(part):
+    tuples = [StreamTuple(ts=i * 1e-3, key=i % 40, value=1.0) for i in range(400)]
+    batch = ShufflePartitioner().partition(tuples, 4, BatchInfo(0, 0.0, 1.0))
+    query = Query(name="sum", aggregator=SumAggregator())
+    allocate = part.reduce_allocation()
+    return [
+        run_map_task(b, query, allocate, 3, set(), TaskCostModel())
+        for b in batch.blocks
+    ]
 
 
 @pytest.mark.parametrize("bucket", [3, 4, 40000, -1])
 def test_a_bucket_outside_the_reducers_raises(bucket):
-    part = _StrayBucket(bucket)
-    tuples = [StreamTuple(ts=i * 1e-3, key=i % 40, value=1.0) for i in range(400)]
-    batch = ShufflePartitioner().partition(tuples, 4, BatchInfo(0, 0.0, 1.0))
-    query = Query(name="sum", aggregator=SumAggregator())
-    map_results = [
-        run_map_task(b, query, part.allocate_reduce, 3, set(), TaskCostModel())
-        for b in batch.blocks
-    ]
+    map_results = _stray_map_results(_StrayBucket(bucket))
     stray = map_results[2]
     key = stray.clusters.keys[1]
     with pytest.raises(ValueError) as caught:
@@ -209,4 +222,20 @@ def test_a_bucket_outside_the_reducers_raises(bucket):
     assert str(caught.value) == (
         f"Map task {stray.block_index} routed key {key!r} to bucket {bucket}, "
         "outside the 3 Reduce buckets"
+    )
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_bucket_column_of_the_wrong_length_raises(extra):
+    """Reading the column beside the task's keys would silently drop a
+    too-short column's last keys, or a too-long column's extra ids."""
+    map_results = _stray_map_results(_StrayBucket(extra=extra))
+    stray = map_results[2]
+    n = len(stray.clusters)
+    assert len(stray.buckets) == n + extra
+    with pytest.raises(ValueError) as caught:
+        shuffle_map_results(map_results, 3)
+    assert str(caught.value) == (
+        f"Map task {stray.block_index} routed {n + extra} clusters "
+        f"of the {n} it emitted"
     )

@@ -9,6 +9,7 @@ import math
 import pytest
 
 from repro.core.batch import BatchInfo, DataBlock, PartitionedBatch
+from repro.core.reduce_allocator import hash_buckets
 from repro.core.tuples import StreamTuple
 from repro.engine.tasks import TaskCostModel, execute_batch_tasks, execute_map_task
 from repro.engine.windows import WindowedAggregator
@@ -149,47 +150,24 @@ def test_key_locality_violation_detected():
     """A broken allocator that routes one key to two buckets is caught."""
 
     class BrokenPartitioner(ShufflePartitioner):
-        def allocate_reduce(self, clusters, split_keys, num_buckets):
-            out = super().allocate_reduce(clusters, split_keys, num_buckets)
-            # perturb: send this task's first cluster to a rotating bucket
-            if out.assignment:
-                key = next(iter(out.assignment))
-                out.assignment[key] = (out.assignment[key] + self._bump) % num_buckets
-                self._bump += 1
-            return out
-
         _bump = 0
+
+        def reduce_allocation(self):
+            def allocate(clusters, split_keys, num_buckets):
+                out = hash_buckets(clusters, split_keys, num_buckets)
+                # perturb: send this task's first cluster to a rotating bucket
+                if out:
+                    out[0] = (out[0] + self._bump) % num_buckets
+                    self._bump += 1
+                return out
+
+            return allocate
 
     part = BrokenPartitioner()
     tuples = [StreamTuple(ts=i * 0.01, key="hot", value=1) for i in range(8)]
     batch = part.partition(tuples, 4, INFO)
     with pytest.raises(AssertionError, match="key locality violated"):
         execute_batch_tasks(batch, _sum_query(), part, 4, TaskCostModel())
-
-
-def test_shuffle_reads_an_assignment_in_any_key_order():
-    """A custom allocation may list its keys in any order: the shuffle
-    still routes each key's partial to that key's bucket, in cluster
-    order."""
-
-    class ReversedPartitioner(HashPartitioner):
-        def allocate_reduce(self, clusters, split_keys, num_buckets):
-            out = super().allocate_reduce(clusters, split_keys, num_buckets)
-            out.assignment = dict(reversed(out.assignment.items()))
-            return out
-
-    tuples = _value_tuples([(f"k{i}", i) for i in range(12)] * 2)
-    batch, _ = _partition(tuples, p=3)
-    want = execute_batch_tasks(batch, _sum_query(), HashPartitioner(), 3, TaskCostModel())
-    got = execute_batch_tasks(batch, _sum_query(), ReversedPartitioner(), 3, TaskCostModel())
-    for m in got.map_results:
-        assert list(m.assignment.assignment) == list(reversed(m.clusters.keys))
-    assert [r.results for r in got.reduce_results] == [
-        r.results for r in want.reduce_results
-    ]
-    assert [list(r.results) for r in got.reduce_results] == [
-        list(r.results) for r in want.reduce_results
-    ]
 
 
 def test_rejects_zero_reducers():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.batch import BatchInfo
 from repro.core.metrics import evaluate_partition
-from repro.core.reduce_allocator import KeyCluster
+from repro.core.reduce_allocator import ClusterColumns, bpvc_buckets
 from repro.core.tuples import StreamTuple
 from repro.partitioners import PromptPartitioner
 
@@ -67,11 +67,11 @@ def test_heartbeat_overhead_zero_for_empty_batch():
 
 
 def test_allocate_reduce_uses_algorithm3():
-    part = PromptPartitioner()
-    clusters = [KeyCluster(key=f"k{i}", size=10 - i) for i in range(8)]
-    out = part.allocate_reduce(clusters, split_keys=set(), num_buckets=4)
+    allocate = PromptPartitioner().reduce_allocation()
+    assert allocate is bpvc_buckets
+    clusters = ClusterColumns([f"k{i}" for i in range(8)], [10 - i for i in range(8)])
     counts = [0] * 4
-    for b in out.assignment.values():
+    for b in allocate(clusters, set(), 4):
         counts[b] += 1
     assert counts == [2, 2, 2, 2]  # retirement: even cluster counts
 

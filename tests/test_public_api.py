@@ -30,10 +30,12 @@ from repro.engine import executors, make_executor
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 #: The curated v1 surface, frozen.  v1 is a superset of v0 — every v0
-#: name is still here but ``CountTree``, removed with its module (no
-#: run used it: the tree's traversal is a sort on the final counts; see
-#: the "Removed" note in docs/api.md) — plus the topology tier (RunSpec,
-#: Topology shapes, sharding).  Additions are allowed (append here and
+#: name is still here but two, each with a "Removed" note in
+#: docs/api.md: ``CountTree``, removed with its module (no run used it:
+#: the tree's traversal is a sort on the final counts), and
+#: ``ReduceBucketAllocator`` (a class wrapping one function: Algorithm 3
+#: is ``repro.core.bpvc_buckets``, one bucket id per cluster) — plus the
+#: topology tier (RunSpec, Topology shapes, sharding).  Additions are allowed (append here and
 #: to the docs table); removals or renames are a breaking change and
 #: need a deprecation story first.
 V1_SURFACE = [
@@ -53,7 +55,6 @@ V1_SURFACE = [
     "PromptConfig",
     "Query",
     "Rebalance",
-    "ReduceBucketAllocator",
     "RunObservability",
     "RunResult",
     "RunSpec",
@@ -73,7 +74,8 @@ V1_SURFACE = [
     "run",
 ]
 
-#: every name the v0 freeze shipped that v1 keeps (all but ``CountTree``)
+#: every name the v0 freeze shipped that v1 keeps (all but ``CountTree``
+#: and ``ReduceBucketAllocator``)
 V0_SURFACE = [
     "AccumulatorConfig",
     "AutoScaler",
@@ -89,7 +91,6 @@ V0_SURFACE = [
     "PromptBatchPartitioner",
     "PromptConfig",
     "Query",
-    "ReduceBucketAllocator",
     "RunObservability",
     "RunResult",
     "StreamTuple",
