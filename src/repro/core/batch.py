@@ -11,11 +11,17 @@ tasks use that label to route split keys by hashing (Algorithm 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, count
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .tuples import Key, StreamTuple
 
 __all__ = ["DataBlock", "MapInput", "PartitionedBatch", "BatchInfo"]
+
+_GET_VALUE = attrgetter("value")
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,52 +42,82 @@ class MapInput:
 
     ``Map(k, v1)`` (Section 2.1) sees a key and a value, never a
     timestamp or a per-tuple weight, so this is the form a block takes
-    when it is shipped to a worker process: its index, its summed weight
-    and one value column per key, in the block's own key order.  Built
-    of plain containers only, it pickles without any per-tuple Python.
+    when it is shipped to a worker process: its index, its summed weight,
+    its key column and one value column per key, in the block's own key
+    order, and the block's order-token ranks when it has them (see
+    :attr:`DataBlock.ranks`).  Built of plain containers and one numpy
+    column, it pickles without any per-tuple Python.
     """
 
-    __slots__ = ("index", "size", "_columns")
+    __slots__ = ("index", "size", "keys", "fragments", "ranks")
 
-    def __init__(self, index: int, size: int, columns: dict[Key, list]) -> None:
+    def __init__(
+        self,
+        index: int,
+        size: int,
+        keys: list[Key],
+        fragments: list[list],
+        ranks: Optional[np.ndarray] = None,
+    ) -> None:
         self.index = index
         self.size = size
-        self._columns = columns
+        self.keys = keys
+        self.fragments = fragments
+        self.ranks = ranks
 
     @property
     def cardinality(self) -> int:
-        return len(self._columns)
-
-    @property
-    def keys(self) -> Iterable[Key]:
-        return self._columns.keys()
-
-    @property
-    def by_key(self) -> Mapping[Key, list]:
-        """Key -> value column, in the block's key order (read only)."""
-        return self._columns
+        return len(self.keys)
 
     def values(self, key: Key) -> Sequence:
-        return self._columns.get(key, ())
+        return self.fragments[self.keys.index(key)] if key in self.keys else ()
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._columns
+        return key in self.keys
 
 
 class DataBlock:
     """One partition of a micro-batch: the input of a single Map task.
 
-    Tuples are stored grouped by key (*key fragments*, Section 3.3); the
-    block tracks its total tuple weight and key cardinality in O(1).
+    Tuples are stored grouped by key (*key fragments*, Section 3.3) in
+    three aligned columns — ``keys``, ``fragments`` (each key's tuple
+    chain) and ``weights`` (each fragment's total weight) — in the order
+    keys entered the block.  The block tracks its total tuple weight in
+    O(1).  The columns are read only: change them through the methods.
+
+    The key -> position index is built only when a lookup needs it (``in``,
+    :meth:`fragment`, :meth:`install_fragment` on a key already here,
+    :meth:`remove_fragment`), so a bulk :meth:`adopt_chains` writes no
+    dict entry.  ``ranks`` is each key's order-token rank among the
+    batch's keys when the planner that filled the block knew them
+    (:func:`repro.core.kernels.plan_greedy`); any later change to the
+    block drops it to None, and Algorithm 3 then ranks the keys itself.
     """
 
-    __slots__ = ("index", "_fragments", "_fragment_weights", "_weight")
+    __slots__ = ("index", "keys", "fragments", "weights", "ranks", "_pos", "_weight")
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self._fragments: dict[Key, list[StreamTuple]] = {}
-        self._fragment_weights: dict[Key, int] = {}
+        self.keys: list[Key] = []
+        self.fragments: list[list[StreamTuple]] = []
+        self.weights: list[int] = []
+        self.ranks: Optional[np.ndarray] = None
+        self._pos: Optional[dict[Key, int]] = {}
         self._weight = 0
+
+    def _index(self) -> dict[Key, int]:
+        if self._pos is None:
+            self._pos = dict(zip(self.keys, count()))
+        return self._pos
+
+    def _append(self, key: Key, chain: list[StreamTuple], weight: int) -> None:
+        if self._pos is not None:
+            self._pos[key] = len(self.keys)
+        self.keys.append(key)
+        self.fragments.append(chain)
+        self.weights.append(weight)
+        self._weight += weight
+        self.ranks = None
 
     # -- mutation -------------------------------------------------------
     def add_fragment(self, key: Key, tuples: Sequence[StreamTuple]) -> None:
@@ -89,7 +125,7 @@ class DataBlock:
         self.install_fragment(key, tuples, sum(t.weight for t in tuples))
 
     def add_tuple(self, t: StreamTuple) -> None:
-        self.add_fragment(t.key, (t,))
+        self.install_fragment(t.key, (t,), t.weight)
 
     def install_fragment(
         self, key: Key, tuples: Sequence[StreamTuple], weight: int
@@ -106,14 +142,14 @@ class DataBlock:
         """
         if not tuples:
             return
-        chain = self._fragments.get(key)
-        if chain is None:
-            self._fragments[key] = list(tuples)
-            self._fragment_weights[key] = weight
-        else:
-            chain.extend(tuples)
-            self._fragment_weights[key] += weight
+        i = self._index().get(key)
+        if i is None:
+            self._append(key, list(tuples), weight)
+            return
+        self.fragments[i].extend(tuples)
+        self.weights[i] += weight
         self._weight += weight
+        self.ranks = None
 
     def adopt_fragment(self, key: Key, chain: list[StreamTuple], weight: int) -> None:
         """Make ``chain`` *itself* this block's fragment of ``key``.
@@ -124,29 +160,34 @@ class DataBlock:
         is copied: the caller hands the list over, and later moves on
         this block may extend it in place, so no one else may hold it.
         """
-        self._fragments[key] = chain
-        self._fragment_weights[key] = weight
-        self._weight += weight
+        self._append(key, chain, weight)
 
     def adopt_chains(
         self,
         keys: Sequence[Key],
         chains: Iterable[list[StreamTuple]],
         weights: Sequence[int],
+        ranks: Optional[np.ndarray] = None,
     ) -> None:
-        """:meth:`adopt_fragment` for many keys at once, in two C-level
-        ``dict.update`` calls."""
-        self._fragments.update(zip(keys, chains))
-        self._fragment_weights.update(zip(keys, weights))
+        """:meth:`adopt_fragment` for many keys at once: three list
+        extends, and no index entry.  ``ranks``, aligned with ``keys``,
+        become the block's :attr:`ranks` when the block was empty."""
+        self.ranks = None if self.keys else ranks
+        self.keys += keys
+        self.fragments += chains
+        self.weights += weights
         self._weight += sum(weights)
+        self._pos = None
 
     def remove_fragment(self, key: Key) -> list[StreamTuple]:
         """Detach and return this block's fragment of ``key``."""
-        chain = self._fragments.pop(key, None)
-        if chain is None:
+        i = self._index().get(key)
+        if i is None:
             return []
-        self._weight -= self._fragment_weights.pop(key)
-        return chain
+        del self.keys[i]
+        self._weight -= self.weights.pop(i)
+        self.ranks = self._pos = None
+        return self.fragments.pop(i)
 
     # -- inspection ------------------------------------------------------
     @property
@@ -157,41 +198,34 @@ class DataBlock:
     @property
     def cardinality(self) -> int:
         """Distinct keys in the block (``||Block||`` in Eqn. 4)."""
-        return len(self._fragments)
-
-    @property
-    def keys(self) -> Iterable[Key]:
-        return self._fragments.keys()
+        return len(self.keys)
 
     def fragment(self, key: Key) -> list[StreamTuple]:
-        return self._fragments.get(key, [])
-
-    @property
-    def by_key(self) -> Mapping[Key, list[StreamTuple]]:
-        """Key -> tuple chain, in the block's key order (read only)."""
-        return self._fragments
+        i = self._index().get(key)
+        return [] if i is None else self.fragments[i]
 
     def map_input(self) -> MapInput:
         """This block as a Map task reads it (see :class:`MapInput`)."""
         return MapInput(
             self.index,
             self._weight,
-            {k: [t.value for t in chain] for k, chain in self._fragments.items()},
+            self.keys[:],
+            [list(map(_GET_VALUE, tuples)) for tuples in self.fragments],
+            self.ranks,
         )
 
     def fragment_sizes(self) -> dict[Key, int]:
-        """Per-key total weight inside this block (O(1) per key, cached)."""
-        return dict(self._fragment_weights)
+        """Per-key total weight inside this block."""
+        return dict(zip(self.keys, self.weights))
 
     def tuples(self) -> Iterator[StreamTuple]:
-        for chain in self._fragments.values():
-            yield from chain
+        return chain.from_iterable(self.fragments)
 
     def tuple_count(self) -> int:
-        return sum(len(chain) for chain in self._fragments.values())
+        return sum(map(len, self.fragments))
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._fragments
+        return key in self._index()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -166,11 +166,12 @@ class PromptBatchPartitioner:
         Terminates when no block exceeds ``p_size`` (always reachable:
         total size <= num_blocks * p_size) or the step guard trips.
 
-        ``placements`` entries are rebound, never mutated in place: the
-        placement kernel points every unsplit key at one shared
-        frozenset per block.  A whole fragment that moves (or is put
-        back) is the same list, handed over with ``adopt_fragment``, not
-        copied.
+        ``placements`` maps a key to the blocks holding it; a key it
+        lacks lives in one block (the placement kernel lists only the
+        keys it split).  Entries are rebound, never mutated in place, and
+        a key enters the table only when a shave splits it.  A whole
+        fragment that moves (or is put back) is the same list, handed
+        over with ``adopt_fragment``, not copied.
         """
         # Overshoot within the global ceil slack (num_blocks * p_size -
         # total) is already balanced to within a tuple per block; shaving
@@ -194,8 +195,8 @@ class PromptBatchPartitioner:
             # below capacity, receiver stays within it).
             singles = [
                 (fsize, _order_token(k), k)
-                for k, fsize in donor.fragment_sizes().items()
-                if len(placements.get(k, ())) == 1
+                for k, fsize in zip(donor.keys, donor.weights)
+                if k not in placements or len(placements[k]) == 1
             ]
             admissible = [
                 (fsize, token, k)
@@ -206,12 +207,12 @@ class PromptBatchPartitioner:
             if within:
                 fsize, _, key = min(within)
                 receiver.adopt_fragment(key, donor.remove_fragment(key), fsize)
-                placements[key] = {receiver.index}
+                if key in placements:
+                    placements[key] = {receiver.index}
                 continue
             # Move 2: shave the donor's largest fragment.
             fsize, _, key = max(
-                (fs, _order_token(k), k)
-                for k, fs in donor.fragment_sizes().items()
+                (fs, _order_token(k), k) for k, fs in zip(donor.keys, donor.weights)
             )
             holders = [
                 b
@@ -231,12 +232,15 @@ class PromptBatchPartitioner:
                     chain, fsize - piece, fsize
                 )
                 if move:
+                    held = placements.get(key, {donor.index})
                     if keep:
                         donor.install_fragment(key, keep, keep_weight)
                     else:
-                        placements[key] = placements[key] - {donor.index}
+                        held = held - {donor.index}
                     shave_receiver.install_fragment(key, move, fsize - keep_weight)
-                    placements[key] = placements[key] | {shave_receiver.index}
+                    held = held | {shave_receiver.index}
+                    if key in placements or len(held) > 1:
+                        placements[key] = held
                     moved = True
                 else:
                     # Indivisible tuple weights: the shave cannot carve
@@ -247,7 +251,8 @@ class PromptBatchPartitioner:
             if admissible:
                 fsize, _, key = min(admissible)
                 receiver.adopt_fragment(key, donor.remove_fragment(key), fsize)
-                placements[key] = {receiver.index}
+                if key in placements:
+                    placements[key] = {receiver.index}
                 continue
             return  # nothing improves within the item granularity
 

@@ -44,7 +44,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, count
+from itertools import count
 from operator import attrgetter
 from typing import TYPE_CHECKING, AbstractSet, Optional, Sequence
 
@@ -156,9 +156,11 @@ class KernelIngest:
     to its blocks; after it returns they belong to the blocks.
     ``unit_weights`` is True when every tuple weighs 1 (chunk boundaries
     become pure arithmetic); otherwise ``chain_weights`` holds per-key
-    weight arrays, aligned with ``keys``.  ``batch`` is Algorithm 1's
-    :class:`AccumulatedBatch`, whose ``key_groups`` view is built only
-    when read.
+    weight arrays, aligned with ``keys``.  ``ranks``, when Algorithm 1
+    computed them, are the keys' order-token ranks among the batch's
+    keys, aligned with ``keys``: the blocks carry them to Algorithm 3 as
+    its tie order.  ``batch`` is Algorithm 1's :class:`AccumulatedBatch`,
+    whose ``key_groups`` view is built only when read.
     """
 
     batch: AccumulatedBatch
@@ -167,6 +169,7 @@ class KernelIngest:
     sizes: "np.ndarray"
     unit_weights: bool = True
     chain_weights: Optional[list] = None
+    ranks: Optional[np.ndarray] = None
 
 
 def _key_groups_view(ordered, keys, starts, ends, tracked, desc) -> list[KeyGroup]:
@@ -263,6 +266,7 @@ def accumulate_batch(
     chains = list(map(ordered.__getitem__, map(slice, starts_l, ends_l)))
 
     tree_updates = 0
+    rank = None
     if not tree:
         tracked, desc = accumulator.order(keys_col, code_of, counts)
     else:
@@ -294,9 +298,10 @@ def accumulate_batch(
         # so its descending traversal equals this sort exactly: one sort
         # on (tracked count, token rank), reversed.  The pair packs into
         # one unique int64, so numpy's default argsort (4-6x faster here
-        # than a stable lexsort) gives the one possible order.
-        rank = np.empty(num_keys, dtype=np.int64)
-        rank[token_order(keys)] = np.arange(num_keys)
+        # than a stable lexsort) gives the one possible order.  The ranks
+        # ride on to Algorithm 3 in the code dtype, narrow on the wire.
+        rank = np.empty(num_keys, dtype=code_dtype)
+        rank[token_order(keys)] = np.arange(num_keys, dtype=code_dtype)
         desc = np.argsort(tracked_arr * num_keys + rank)[::-1].tolist()
         accumulator.record_interval_stats(n, num_keys)
 
@@ -317,13 +322,15 @@ def accumulate_batch(
         chain_weights = [
             w_sorted[starts[c] : starts[c] + counts[c]] for c in desc
         ]
+    desc_arr = np.array(desc, dtype=np.int64)
     return KernelIngest(
         batch=batch,
         keys=keys_q,
         chains=list(map(chains.__getitem__, desc)),
-        sizes=sizes[np.array(desc, dtype=np.int64)],
+        sizes=sizes[desc_arr],
         unit_weights=unit_weights,
         chain_weights=chain_weights,
+        ranks=None if rank is None else rank[desc_arr],
     )
 
 
@@ -374,7 +381,9 @@ def plan_greedy(
 
     A key placed whole (every dealt key, and a split key that fits one
     chunk) gets the ingest's own chain list: the blocks adopt
-    ``ingest.chains`` rather than copy them.
+    ``ingest.chains`` rather than copy them, and with them the keys'
+    ``ingest.ranks``.  The placement table holds only the keys placed in
+    more than one block; a key it lacks lives in one.
     """
     if num_blocks < 1:
         raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
@@ -407,7 +416,7 @@ def plan_greedy(
     # are filled only at the install below, in placement order.
     heap = [(0, 0, index) for index in range(num_blocks)]  # sorted: a heap
     heapreplace = heapq.heapreplace
-    singletons = [frozenset((index,)) for index in range(num_blocks)]
+    queued_at: list[list[int]] = [[] for _ in range(num_blocks)]
     queued_keys: list[list[Key]] = [[] for _ in range(num_blocks)]
     queued_chains: list[list[list[StreamTuple]]] = [[] for _ in range(num_blocks)]
     queued_weights: list[list[int]] = [[] for _ in range(num_blocks)]
@@ -421,10 +430,10 @@ def plan_greedy(
             # the key's only chunk: its own chain, as phase 2 places keys
             block_size, card, ti = heap[0]
             heapreplace(heap, (block_size + size, card + 1, ti))
+            queued_at[ti].append(gi)
             queued_keys[ti].append(key)
             queued_chains[ti].append(chain)
             queued_weights[ti].append(size)
-            placements[key] = singletons[ti]
             continue
         m = len(chain)
         cum = None if weights is None else np.cumsum(weights)
@@ -443,13 +452,15 @@ def plan_greedy(
                 queued_weights[ti][-1] += weight
             else:
                 placed.add(ti)
+                queued_at[ti].append(gi)
                 queued_keys[ti].append(key)
                 queued_chains[ti].append(chain[start:end])
                 queued_weights[ti].append(weight)
                 card += 1
             heapreplace(heap, (block_size + weight, card, ti))
             start, base = end, reached
-        placements[key] = placed
+        if len(placed) > 1:
+            placements[key] = placed
 
     # Phase 2: the zigzag deal.  Every pass rebuilds the open-block order
     # (ascending, then reversed — so always descending) from sizes *at
@@ -493,9 +504,9 @@ def plan_greedy(
 
     # Install: each block adopts its phase-1 fragments, then its share
     # of the deal's chain lists (a small key's fragment is its whole
-    # chain, new to its block), in one bulk install; the placement table
-    # points every small key at its block's one shared singleton — no
-    # per-key set or copy.
+    # chain, new to its block), with their ranks, in one bulk install —
+    # no per-key dict entry, set or copy.
+    ranks = ingest.ranks
     for index, block in enumerate(blocks):
         dealt = small_indices[targets == index]
         picks = dealt.tolist()
@@ -503,20 +514,23 @@ def plan_greedy(
             queued_keys[index] + list(map(keys.__getitem__, picks)),
             queued_chains[index] + list(map(chains.__getitem__, picks)),
             queued_weights[index] + sizes[dealt].tolist(),
+            None
+            if ranks is None
+            else np.concatenate((ranks[queued_at[index]], ranks[dealt])),
         )
-    placements.update(
-        zip(
-            map(keys.__getitem__, small_indices.tolist()),
-            map(singletons.__getitem__, targets.tolist()),
-        )
-    )
 
     # Phase 3: the partitioner's rebalance pass (the spec runs it too).
+    phase1_keys = len(placements)
     partitioner._rebalance_sizes(blocks, placements, p_size)
 
-    # The reference table: a C-level compress picks the split keys out
-    # of the placement table, in its order, without a frame per key.
-    split = compress(placements.items(), map((1).__lt__, map(len, placements.values())))
+    # The reference table lists split keys as a full placement table
+    # would hold them: phase 1's keys, then the dealt keys, each in
+    # quasi-sort order.  A key the rebalance pass split was placed whole
+    # and entered the table late; only then is the order rebuilt.
+    split = [(k, ixs) for k, ixs in placements.items() if len(ixs) > 1]
+    if len(placements) > phase1_keys:
+        at = dict(zip(keys, count()))
+        split.sort(key=lambda item: (not split_mask[at[item[0]]], at[item[0]]))
     split_keys = {k: tuple(sorted(ixs)) for k, ixs in split}
     return PartitionedBatch(
         info=info,

@@ -34,7 +34,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import neg
-from typing import Collection, Iterator
+from typing import Collection, Iterator, Optional
+
+import numpy as np
 
 from .hashing import hash_to_bucket
 from .tuples import Key, token_order
@@ -55,19 +57,39 @@ class KeyCluster:
 
 
 class ClusterColumns:
-    """One Map task's key clusters as two aligned columns.
+    """One Map task's key clusters as aligned columns.
 
     ``keys[i]`` is a key of the block, in the block's own key order, and
     ``sizes[i]`` its cluster size.  This is the form the Map task builds
     and Algorithm 3 reads; iterating it yields :class:`KeyCluster`
     objects one at a time for code that wants them.
+
+    ``ranks[i]`` orders ``keys[i]`` by its order token (Algorithm 3's tie
+    order): ranks compare as the tokens do.  The Map task hands on the
+    ranks Algorithm 1 gave its block; without them the first read ranks
+    the keys with :func:`~repro.core.tuples.token_order`.  Ranks are a
+    derived order, not content: they take no part in ``==`` and are not
+    pickled.
     """
 
-    __slots__ = ("keys", "sizes")
+    __slots__ = ("keys", "sizes", "_ranks")
 
-    def __init__(self, keys: list[Key], sizes: list[int]) -> None:
+    def __init__(
+        self, keys: list[Key], sizes: list[int], ranks: Optional[np.ndarray] = None
+    ) -> None:
         self.keys = keys
         self.sizes = sizes
+        self._ranks = ranks
+
+    @property
+    def ranks(self) -> np.ndarray:
+        if self._ranks is None:
+            self._ranks = np.empty(len(self.keys), dtype=np.intp)
+            self._ranks[token_order(self.keys)] = np.arange(len(self.keys))
+        return self._ranks
+
+    def __reduce__(self):
+        return ClusterColumns, (self.keys, self.sizes)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -113,13 +135,15 @@ def bpvc_buckets(
     if r < 1:
         raise ValueError(f"num_buckets must be >= 1, got {r}")
     keys, sizes = clusters.keys, clusters.sizes
-    if sizes and min(sizes) < 0:
-        raise ValueError(f"cluster size must be >= 0, got {min(sizes)}")
-    buckets = [0] * len(keys)
+    size_of = np.fromiter(sizes, dtype=np.int64, count=len(sizes))
+    if size_of.size and size_of.min() < 0:
+        raise ValueError(f"cluster size must be >= 0, got {size_of.min()}")
+    buckets = np.zeros(len(keys), dtype=np.intp)
     loads = [0] * r
-    total = sum(sizes)
+    total = int(size_of.sum())
 
     # Line 2: split keys go by hashing so all their fragments meet.
+    ranks = clusters.ranks
     if split_keys:
         non_split = []
         for i, key in enumerate(keys):
@@ -129,14 +153,15 @@ def bpvc_buckets(
                 loads[j] += sizes[i]
             else:
                 non_split.append(i)
-        order = [non_split[i] for i in token_order([keys[i] for i in non_split]).tolist()]
+        non_split = np.array(non_split, dtype=np.intp)
+        order = non_split[np.argsort(ranks[non_split], kind="stable")]
     else:
-        order = token_order(keys).tolist()
+        order = np.argsort(ranks, kind="stable")  # a radix sort on narrow ranks
 
     # Line 4: non-split clusters by decreasing size, ties on the key's
     # order token — a stable size sort over the token order.
-    order.sort(key=sizes.__getitem__, reverse=True)
-    placed_sizes = [sizes[i] for i in order]
+    order = order[np.argsort(-size_of[order], kind="stable")]
+    placed_sizes = size_of[order].tolist()
 
     # Zero-size clusters carry no load, so WorstFit has no signal to
     # spread them (with total == 0 every capacity is 0).  Round-robin
@@ -188,8 +213,6 @@ def bpvc_buckets(
         for j, size in zip(open_buckets, chunk):
             loads[j] += size
         dealt += len(chunk)
-    for i, j in zip(order, dealt_buckets):
-        buckets[i] = j
-    for turn, i in enumerate(order[m:]):
-        buckets[i] = turn % r
-    return buckets
+    buckets[order[:m]] = np.fromiter(dealt_buckets, dtype=np.intp, count=m)
+    buckets[order[m:]] = np.arange(order.size - m) % r
+    return buckets.tolist()

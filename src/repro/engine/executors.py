@@ -33,9 +33,11 @@ generation-stamped install task.  Per-task payloads then shrink to a
 delta of ``(context_generation, batch_index, task_id, map-input-or-bucket,
 …)``; the worker derives the task seed and looks up its injected fault
 from the resident context.  A Map delta carries its block as a
-:class:`~repro.core.batch.MapInput` — index, summed weight and one value
-column per key, which is all ``Map(k, v)`` reads — so no tuple object,
-timestamp or per-tuple weight ever crosses the process boundary.  A
+:class:`~repro.core.batch.MapInput` — index, summed weight, the key
+column and one value column per key, which is all ``Map(k, v)`` reads,
+plus the narrow column of Algorithm 1's order-token ranks that
+Algorithm 3 breaks ties on — so no tuple object, timestamp or per-tuple
+weight ever crosses the process boundary.  A
 pool resurrected after a ``BrokenProcessPool`` re-installs the current
 context automatically (the rebuilt pool's initializer carries it), and
 a worker handed a delta stamped with a generation it never saw raises

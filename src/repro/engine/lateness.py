@@ -18,12 +18,18 @@ is dropped (and counted), to be compensated outside the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import attrgetter
 from typing import Sequence
+
+import numpy as np
 
 from ..core.batch import BatchInfo
 from ..core.tuples import StreamTuple
 
 __all__ = ["LatenessConfig", "LatenessMonitor"]
+
+_GET_TS = attrgetter("ts")
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,20 +71,17 @@ class LatenessMonitor:
         start, *late* if it lags by at most ``max_delay`` (accepted into
         this batch — coarse-grained ordering), *overdue* beyond that.
         """
-        horizon = info.t_start - self.config.max_delay
-        admitted: list[StreamTuple] = []
-        for t in tuples:
-            if t.ts >= info.t_start:
-                self.on_time += 1
-                admitted.append(t)
-            elif t.ts >= horizon:
-                self.late_accepted += 1
-                admitted.append(t)
-            else:
-                self.overdue += 1
-                if not self.config.drop_overdue:
-                    admitted.append(t)
-        return admitted
+        ts = np.fromiter(map(_GET_TS, tuples), dtype=np.float64, count=len(tuples))
+        on_time = ts >= info.t_start
+        kept = on_time | (ts >= info.t_start - self.config.max_delay)
+        del ts  # freed before the admitted list is built: peak RSS
+        on, admitted = int(on_time.sum()), int(kept.sum())
+        self.on_time += on
+        self.late_accepted += admitted - on
+        self.overdue += len(tuples) - admitted
+        if admitted == len(tuples) or not self.config.drop_overdue:
+            return list(tuples)
+        return list(compress(tuples, kept))
 
     def drop_rate(self) -> float:
         """Fraction of ingested tuples that violated the contract."""

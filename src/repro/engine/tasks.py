@@ -251,14 +251,16 @@ def execute_map_task(
     """Apply the query's Map function over one block.
 
     Returns the intermediate key clusters (as aligned key/size columns,
-    in the block's key order), the map-side per-key partial aggregates,
-    and the task duration.  The Map stage is charged for every *input*
-    tuple — filtered-out tuples still cost their scan.  The two block
-    shapes share this one body: the serial reference hands in the
-    :class:`DataBlock` and its chains are read in place (a value-column
-    copy per fragment measured 2-3 % off ``synd_skew_wc``,
-    EXPERIMENTS.md), a worker process the :class:`MapInput` it was
-    shipped, whose columns already are the values.
+    in the block's key order, with the block's order-token ranks when it
+    has them), the map-side per-key partial aggregates, and the task
+    duration.  The Map stage is charged for every *input* tuple —
+    filtered-out tuples still cost their scan.  Both block shapes hold a
+    ``keys`` column and a ``fragments`` column aligned with it: the
+    serial reference hands in the :class:`DataBlock` and its tuple
+    chains are read in place (a value-column copy per fragment measured
+    2-3 % off ``synd_skew_wc``, EXPERIMENTS.md), a worker process the
+    :class:`MapInput` it was shipped, whose fragments already are the
+    values.
 
     A query with a block form (:meth:`Query.block_form`) folds each
     fragment in one call; any other query hands each fragment's values
@@ -270,20 +272,21 @@ def execute_map_task(
     the cluster size is 1; holistic queries ship the full values list,
     so the size is the emitted tuple count.
     """
-    fragments = block.by_key
+    fragments = block.fragments
+    ranks = block.ranks
     combine = query.map_side_combine
     fold = query.block_form()
     if fold is not None:
         # a block form emits every tuple of the fragment
-        keys = list(fragments)
-        parts = list(map(fold, fragments.values()))
-        sizes = [1] * len(keys) if combine else list(map(len, fragments.values()))
+        keys = block.keys[:]
+        parts = list(map(fold, fragments))
+        sizes = [1] * len(keys) if combine else list(map(len, fragments))
     else:
-        keys, sizes, parts = [], [], []
+        keys, sizes, parts, kept = [], [], [], []
         map_fn = query.map_fn
         fold_fragment = query.aggregator.fold
         shipped = isinstance(block, MapInput)
-        for key, fragment in fragments.items():
+        for i, key, fragment in zip(count(), block.keys, fragments):
             acc, emitted = fold_fragment(
                 key, fragment if shipped else map(_GET_VALUE, fragment), map_fn
             )
@@ -291,8 +294,11 @@ def execute_map_task(
                 keys.append(key)
                 sizes.append(1 if combine else emitted)
                 parts.append(acc)
+                kept.append(i)
+        if ranks is not None and len(kept) < len(fragments):
+            ranks = ranks[np.array(kept, dtype=np.intp)]
     duration = cost_model.map_time(block.size, block.cardinality)
-    return ClusterColumns(keys, sizes), KeyColumns(keys, parts), duration
+    return ClusterColumns(keys, sizes, ranks), KeyColumns(keys, parts), duration
 
 
 def run_map_task(

@@ -6,7 +6,6 @@ from .arrival import (
     ConstantRate,
     PiecewiseRate,
     RampRate,
-    ScaledRate,
     SinusoidalRate,
 )
 from .churn import KeyChurnSource, key_churn_source
@@ -40,7 +39,6 @@ __all__ = [
     "RampRate",
     "ReplaySource",
     "SYND_EXPONENTS",
-    "ScaledRate",
     "SinusoidalRate",
     "StreamSource",
     "TenantStream",

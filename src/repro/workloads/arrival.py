@@ -25,7 +25,6 @@ __all__ = [
     "SinusoidalRate",
     "RampRate",
     "PiecewiseRate",
-    "ScaledRate",
 ]
 
 
@@ -185,17 +184,3 @@ class PiecewiseRate(ArrivalProcess):
             else:
                 break
         return current
-
-
-class ScaledRate(ArrivalProcess):
-    """Another process's profile multiplied by a constant factor: the
-    same shape, with its variability, at another mean rate."""
-
-    def __init__(self, base: ArrivalProcess, factor: float) -> None:
-        super().__init__()
-        _check_non_negative("factor", factor)
-        self.base = base
-        self.factor = factor
-
-    def rate(self, t: float) -> float:
-        return self.base.rate(t) * self.factor

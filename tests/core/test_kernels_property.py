@@ -248,7 +248,7 @@ def test_unsplit_keys_keep_the_kernels_own_chain_lists():
             own = dict(zip(ingest.keys, ingest.chains))
             batch = kernels.plan_greedy(planner, ingest, num_blocks)
             for block in batch.blocks:
-                for key, fragment in block.by_key.items():
+                for key, fragment in zip(block.keys, block.fragments):
                     if key not in batch.split_keys:
                         assert fragment is own[key], (info, key)
                         adopted += 1

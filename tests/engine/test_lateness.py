@@ -143,3 +143,56 @@ def test_engine_without_contract_has_no_monitor():
     engine = MicroBatchEngine(make_partitioner("hash"), wordcount_query(), config)
     result = engine.run(_delayed(seed=4), 3)
     assert result.lateness is None
+
+
+def _admit_loop(config, tuples, info, counters):
+    """The per-tuple classification ``LatenessMonitor.admit`` replaced,
+    kept here as its oracle."""
+    horizon = info.t_start - config.max_delay
+    admitted = []
+    for t in tuples:
+        if t.ts >= info.t_start:
+            counters[0] += 1
+            admitted.append(t)
+        elif t.ts >= horizon:
+            counters[1] += 1
+            admitted.append(t)
+        else:
+            counters[2] += 1
+            if not config.drop_overdue:
+                admitted.append(t)
+    return admitted
+
+
+@pytest.mark.parametrize("drop_overdue", [True, False])
+def test_admit_matches_the_per_tuple_loop(drop_overdue):
+    import math
+    import random
+
+    rng = random.Random(31)
+    for trial in range(200):
+        config = LatenessConfig(
+            max_delay=rng.choice((0.0, 0.05, 0.2, 1.5)), drop_overdue=drop_overdue
+        )
+        info = BatchInfo(trial, float(trial % 7), float(trial % 7) + 1.0)
+        horizon = info.t_start - config.max_delay
+        edges = (info.t_start, horizon, math.nan, math.inf, -math.inf)
+        tuples = [
+            _t(
+                rng.choice(edges)
+                if rng.random() < 0.3
+                else rng.uniform(horizon - 1.0, info.t_end),
+                key=i,
+            )
+            for i in range(rng.randint(0, 60))
+        ]
+        monitor = LatenessMonitor(config)
+        counters = [0, 0, 0]
+        for _ in range(2):  # the counters accumulate across batches
+            expected = _admit_loop(config, tuples, info, counters)
+            admitted = monitor.admit(tuples, info)
+            assert len(admitted) == len(expected)
+            assert all(a is e for a, e in zip(admitted, expected))
+            assert [monitor.on_time, monitor.late_accepted, monitor.overdue] == (
+                counters
+            )

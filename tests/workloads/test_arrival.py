@@ -11,7 +11,6 @@ from repro.workloads.arrival import (
     ConstantRate,
     PiecewiseRate,
     RampRate,
-    ScaledRate,
     SinusoidalRate,
 )
 
@@ -111,14 +110,6 @@ def test_piecewise_validation():
         PiecewiseRate([(0.0, -5.0)])
 
 
-def test_scaled_rate():
-    base = ConstantRate(100.0)
-    arr = ScaledRate(base, 2.5)
-    assert arr.rate(0.0) == pytest.approx(250.0)
-    with pytest.raises(ValueError):
-        ScaledRate(base, -1.0)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "field, make",
@@ -130,7 +121,6 @@ def test_scaled_rate():
         ("start_rate", lambda x: RampRate(x, 1.0, 0.0, 1.0)),
         ("end_rate", lambda x: RampRate(1.0, x, 0.0, 1.0)),
         ("step rate", lambda x: PiecewiseRate([(0.0, 1.0), (1.0, x)])),
-        ("factor", lambda x: ScaledRate(ConstantRate(1.0), x)),
     ],
 )
 def test_rejects_non_finite_parameters(field, make, bad):
