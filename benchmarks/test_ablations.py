@@ -59,7 +59,7 @@ def test_ablation_accumulator_budget(record_experiment):
                                   expected_keys=4_000),
                 exact_updates=exact,
             )
-            batch = kernels.accumulate_batch(tuples, INFO, acc).batch
+            batch = kernels.accumulate_batch(tuples, INFO, acc)
             rows.append(
                 {
                     "Variant": label,
@@ -130,14 +130,13 @@ def test_ablation_split_cutoff_scale(record_experiment):
 
     def run():
         rows = []
-        from repro.core.tuples import sorted_key_groups
-
-        groups = sorted_key_groups(tuples)
+        # the exact (post-sort) order; the zigzag blocks copy its chains
+        accumulated = kernels.accumulate_batch(tuples, INFO, None)
         for scale in (0.5, 1.0, 2.0, 4.0):
             part = PromptBatchPartitioner(
                 PartitionerConfig(split_cutoff_scale=scale), strategy="zigzag"
             )
-            batch = part.partition(groups, 16, INFO)
+            batch = part.partition(accumulated, 16)
             q = evaluate_partition(batch)
             rows.append(
                 {

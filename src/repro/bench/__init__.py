@@ -15,7 +15,6 @@ from .experiments import (
 from .harness import ThroughputResult, ThroughputSearch, run_at_rate
 from .report import render_run, sparkline
 from .reporting import format_series, format_table, results_dir, save_results
-from .payload import VocabWeightTable, broadcast_wordcount_query
 from .sharding import DEFAULT_SHARD_COUNTS, bench_sharding_scaleout, scaleout_gate
 from .shootout import (
     SHOOTOUT_TECHNIQUES,
@@ -36,10 +35,8 @@ __all__ = [
     "ShootoutScenario",
     "ThroughputResult",
     "ThroughputSearch",
-    "VocabWeightTable",
     "bench_parallel_speedup",
     "bench_sharding_scaleout",
-    "broadcast_wordcount_query",
     "fig6_assignment_tradeoffs",
     "fig10_partition_metrics",
     "fig11_throughput_vs_interval",

@@ -123,7 +123,8 @@ FIG5_EXAMPLE: tuple[tuple[str, int], ...] = (
 
 def fig6_assignment_tradeoffs(num_bins: int = 4) -> list[dict[str, Any]]:
     """Figure 6: FFD vs FragMin vs Prompt on the Figure 5 batch."""
-    from ..core.tuples import KeyGroup, StreamTuple
+    from ..core.buffering import AccumulatedBatch
+    from ..core.tuples import StreamTuple
 
     items = list(FIG5_EXAMPLE)
     total = sum(s for _, s in items)
@@ -143,18 +144,12 @@ def fig6_assignment_tradeoffs(num_bins: int = 4) -> list[dict[str, Any]]:
                 "BinCardinalities": assignment_cardinalities(assignment),
             }
         )
-    groups = [
-        KeyGroup(
-            key=k,
-            tuples=[StreamTuple(ts=0.0, key=k, value=None)] * s,
-            tracked_count=s,
-        )
-        for k, s in items
-    ]
-    prompt = PromptPartitioner()
-    batch = prompt.batch_partitioner.partition(
-        groups, num_bins, BatchInfo(0, 0.0, 1.0)
+    accumulated = AccumulatedBatch.from_chains(
+        BatchInfo(0, 0.0, 1.0),
+        [k for k, _ in items],
+        [[StreamTuple(ts=0.0, key=k, value=None)] * s for k, s in items],
     )
+    batch = PromptPartitioner().batch_partitioner.partition(accumulated, num_bins)
     rows.append(
         {
             "Strategy": "Prompt (Algorithm 2)",

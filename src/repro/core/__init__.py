@@ -28,7 +28,7 @@ from .metrics import (
 from .sketch_accumulator import SketchMicroBatchAccumulator
 from .sketches import SpaceSavingSketch
 from .reduce_allocator import ClusterColumns, KeyCluster, bpvc_buckets, hash_buckets
-from .tuples import KeyGroup, StreamTuple, group_by_key, sorted_key_groups
+from .tuples import StreamTuple, group_by_key
 
 __all__ = [
     "AccumulatedBatch",
@@ -41,7 +41,6 @@ __all__ = [
     "EarlyReleaseController",
     "ElasticityConfig",
     "KeyCluster",
-    "KeyGroup",
     "MPIWeights",
     "MicroBatchAccumulator",
     "PartitionQuality",
@@ -66,6 +65,5 @@ __all__ = [
     "key_split_ratio",
     "micro_batch_partitioning_imbalance",
     "relative_metric",
-    "sorted_key_groups",
     "stable_hash",
 ]

@@ -34,9 +34,10 @@ from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
 from . import kernels
-from .batch import BatchInfo, DataBlock, PartitionedBatch
+from .batch import DataBlock, PartitionedBatch
+from .buffering import AccumulatedBatch
 from .config import PartitionerConfig
-from .tuples import Key, KeyGroup, StreamTuple, _order_token
+from .tuples import Key, StreamTuple, _order_token
 
 __all__ = ["PromptBatchPartitioner"]
 
@@ -97,41 +98,36 @@ class PromptBatchPartitioner:
         self.strategy = strategy
 
     def partition(
-        self,
-        key_groups: Sequence[KeyGroup],
-        num_blocks: int,
-        info: BatchInfo,
+        self, accumulated: AccumulatedBatch, num_blocks: int
     ) -> PartitionedBatch:
-        """Assign every tuple of ``key_groups`` to one of ``num_blocks`` blocks.
+        """Assign every tuple of ``accumulated`` to one of ``num_blocks`` blocks.
 
-        ``key_groups`` must be (quasi-)sorted by descending size — the
-        accumulator's traversal order.  The output's reference table
-        (``split_keys``) records every fragmented key.  The blocks hold
-        copies of the groups' tuple lists, never the lists themselves.
+        ``accumulated`` lists its keys (quasi-)sorted by descending size —
+        Algorithm 1's traversal order.  The output's reference table
+        (``split_keys``) records every fragmented key.  The ``greedy``
+        blocks adopt the batch's chain lists; the ``zigzag`` blocks copy
+        them.
         """
         if self.strategy == "greedy":
-            return kernels.plan_greedy(
-                self, kernels.ingest_groups(key_groups, info), num_blocks
-            )
+            return kernels.plan_greedy(self, accumulated, num_blocks)
         if num_blocks < 1:
             raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
+        info = accumulated.info
         blocks = [DataBlock(i) for i in range(num_blocks)]
         placements: dict[Key, set[int]] = {}
-        total_weight = sum(g.size for g in key_groups)
-        if not key_groups or total_weight == 0:
+        total_weight = accumulated.total_weight
+        if not accumulated.keys or total_weight == 0:
             return PartitionedBatch(
                 info=info, blocks=blocks, split_keys={}, partitioner_name="prompt"
             )
 
         # Line 1-3: expected block size, cardinality, and split cutoff.
         p_size = math.ceil(total_weight / num_blocks)
-        p_card = max(1, len(key_groups) // num_blocks)
+        p_card = max(1, len(accumulated.keys) // num_blocks)
         s_cut = max(1, int((p_size / p_card) * self.config.split_cutoff_scale))
 
-        residuals, whole_groups = self._split_pass(
-            key_groups, blocks, placements, s_cut
-        )
-        self._zigzag_pass(whole_groups, blocks, placements)
+        residuals, whole = self._split_pass(accumulated, blocks, placements, s_cut)
+        self._zigzag_pass(whole, blocks, placements)
         self._residual_pass(residuals, blocks, placements, p_size)
 
         split_keys = {
@@ -261,52 +257,53 @@ class PromptBatchPartitioner:
     # ------------------------------------------------------------------
     def _split_pass(
         self,
-        key_groups: Sequence[KeyGroup],
+        accumulated: AccumulatedBatch,
         blocks: list[DataBlock],
         placements: dict[Key, set[int]],
         s_cut: int,
-    ) -> tuple[list[_Residual], list[KeyGroup]]:
+    ) -> tuple[list[_Residual], list[tuple[Key, list[StreamTuple], int]]]:
         """Lines 5-9: fragment high-frequency keys.
 
         Because the input is only *quasi*-sorted, we scan the whole list
         for oversize keys rather than stopping at the first small one —
         a stale tracked count must not exempt a genuinely large key.
+        Returns the residuals and the unsplit ``(key, chain, size)``s.
         """
         residuals: list[_Residual] = []
-        whole: list[KeyGroup] = []
+        whole = []
         cursor = 0
         num_blocks = len(blocks)
-        for group in key_groups:
-            if group.size > s_cut:
-                fragment, rest, _ = _split_with_weight(group.tuples, s_cut)
+        for key, chain, size in zip(
+            accumulated.keys, accumulated.chains, accumulated.sizes.tolist()
+        ):
+            if size > s_cut:
+                fragment, rest, weight = _split_with_weight(chain, s_cut, size)
                 target = cursor % num_blocks
-                blocks[target].add_fragment(group.key, fragment)
-                placements.setdefault(group.key, set()).add(target)
+                blocks[target].install_fragment(key, fragment, weight)
+                placements.setdefault(key, set()).add(target)
                 cursor += 1
                 if rest:
-                    residuals.append(
-                        _Residual(key=group.key, tuples=rest, home_block=target)
-                    )
+                    residuals.append(_Residual(key=key, tuples=rest, home_block=target))
             else:
-                whole.append(group)
+                whole.append((key, chain, size))
         return residuals, whole
 
     def _zigzag_pass(
         self,
-        key_groups: Sequence[KeyGroup],
+        whole: Sequence[tuple[Key, list[StreamTuple], int]],
         blocks: list[DataBlock],
         placements: dict[Key, set[int]],
     ) -> None:
         """Lines 10-16: deal unsplit keys one per block, reversing each pass."""
         order = [b.index for b in blocks]
         i = len(order)  # force order (re)build on first key
-        for group in key_groups:
+        for key, chain, size in whole:
             if i >= len(order):
                 order.reverse()
                 i = 0
             target = order[i]
-            blocks[target].add_fragment(group.key, group.tuples)
-            placements.setdefault(group.key, set()).add(target)
+            blocks[target].install_fragment(key, chain, size)
+            placements.setdefault(key, set()).add(target)
             i += 1
 
     def _residual_pass(

@@ -25,92 +25,95 @@ the kernel is tested against.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .batch import BatchInfo
 from .config import AccumulatorConfig
-from .tuples import KeyGroup
+from .tuples import Key, StreamTuple
 
 __all__ = ["AccumulatedBatch", "MicroBatchAccumulator"]
 
+_GET_WEIGHT = attrgetter("weight")
 
+
+@dataclass(slots=True, eq=False)
 class AccumulatedBatch:
-    """Output of one batching phase.
+    """Output of one batching phase, and Algorithm 2's input.
 
-    ``key_groups`` is quasi-sorted by descending frequency — the order
-    the CountTree tracked online.  Each group carries its *exact* tuple
-    chain plus the possibly stale ``tracked_count`` that determined its
-    position.
+    Algorithm 1's heartbeat hands Algorithm 2 one quasi-sorted
+    ``<key, count, tuple-list>`` sequence; this is that sequence as
+    aligned columns.  ``keys`` is the quasi-sorted key order, ``chains``
+    each key's tuple list in arrival order, ``sizes`` each key's exact
+    total weight and ``counts`` its exact tuple count (int64 arrays),
+    and ``tracked`` the possibly stale count that decided its position.
+    ``unit_weights`` is True when every tuple weighs 1; otherwise
+    ``chain_weights`` holds per-key weight arrays, aligned with ``keys``.
+    ``ranks``, when Algorithm 1 computed them, are the keys'
+    order-token ranks among the batch's keys: the blocks carry them to
+    Algorithm 3 as its tie order.
 
-    The array kernels hand Algorithm 2 columns, not groups, so their
-    batch is built with :meth:`deferred`: ``key_groups`` is then a view
-    built on first read (by the ``zigzag`` strategy, ``sort_quality``,
-    tests), and ``key_count`` is stored so reading it builds nothing.
+    The placement kernel hands the ``chains`` lists to its blocks, so
+    after Algorithm 2 has run they belong to the blocks, which may
+    extend them; ``counts`` and ``sizes`` still describe the interval.
     """
 
-    __slots__ = (
-        "info",
-        "tuple_count",
-        "total_weight",
-        "tree_updates",
-        "key_count",
-        "_key_groups",
-        "_build_key_groups",
-    )
-
-    def __init__(
-        self,
-        info: BatchInfo,
-        key_groups: list[KeyGroup],
-        tuple_count: int,
-        total_weight: int,
-        tree_updates: int,
-    ) -> None:
-        self.info = info
-        self.tuple_count = tuple_count
-        self.total_weight = total_weight
-        self.tree_updates = tree_updates
-        self.key_count = len(key_groups)
-        self._key_groups: Optional[list[KeyGroup]] = key_groups
-        self._build_key_groups: Optional[Callable[[], list[KeyGroup]]] = None
+    info: BatchInfo
+    keys: list[Key]
+    chains: list[list[StreamTuple]]
+    sizes: np.ndarray
+    counts: np.ndarray
+    tracked: np.ndarray
+    tuple_count: int
+    total_weight: int
+    tree_updates: int = 0
+    unit_weights: bool = True
+    chain_weights: Optional[list[np.ndarray]] = None
+    ranks: Optional[np.ndarray] = None
 
     @classmethod
-    def deferred(
+    def from_chains(
         cls,
         info: BatchInfo,
-        build_key_groups: Callable[[], list[KeyGroup]],
-        key_count: int,
-        tuple_count: int,
-        total_weight: int,
-        tree_updates: int,
+        keys: Sequence[Key],
+        chains: Sequence[Sequence[StreamTuple]],
     ) -> "AccumulatedBatch":
-        """A batch whose ``key_groups`` ``build_key_groups()`` makes on first read."""
-        batch = cls(info, [], tuple_count, total_weight, tree_updates)
-        batch.key_count = key_count
-        batch._key_groups = None
-        batch._build_key_groups = build_key_groups
-        return batch
-
-    @property
-    def key_groups(self) -> list[KeyGroup]:
-        if self._key_groups is None:
-            assert self._build_key_groups is not None
-            self._key_groups = self._build_key_groups()
-            self._build_key_groups = None
-        return self._key_groups
-
-    @property
-    def data_rate(self) -> float:
-        """Average arrival rate over the interval (tuples/second).
-
-        A non-positive interval has no meaningful rate; it reports 0.0
-        rather than silently pretending the interval was one second.
+        """A batch whose keys come in the caller's order, tracked at their
+        exact counts.  Each chain is copied once (a slice), so the
+        blocks adopt lists of their own and never one the caller holds.
         """
-        interval = self.info.interval
-        return self.tuple_count / interval if interval > 0 else 0.0
+        chains = [chain[:] for chain in chains]
+        counts = np.fromiter(map(len, chains), dtype=np.int64, count=len(chains))
+        weights = [
+            np.fromiter(map(_GET_WEIGHT, chain), dtype=np.int64, count=len(chain))
+            for chain in chains
+        ]
+        sizes = np.fromiter(map(np.sum, weights), dtype=np.int64, count=len(chains))
+        tuple_count = int(counts.sum())
+        total_weight = int(sizes.sum())
+        unit_weights = total_weight == tuple_count
+        return cls(
+            info,
+            list(keys),
+            chains,
+            sizes,
+            counts,
+            counts,
+            tuple_count,
+            total_weight,
+            unit_weights=unit_weights,
+            chain_weights=None if unit_weights else weights,
+        )
+
+    @property
+    def key_count(self) -> int:
+        return len(self.keys)
 
     def sort_quality(self) -> float:
-        """Fraction of adjacent group pairs in correct (descending) exact order.
+        """Fraction of adjacent key pairs in correct (descending) exact order.
 
         Algorithm 1 orders keys by frequency (tracked counts estimate
         tuple counts), so the pairs compare exact tuple counts, not
@@ -118,14 +121,10 @@ class AccumulatedBatch:
         granularity of adjacent comparisons; used to validate the budget
         mechanism.
         """
-        if len(self.key_groups) < 2:
+        counts = self.counts
+        if counts.size < 2:
             return 1.0
-        good = sum(
-            1
-            for a, b in zip(self.key_groups, self.key_groups[1:])
-            if a.count >= b.count
-        )
-        return good / (len(self.key_groups) - 1)
+        return int((counts[:-1] >= counts[1:]).sum()) / (counts.size - 1)
 
 
 class MicroBatchAccumulator:

@@ -42,26 +42,22 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from functools import partial
 from itertools import count
 from operator import attrgetter
-from typing import TYPE_CHECKING, AbstractSet, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Sequence
 
 import numpy as np
 
 from .batch import BatchInfo, DataBlock, PartitionedBatch
 from .buffering import AccumulatedBatch, MicroBatchAccumulator
 from .sketch_accumulator import SketchMicroBatchAccumulator
-from .tuples import Key, KeyGroup, StreamTuple, token_order
+from .tuples import Key, StreamTuple, token_order
 
 if TYPE_CHECKING:
     from .batch_partitioner import PromptBatchPartitioner
 
 __all__ = [
-    "KernelIngest",
     "accumulate_batch",
-    "ingest_groups",
     "plan_greedy",
 ]
 
@@ -145,59 +141,11 @@ def _simulate_keys(ts, order, starts, counts, budget, est, f0, t_end):
     return tracked, updates
 
 
-@dataclass(slots=True)
-class KernelIngest:
-    """One interval's kernel ingest output: Algorithm 2's input columns.
-
-    ``keys`` is the quasi-sorted key order, ``chains`` each key's tuple
-    list and ``sizes`` each key's exact total weight, all aligned, so
-    the placement kernel never builds a ``KeyGroup`` or re-sums tuple
-    weights in Python.  :func:`plan_greedy` hands the ``chains`` lists
-    to its blocks; after it returns they belong to the blocks.
-    ``unit_weights`` is True when every tuple weighs 1 (chunk boundaries
-    become pure arithmetic); otherwise ``chain_weights`` holds per-key
-    weight arrays, aligned with ``keys``.  ``ranks``, when Algorithm 1
-    computed them, are the keys' order-token ranks among the batch's
-    keys, aligned with ``keys``: the blocks carry them to Algorithm 3 as
-    its tie order.  ``batch`` is Algorithm 1's :class:`AccumulatedBatch`,
-    whose ``key_groups`` view is built only when read.
-    """
-
-    batch: AccumulatedBatch
-    keys: list[Key]
-    chains: list[list[StreamTuple]]
-    sizes: "np.ndarray"
-    unit_weights: bool = True
-    chain_weights: Optional[list] = None
-    ranks: Optional[np.ndarray] = None
-
-
-def _key_groups_view(ordered, keys, starts, ends, tracked, desc) -> list[KeyGroup]:
-    """Algorithm 1's quasi-sorted ``KeyGroup`` list, built on demand.
-
-    Each group's tuples are a *new* slice of the key-sorted tuple list
-    ``ordered`` (``starts``/``ends``/``tracked`` are indexed by key
-    code, ``desc`` is the quasi-sort order of codes), never one of the
-    chain lists the blocks adopted and the rebalance pass extends.
-    """
-    return list(
-        map(
-            KeyGroup,
-            keys,
-            map(
-                ordered.__getitem__,
-                map(slice, map(starts.__getitem__, desc), map(ends.__getitem__, desc)),
-            ),
-            map(tracked.__getitem__, desc),
-        )
-    )
-
-
 def accumulate_batch(
     tuples: Sequence[StreamTuple],
     info: BatchInfo,
-    accumulator: MicroBatchAccumulator | SketchMicroBatchAccumulator,
-) -> KernelIngest:
+    accumulator: MicroBatchAccumulator | SketchMicroBatchAccumulator | None,
+) -> AccumulatedBatch:
     """Algorithm 1 over a whole interval's tuples, batch-at-a-time.
 
     With a :class:`MicroBatchAccumulator` this is the paper's budgeted
@@ -205,7 +153,10 @@ def accumulate_batch(
     of the per-tuple pseudocode, and the interval's totals feed the
     accumulator's ``N_est``/``K_avg`` history for the next interval.
     With a :class:`SketchMicroBatchAccumulator` the order comes from
-    Space-Saving statistics instead (no tree updates).
+    Space-Saving statistics instead (no tree updates).  With ``None`` it
+    is the post-sort ablation of Figure 14a: no statistics, and the keys
+    exactly sorted at the heartbeat on (exact size, order token),
+    descending, each tracked at its exact count.
     """
     if info.t_end <= info.t_start:
         raise ValueError(f"empty batch interval: {info}")
@@ -214,12 +165,8 @@ def accumulate_batch(
     if n == 0:
         if tree:
             accumulator.record_interval_stats(0, 0)
-        batch = AccumulatedBatch(
-            info=info, key_groups=[], tuple_count=0, total_weight=0, tree_updates=0
-        )
-        return KernelIngest(
-            batch=batch, keys=[], chains=[], sizes=np.empty(0, dtype=np.int64)
-        )
+        empty = np.empty(0, dtype=np.int64)
+        return AccumulatedBatch(info, [], [], empty, empty, empty, 0, 0)
 
     # -- array extraction: C-driven passes, no per-tuple Python frames ---
     # dict.fromkeys dedups in first-appearance order (the same code
@@ -267,16 +214,20 @@ def accumulate_batch(
 
     tree_updates = 0
     rank = None
-    if not tree:
+    if isinstance(accumulator, SketchMicroBatchAccumulator):
         tracked, desc = accumulator.order(keys_col, code_of, counts)
+        tracked_arr = np.array(tracked, dtype=np.int64)
     else:
-        # -- Algorithm 1's budget recurrence, all repeated keys at once --
-        if accumulator.exact_updates:
+        if accumulator is None:
+            # post-sort: exact counts, nothing to simulate
+            tracked_arr = counts
+        elif accumulator.exact_updates:
             # Every arrival refreshes the tree: counts are exact and each
             # non-first arrival is one update.
             tracked_arr = counts
             tree_updates = int((counts - 1).sum())
         else:
+            # -- Algorithm 1's budget recurrence, all repeated keys at once
             # A key seen once is tracked at 1 with no update; only the
             # repeated keys run the recurrence.
             budget = accumulator.config.budget
@@ -291,29 +242,22 @@ def accumulate_batch(
                     info.t_end,
                 )
                 tree_updates = int(updates.sum())
-        tracked = tracked_arr.tolist()
 
         # -- quasi-sort: descending (count, order-token) -----------------
         # The CountTree orders nodes by (count, token) with unique tokens,
         # so its descending traversal equals this sort exactly: one sort
         # on (tracked count, token rank), reversed.  The pair packs into
         # one unique int64, so numpy's default argsort (4-6x faster here
-        # than a stable lexsort) gives the one possible order.  The ranks
-        # ride on to Algorithm 3 in the code dtype, narrow on the wire.
+        # than a stable lexsort) gives the one possible order.  Post-sort
+        # sorts the same way on exact sizes.  The ranks ride on to
+        # Algorithm 3 in the code dtype, narrow on the wire.
         rank = np.empty(num_keys, dtype=code_dtype)
         rank[token_order(keys)] = np.arange(num_keys, dtype=code_dtype)
-        desc = np.argsort(tracked_arr * num_keys + rank)[::-1].tolist()
-        accumulator.record_interval_stats(n, num_keys)
+        primary = sizes if accumulator is None else tracked_arr
+        desc = np.argsort(primary * num_keys + rank)[::-1].tolist()
+        if tree:
+            accumulator.record_interval_stats(n, num_keys)
 
-    keys_q = list(map(keys.__getitem__, desc))
-    batch = AccumulatedBatch.deferred(
-        info,
-        partial(_key_groups_view, ordered, keys_q, starts_l, ends_l, tracked, desc),
-        key_count=num_keys,
-        tuple_count=n,
-        total_weight=total_w,
-        tree_updates=tree_updates,
-    )
     if unit_weights:
         chain_weights = None
     else:
@@ -323,74 +267,49 @@ def accumulate_batch(
             w_sorted[starts[c] : starts[c] + counts[c]] for c in desc
         ]
     desc_arr = np.array(desc, dtype=np.int64)
-    return KernelIngest(
-        batch=batch,
-        keys=keys_q,
+    counts_q = counts[desc_arr]
+    return AccumulatedBatch(
+        info,
+        keys=list(map(keys.__getitem__, desc)),
         chains=list(map(chains.__getitem__, desc)),
-        sizes=sizes[desc_arr],
+        sizes=counts_q if unit_weights else sizes[desc_arr],
+        counts=counts_q,
+        tracked=tracked_arr[desc_arr],
+        tuple_count=n,
+        total_weight=total_w,
+        tree_updates=tree_updates,
         unit_weights=unit_weights,
         chain_weights=chain_weights,
         ranks=None if rank is None else rank[desc_arr],
     )
 
 
-def ingest_groups(key_groups: Sequence[KeyGroup], info: BatchInfo) -> KernelIngest:
-    """:func:`plan_greedy`'s input columns from caller-built key groups.
-
-    Each group's tuples are copied once (a slice), so the blocks adopt
-    lists of their own and never one the caller still holds.
-    """
-    chains = [g.tuples[:] for g in key_groups]
-    sizes = np.fromiter(
-        (sum(map(_GET_WEIGHT, chain)) for chain in chains),
-        dtype=np.int64,
-        count=len(chains),
-    )
-    tuple_count = sum(map(len, chains))
-    total_w = int(sizes.sum())
-    unit_weights = total_w == tuple_count
-    batch = AccumulatedBatch(info, list(key_groups), tuple_count, total_w, 0)
-    return KernelIngest(
-        batch=batch,
-        keys=[g.key for g in key_groups],
-        chains=chains,
-        sizes=sizes,
-        unit_weights=unit_weights,
-        chain_weights=None
-        if unit_weights
-        else [
-            np.fromiter(map(_GET_WEIGHT, chain), dtype=np.int64, count=len(chain))
-            for chain in chains
-        ],
-    )
-
-
 def plan_greedy(
     partitioner: "PromptBatchPartitioner",
-    ingest: KernelIngest,
+    accumulated: AccumulatedBatch,
     num_blocks: int,
 ) -> PartitionedBatch:
-    """Algorithm 2 (greedy strategy) over :func:`accumulate_batch`'s columns.
+    """Algorithm 2 (greedy strategy) over an :class:`AccumulatedBatch`.
 
     Phase 1 places the split keys LPT, diced to chunks (one heap step
     for a key that fits one chunk); phase 2 is the capacity-aware
     zigzag deal, batched one run of passes per numpy step; each block
     is installed in bulk; phase 3 is the partitioner's own rebalance
-    pass.  ``PromptBatchPartitioner.partition(strategy="greedy")`` runs
-    this too, over :func:`ingest_groups`' columns.
+    pass.  :meth:`PromptBatchPartitioner.partition` runs it for the
+    ``greedy`` strategy.
 
     A key placed whole (every dealt key, and a split key that fits one
-    chunk) gets the ingest's own chain list: the blocks adopt
-    ``ingest.chains`` rather than copy them, and with them the keys'
-    ``ingest.ranks``.  The placement table holds only the keys placed in
-    more than one block; a key it lacks lives in one.
+    chunk) gets the batch's own chain list: the blocks adopt
+    ``accumulated.chains`` rather than copy them, and with them the
+    keys' ``accumulated.ranks``.  The placement table holds only the
+    keys placed in more than one block; a key it lacks lives in one.
     """
     if num_blocks < 1:
         raise ValueError(f"num_blocks must be >= 1, got {num_blocks}")
-    info = ingest.batch.info
-    keys, chains, sizes = ingest.keys, ingest.chains, ingest.sizes
+    info = accumulated.info
+    keys, chains, sizes = accumulated.keys, accumulated.chains, accumulated.sizes
     num_keys = len(keys)
-    total_weight = int(sizes.sum())
+    total_weight = accumulated.total_weight
     blocks = [DataBlock(i) for i in range(num_blocks)]
     if not num_keys or total_weight == 0:
         return PartitionedBatch(
@@ -422,7 +341,7 @@ def plan_greedy(
     queued_weights: list[list[int]] = [[] for _ in range(num_blocks)]
     for gi, size in zip(split_indices.tolist(), sizes[split_indices].tolist()):
         key, chain = keys[gi], chains[gi]
-        weights = None if ingest.unit_weights else ingest.chain_weights[gi]
+        weights = None if accumulated.unit_weights else accumulated.chain_weights[gi]
         # A chunk is the shortest span whose weight reaches ``chunk_cap``
         # (the oracle cursor's rule), so the key is one chunk iff all
         # but its last tuple weigh less than the cap.
@@ -506,7 +425,7 @@ def plan_greedy(
     # of the deal's chain lists (a small key's fragment is its whole
     # chain, new to its block), with their ranks, in one bulk install —
     # no per-key dict entry, set or copy.
-    ranks = ingest.ranks
+    ranks = accumulated.ranks
     for index, block in enumerate(blocks):
         dealt = small_indices[targets == index]
         picks = dealt.tolist()

@@ -7,13 +7,14 @@ share a key form a *key fragment* when co-located in one data block
 (Section 3.3).
 
 This module provides the immutable tuple record used throughout the
-repository plus light-weight helpers for grouping tuples by key.
+repository, a helper grouping tuples by key, and the type-agnostic order
+tokens that break ties between keys.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -44,65 +45,12 @@ class StreamTuple:
             raise ValueError(f"tuple weight must be positive, got {self.weight}")
 
 
-@dataclass(slots=True)
-class KeyGroup:
-    """All tuples of one key within a micro-batch, with its exact count.
-
-    Produced by the accumulator's final traversal
-    (``SortedList<k, count, tupleList>`` in Algorithm 1) and consumed by
-    the batch partitioner (Algorithm 2).
-
-    ``tracked_count`` is the possibly-stale frequency recorded in the
-    CountTree (the quasi-sorted order is based on it); ``size`` is the
-    exact total weight from the HTable chain.
-    """
-
-    key: Key
-    tuples: list[StreamTuple] = field(default_factory=list)
-    tracked_count: int = 0
-
-    @property
-    def size(self) -> int:
-        """Exact total weight of the group's tuples."""
-        return sum(t.weight for t in self.tuples)
-
-    @property
-    def count(self) -> int:
-        """Exact number of tuples in the group."""
-        return len(self.tuples)
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-
 def group_by_key(tuples: Iterable[StreamTuple]) -> dict[Key, list[StreamTuple]]:
     """Group tuples by key preserving arrival order within each key."""
     groups: dict[Key, list[StreamTuple]] = defaultdict(list)
     for t in tuples:
         groups[t.key].append(t)
     return dict(groups)
-
-
-def total_weight(tuples: Iterable[StreamTuple]) -> int:
-    """Sum of tuple weights."""
-    return sum(t.weight for t in tuples)
-
-
-def sorted_key_groups(
-    tuples: Iterable[StreamTuple], *, descending: bool = True
-) -> list[KeyGroup]:
-    """Exactly-sorted key groups (the *post-sort* ablation baseline).
-
-    This is what a system without frequency-aware buffering must do at
-    the heartbeat: a dedicated sorting step over all keys (Figure 14a
-    compares Prompt against this).
-    """
-    groups = group_by_key(tuples)
-    out = [
-        KeyGroup(key=k, tuples=v, tracked_count=len(v)) for k, v in groups.items()
-    ]
-    out.sort(key=lambda g: (g.size, _order_token(g.key)), reverse=descending)
-    return out
 
 
 def _order_token(key: Key) -> str:

@@ -26,7 +26,7 @@ from ..core.buffering import AccumulatedBatch, MicroBatchAccumulator
 from ..core.config import PromptConfig
 from ..core.reduce_allocator import bpvc_buckets
 from ..core.sketch_accumulator import SketchMicroBatchAccumulator
-from ..core.tuples import StreamTuple, sorted_key_groups
+from ..core.tuples import StreamTuple
 from .base import Partitioner, ReduceAllocation
 
 __all__ = ["PromptPartitioner"]
@@ -38,7 +38,9 @@ class PromptPartitioner(Partitioner):
     ``post_sort=True`` switches to the ablation of Figure 14a: skip the
     frequency-aware accumulator and sort all keys exactly at the
     heartbeat instead (same partition quality, but the sort happens
-    inside the critical path rather than during batching).
+    inside the critical path rather than during batching).  It is
+    Algorithm 1's column build with no accumulator, ordered on exact
+    sizes (:func:`repro.core.kernels.accumulate_batch`).
     """
 
     name = "prompt"
@@ -59,38 +61,39 @@ class PromptPartitioner(Partitioner):
         stats: str = "tree",
         sketch_capacity: int = 256,
     ) -> None:
+        if stats not in ("tree", "sketch"):
+            raise ValueError(f"stats must be 'tree' or 'sketch', got {stats!r}")
+        if exact_updates and stats == "sketch":
+            raise ValueError("exact_updates only applies to stats='tree'")
+        if post_sort and (exact_updates or stats == "sketch"):
+            raise ValueError(
+                "post_sort replaces Algorithm 1's statistics; it takes neither "
+                "exact_updates nor stats='sketch'"
+            )
         self.config = config or PromptConfig()
         self.post_sort = post_sort
-        if stats == "tree":
-            self.accumulator: MicroBatchAccumulator | SketchMicroBatchAccumulator = (
-                MicroBatchAccumulator(
-                    self.config.accumulator, exact_updates=exact_updates
-                )
-            )
-        elif stats == "sketch":
-            if exact_updates:
-                raise ValueError("exact_updates only applies to stats='tree'")
-            self.accumulator = SketchMicroBatchAccumulator(sketch_capacity)
-        else:
-            raise ValueError(f"stats must be 'tree' or 'sketch', got {stats!r}")
         self.stats = stats
         self.exact_updates = exact_updates
         self.sketch_capacity = sketch_capacity
         self.batch_partitioner = PromptBatchPartitioner(
             self.config.partitioner, strategy=strategy
         )
-        self.last_batch: AccumulatedBatch | None = None
+        self.reset()
 
     def reset(self) -> None:
         """Forget cross-batch state, including the accumulator's adaptive
-        N_est/K_avg history, so a fresh run replays identically."""
-        if self.stats == "tree":
+        N_est/K_avg history, so a fresh run replays identically.  The
+        post-sort ablation keeps no statistics: its accumulator is None."""
+        self.accumulator: MicroBatchAccumulator | SketchMicroBatchAccumulator | None
+        if self.post_sort:
+            self.accumulator = None
+        elif self.stats == "tree":
             self.accumulator = MicroBatchAccumulator(
                 self.config.accumulator, exact_updates=self.exact_updates
             )
         else:
             self.accumulator = SketchMicroBatchAccumulator(self.sketch_capacity)
-        self.last_batch = None
+        self.last_batch: AccumulatedBatch | None = None
 
     # ------------------------------------------------------------------
     def partition(
@@ -103,32 +106,21 @@ class PromptPartitioner(Partitioner):
 
         Both run here, on the whole interval, after the cut-off; the
         result reports them apart as ``buffer_elapsed`` and
-        ``plan_elapsed``.  Only ``plan_elapsed`` (Algorithm 2, or the
-        exact sort plus Algorithm 2 in the ``post_sort`` ablation) is
-        what the early-release audit charges — the paper's receiver
-        would have buffered as tuples arrived, this one does not.
+        ``plan_elapsed``.  Only ``plan_elapsed`` is what the early-release
+        audit charges — the paper's receiver would have buffered as
+        tuples arrived, this one does not.  In the ``post_sort`` ablation
+        the exact sort happens at the heartbeat, so the whole call is
+        ``plan_elapsed``.
         """
-        if self.post_sort:
-            started = time.perf_counter()
-            groups = sorted_key_groups(tuples, descending=True)
-            batch = self.batch_partitioner.partition(groups, num_blocks, info)
-            batch.plan_elapsed = time.perf_counter() - started
-            batch.partitioner_name = "prompt-postsort"
-            self.last_batch = None
-            return batch
-
-        buffering_started = time.perf_counter()
-        ingest = kernels.accumulate_batch(tuples, info, self.accumulator)
-        accumulated = ingest.batch
         started = time.perf_counter()
-        if self.batch_partitioner.strategy == "greedy":
-            batch = kernels.plan_greedy(self.batch_partitioner, ingest, num_blocks)
-        else:
-            batch = self.batch_partitioner.partition(
-                accumulated.key_groups, num_blocks, info
-            )
-        batch.plan_elapsed = time.perf_counter() - started
-        batch.buffer_elapsed = started - buffering_started
+        accumulated = kernels.accumulate_batch(tuples, info, self.accumulator)
+        buffered = time.perf_counter()
+        batch = self.batch_partitioner.partition(accumulated, num_blocks)
+        if self.post_sort:  # the exact sort ran at the heartbeat
+            buffered = started
+            batch.partitioner_name = "prompt-postsort"
+        batch.buffer_elapsed = buffered - started
+        batch.plan_elapsed = time.perf_counter() - buffered
         self.last_batch = accumulated
         self.metrics.counter(
             "prompt_tree_updates_total",

@@ -1,13 +1,14 @@
 """Algorithm 3 breaks ties on the order-token ranks Algorithm 1 computed.
 
 Algorithm 1 ranks every key of the batch by its order token for the
-quasi-sort; the blocks Algorithm 2 installs carry those ranks, and each
-Map task hands them to Algorithm 3 instead of sorting its keys' tokens
-again.  Over the kernel property suite's instances the buckets must be
-exactly those of ranking each block's keys with ``token_order``, and a
-run shaped like the ``synd_flat_wc`` benchmark must sort tokens once per
-batch (Algorithm 1) and never in Algorithm 3 on a block the rebalance
-pass left alone.
+quasi-sort (the post-sort ablation's exact sort too); the blocks
+Algorithm 2 installs carry those ranks, and each Map task hands them to
+Algorithm 3 instead of sorting its keys' tokens again.  For both
+``prompt`` and ``prompt-postsort``, over the kernel property suite's
+instances the buckets must be exactly those of ranking each block's
+keys with ``token_order``, and a run shaped like the ``synd_flat_wc``
+benchmark must sort tokens once per batch (Algorithm 1) and never in
+Algorithm 3 on a block the rebalance pass left alone.
 """
 
 from __future__ import annotations
@@ -18,18 +19,25 @@ import repro
 from repro.core import kernels, reduce_allocator
 from repro.core.reduce_allocator import ClusterColumns, bpvc_buckets
 from repro.engine import EngineConfig
-from repro.partitioners.prompt import PromptPartitioner
+from repro.partitioners import make_partitioner
 from repro.queries import wordcount_query
 from repro.workloads import synd_source
 
 from .test_kernels_property import NUM_SCENARIOS, _replays
 
 
-@pytest.mark.parametrize("chunk", range(4))
-def test_algorithm1_ranks_route_as_token_order(chunk):
+@pytest.mark.parametrize(
+    "variant, chunk",
+    [pytest.param("prompt", chunk, id=str(chunk)) for chunk in range(4)]
+    + [
+        pytest.param("prompt-postsort", chunk, id=f"postsort-{chunk}")
+        for chunk in range(4)
+    ],
+)
+def test_algorithm1_ranks_route_as_token_order(variant, chunk):
     ranked = 0
     for scenario, num_blocks, batches in _replays(range(chunk, NUM_SCENARIOS, 4)):
-        partitioner = PromptPartitioner()
+        partitioner = make_partitioner(variant)
         for tuples, info in batches:
             batch = partitioner.partition(tuples, num_blocks, info)
             for block in batch.blocks:
@@ -47,7 +55,8 @@ def test_algorithm1_ranks_route_as_token_order(chunk):
     assert ranked > 300
 
 
-def test_flat_run_sorts_tokens_once_per_batch(monkeypatch):
+@pytest.mark.parametrize("variant", ["prompt", "prompt-postsort"])
+def test_flat_run_sorts_tokens_once_per_batch(monkeypatch, variant):
     calls = {"alg1": 0, "alg3": 0}
     untouched = []  # per batch: blocks that still carry Algorithm 1's ranks
 
@@ -74,7 +83,7 @@ def test_flat_run_sorts_tokens_once_per_batch(monkeypatch):
     repro.run(
         synd_source(0.6, num_keys=100_000, rate=3_000.0, seed=7),
         wordcount_query(),
-        partitioner="prompt",
+        partitioner=variant,
         num_batches=num_batches,
         engine=EngineConfig(
             batch_interval=1.0, num_blocks=num_blocks, num_reducers=8, run_seed=7

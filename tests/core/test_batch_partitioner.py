@@ -12,24 +12,25 @@ from collections.abc import Sequence as CollectionsSequence
 
 from repro.core.batch import BatchInfo
 from repro.core.batch_partitioner import PromptBatchPartitioner, _split_with_weight
+from repro.core.buffering import AccumulatedBatch
 from repro.core.config import PartitionerConfig
 from repro.core.metrics import evaluate_partition
-from repro.core.tuples import KeyGroup, StreamTuple, sorted_key_groups
+from repro.core.tuples import StreamTuple
 
 INFO = BatchInfo(0, 0.0, 1.0)
 
 
-def _groups(freqs: dict) -> list[KeyGroup]:
-    groups = [
-        KeyGroup(
-            key=k,
-            tuples=[StreamTuple(ts=0.0, key=k) for _ in range(n)],
-            tracked_count=n,
-        )
-        for k, n in freqs.items()
-    ]
-    groups.sort(key=lambda g: -g.size)
-    return groups
+def _batch(freqs: dict, *, presorted: bool = False) -> AccumulatedBatch:
+    """One key of ``n`` unit tuples per ``freqs`` entry, largest first
+    unless ``presorted`` (then in ``freqs``' own order)."""
+    items = list(freqs.items())
+    if not presorted:
+        items.sort(key=lambda kv: -kv[1])
+    return AccumulatedBatch.from_chains(
+        INFO,
+        [k for k, _ in items],
+        [[StreamTuple(ts=0.0, key=k) for _ in range(n)] for k, n in items],
+    )
 
 
 STRATEGIES = ("greedy", "zigzag")
@@ -78,9 +79,9 @@ def test_split_group_variable_weights():
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_every_tuple_assigned_exactly_once(strategy):
     part = PromptBatchPartitioner(strategy=strategy)
-    groups = _groups({f"k{i}": (i % 7) + 1 for i in range(40)})
-    total = sum(g.size for g in groups)
-    batch = part.partition(groups, 4, INFO)
+    accumulated = _batch({f"k{i}": (i % 7) + 1 for i in range(40)})
+    total = accumulated.total_weight
+    batch = part.partition(accumulated, 4)
     batch.validate(expected_tuples=total)
     assert batch.total_tuples == total
 
@@ -89,13 +90,13 @@ def test_every_tuple_assigned_exactly_once(strategy):
 def test_rejects_zero_blocks(strategy):
     part = PromptBatchPartitioner(strategy=strategy)
     with pytest.raises(ValueError):
-        part.partition(_groups({"a": 1}), 0, INFO)
+        part.partition(_batch({"a": 1}), 0)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_empty_batch(strategy):
     part = PromptBatchPartitioner(strategy=strategy)
-    batch = part.partition([], 4, INFO)
+    batch = part.partition(_batch({}), 4)
     assert batch.num_blocks == 4
     assert batch.total_tuples == 0
     assert batch.split_keys == {}
@@ -104,7 +105,7 @@ def test_empty_batch(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_single_block_takes_everything(strategy):
     part = PromptBatchPartitioner(strategy=strategy)
-    batch = part.partition(_groups({"a": 5, "b": 3}), 1, INFO)
+    batch = part.partition(_batch({"a": 5, "b": 3}), 1)
     assert batch.blocks[0].size == 8
     assert batch.split_keys == {}
 
@@ -112,8 +113,7 @@ def test_single_block_takes_everything(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_uniform_keys_balanced_without_splits(strategy):
     part = PromptBatchPartitioner(strategy=strategy)
-    groups = _groups({f"k{i}": 4 for i in range(40)})
-    batch = part.partition(groups, 4, INFO)
+    batch = part.partition(_batch({f"k{i}": 4 for i in range(40)}), 4)
     quality = evaluate_partition(batch)
     assert quality.bsi <= 4.0
     assert quality.bci <= 1.0
@@ -123,10 +123,10 @@ def test_uniform_keys_balanced_without_splits(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_block_sizes_respect_capacity(strategy):
     part = PromptBatchPartitioner(strategy=strategy)
-    groups = _groups({f"k{i}": (53 * (i + 1)) % 17 + 1 for i in range(60)})
-    total = sum(g.size for g in groups)
+    accumulated = _batch({f"k{i}": (53 * (i + 1)) % 17 + 1 for i in range(60)})
+    total = accumulated.total_weight
     p = 5
-    batch = part.partition(groups, p, INFO)
+    batch = part.partition(accumulated, p)
     capacity = math.ceil(total / p)
     for block in batch.blocks:
         assert block.size <= capacity + 1  # ceil slack
@@ -135,8 +135,7 @@ def test_block_sizes_respect_capacity(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_mega_key_spreads_over_blocks(strategy):
     part = PromptBatchPartitioner(strategy=strategy)
-    groups = _groups({"hot": 100, "a": 2, "b": 2})
-    batch = part.partition(groups, 4, INFO)
+    batch = part.partition(_batch({"hot": 100, "a": 2, "b": 2}), 4)
     batch.validate(expected_tuples=104)
     assert "hot" in batch.split_keys
     assert len(batch.split_keys["hot"]) >= 3  # must span several blocks
@@ -147,8 +146,7 @@ def test_mega_key_spreads_over_blocks(strategy):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_split_keys_reference_table_is_consistent(strategy):
     part = PromptBatchPartitioner(strategy=strategy)
-    groups = _groups({f"k{i}": 30 - i for i in range(30)})
-    batch = part.partition(groups, 6, INFO)
+    batch = part.partition(_batch({f"k{i}": 30 - i for i in range(30)}), 6)
     recomputed = {}
     for block in batch.blocks:
         for key in block.keys:
@@ -162,7 +160,7 @@ def test_split_keys_reference_table_is_consistent(strategy):
 def test_greedy_balances_cardinality_under_skew():
     part = PromptBatchPartitioner(strategy="greedy")
     freqs = {f"k{i}": max(1, 1000 // (i + 1)) for i in range(200)}
-    batch = part.partition(_groups(freqs), 8, INFO)
+    batch = part.partition(_batch(freqs), 8)
     quality = evaluate_partition(batch)
     assert quality.bci <= 6.0
     assert quality.bsi <= 10.0
@@ -173,8 +171,7 @@ def test_zigzag_strategy_matches_paper_structure():
     """Zigzag: non-split keys dealt exactly evenly (cardinality +-1 before residuals)."""
     part = PromptBatchPartitioner(strategy="zigzag")
     # all keys below the split cutoff: freq 1-2, cutoff >= avg
-    groups = _groups({f"k{i}": 1 for i in range(64)})
-    batch = part.partition(groups, 8, INFO)
+    batch = part.partition(_batch({f"k{i}": 1 for i in range(64)}), 8)
     cards = [b.cardinality for b in batch.blocks]
     assert max(cards) - min(cards) <= 1
     assert batch.split_keys == {}
@@ -189,10 +186,10 @@ def test_split_cutoff_scale_controls_fragmentation():
     freqs = {f"k{i}": max(1, 120 // (i + 1)) for i in range(30)}
     lo = PromptBatchPartitioner(
         PartitionerConfig(split_cutoff_scale=0.5), strategy="zigzag"
-    ).partition(_groups(freqs), 4, INFO)
+    ).partition(_batch(freqs), 4)
     hi = PromptBatchPartitioner(
         PartitionerConfig(split_cutoff_scale=4.0), strategy="zigzag"
-    ).partition(_groups(freqs), 4, INFO)
+    ).partition(_batch(freqs), 4)
     # A lower cutoff splits more keys.
     assert len(lo.split_keys) >= len(hi.split_keys)
 
@@ -200,10 +197,13 @@ def test_split_cutoff_scale_controls_fragmentation():
 def test_quasi_sorted_input_tolerated():
     """Stale tracked counts (mis-sorted input) must not lose tuples."""
     part = PromptBatchPartitioner()
-    groups = _groups({f"k{i}": (i * 37) % 23 + 1 for i in range(50)})
-    groups[0], groups[-1] = groups[-1], groups[0]  # break the sort
-    total = sum(g.size for g in groups)
-    batch = part.partition(groups, 4, INFO)
+    items = sorted(
+        ((f"k{i}", (i * 37) % 23 + 1) for i in range(50)), key=lambda kv: -kv[1]
+    )
+    items[0], items[-1] = items[-1], items[0]  # break the sort
+    accumulated = _batch(dict(items), presorted=True)
+    total = accumulated.total_weight
+    batch = part.partition(accumulated, 4)
     batch.validate(expected_tuples=total)
 
 
@@ -214,7 +214,7 @@ def test_figure5_example_beats_ffd_on_fragmented_keys():
          ("K5", 25), ("K6", 20), ("K7", 12), ("K8", 8)]
     )
     part = PromptBatchPartitioner()
-    batch = part.partition(_groups(freqs), 4, INFO)
+    batch = part.partition(_batch(freqs), 4)
     batch.validate(expected_tuples=385)
     assert len(batch.split_keys) <= 2
     quality = evaluate_partition(batch)
@@ -236,9 +236,9 @@ def test_figure5_example_beats_ffd_on_fragmented_keys():
 @settings(max_examples=80, deadline=None)
 def test_property_no_tuple_lost_or_duplicated(freqs, num_blocks, strategy):
     part = PromptBatchPartitioner(strategy=strategy)
-    groups = _groups(freqs)
-    total = sum(g.size for g in groups)
-    batch = part.partition(groups, num_blocks, INFO)
+    accumulated = _batch(freqs)
+    total = accumulated.total_weight
+    batch = part.partition(accumulated, num_blocks)
     batch.validate(expected_tuples=total)
     # per-key conservation
     for key, n in freqs.items():
@@ -255,9 +255,9 @@ def test_property_no_tuple_lost_or_duplicated(freqs, num_blocks, strategy):
 @settings(max_examples=60, deadline=None)
 def test_property_greedy_capacity_bound(freqs, num_blocks):
     part = PromptBatchPartitioner(strategy="greedy")
-    groups = _groups(freqs)
-    total = sum(g.size for g in groups)
-    batch = part.partition(groups, num_blocks, INFO)
+    accumulated = _batch(freqs)
+    total = accumulated.total_weight
+    batch = part.partition(accumulated, num_blocks)
     capacity = math.ceil(total / num_blocks)
     # The rebalance phase tolerates overshoot up to the global ceil
     # slack (capped at ~1.5% of a block) — mirror that bound here.
@@ -278,7 +278,7 @@ def test_property_greedy_capacity_bound(freqs, num_blocks):
 @settings(max_examples=50, deadline=None)
 def test_property_split_keys_are_exactly_multi_block_keys(freqs):
     part = PromptBatchPartitioner()
-    batch = part.partition(_groups(freqs), 4, INFO)
+    batch = part.partition(_batch(freqs), 4)
     for key in freqs:
         blocks_with_key = [b.index for b in batch.blocks if key in b]
         if len(blocks_with_key) > 1:
@@ -317,18 +317,12 @@ def test_mega_key_dicing_is_linear():
     exactly once.
     """
     n = 4096
-    mega = KeyGroup(
-        key="mega",
-        tuples=[StreamTuple(ts=0.0, key="mega") for _ in range(n)],
-        tracked_count=n,
-    )
-    chain = _CountingChain(mega.tuples)
-    mega.tuples = chain  # type: ignore[assignment]
-    small = _groups({f"k{i}": 8 for i in range(7)})
-    groups = [mega, *small]
+    accumulated = _batch({"mega": n, **{f"k{i}": 8 for i in range(7)}})
+    chain = _CountingChain(accumulated.chains[0])
+    accumulated.chains[0] = chain
 
     part = PromptBatchPartitioner()
-    batch = part.partition(groups, 8, INFO)
+    batch = part.partition(accumulated, 8)
 
     # Correctness: nothing lost, the mega key really was diced.
     assert sum(b.size for b in batch.blocks) == n + 7 * 8
@@ -345,10 +339,10 @@ def test_greedy_assign_honors_passed_cutoff():
     default scale no key is a split key, at 0.4 (``S_cut = 4``) every
     key is one, diced into chunks of 8 and 2.
     """
-    groups = _groups({k: 10 for k in "abcd"})
-    whole = PromptBatchPartitioner().partition(groups, 4, INFO)
+    freqs = {k: 10 for k in "abcd"}
+    whole = PromptBatchPartitioner().partition(_batch(freqs), 4)
     assert not whole.split_keys
     part = PromptBatchPartitioner(PartitionerConfig(split_cutoff_scale=0.4))
-    batch = part.partition(groups, 4, INFO)
+    batch = part.partition(_batch(freqs), 4)
     assert sorted(batch.split_keys) == list("abcd")
     assert all(len(ixs) > 1 for ixs in batch.split_keys.values())

@@ -22,7 +22,7 @@ def _info(index=0, t0=0.0, t1=1.0):
 
 def _feed(acc, tuples, info=None):
     """One interval through Algorithm 1; returns its batch."""
-    return accumulate_batch(tuples, info or _info(), acc).batch
+    return accumulate_batch(tuples, info or _info(), acc)
 
 
 def test_rejects_empty_interval():
@@ -44,8 +44,9 @@ def test_finalize_packages_all_tuples():
     batch = _feed(acc, tuples)
     assert batch.tuple_count == 10
     assert batch.key_count == 3
-    assert sum(g.count for g in batch.key_groups) == 10
-    assert {g.key for g in batch.key_groups} == {"a", "b", "c"}
+    assert int(batch.counts.sum()) == 10
+    assert sum(map(len, batch.chains)) == 10
+    assert set(batch.keys) == {"a", "b", "c"}
 
 
 def test_exact_mode_yields_fully_sorted_groups():
@@ -61,7 +62,7 @@ def test_exact_mode_yields_fully_sorted_groups():
     ]
     for tuples in (make_tuples(zipfish_freqs(30, 600), shuffle_seed=5), weighted):
         batch = _feed(MicroBatchAccumulator(exact_updates=True), tuples)
-        counts = [g.count for g in batch.key_groups]
+        counts = batch.counts.tolist()
         assert counts == sorted(counts, reverse=True)
         assert batch.sort_quality() == 1.0
 
@@ -69,8 +70,7 @@ def test_exact_mode_yields_fully_sorted_groups():
 def test_exact_mode_tracked_counts_match_exact_counts():
     acc = MicroBatchAccumulator(exact_updates=True)
     batch = _feed(acc, make_tuples({"a": 7, "b": 4}, shuffle_seed=2))
-    for g in batch.key_groups:
-        assert g.tracked_count == g.count
+    assert batch.tracked.tolist() == batch.counts.tolist() == [7, 4]
 
 
 def test_budget_limits_tree_updates():
@@ -90,7 +90,7 @@ def test_budgeted_quasi_sort_is_good_on_skewed_data():
     # Quasi-sorted: the overwhelming majority of adjacent pairs ordered.
     assert batch.sort_quality() >= 0.85
     # And the actual hottest key surfaces at/near the top.
-    top_keys = [g.key for g in batch.key_groups[:3]]
+    top_keys = batch.keys[:3]
     assert "k0" in top_keys
 
 
@@ -112,7 +112,7 @@ def test_time_step_triggers_updates_for_slow_keys():
     slow = [StreamTuple(ts=i * 1.2, key="slow") for i in range(8)]
     batch = _feed(acc, slow, _info(t1=10.0))
     assert batch.tree_updates >= 1
-    assert batch.key_groups[0].tracked_count > 1  # refreshed beyond the insert
+    assert batch.tracked[0] > 1  # refreshed beyond the insert
 
 
 def test_history_adapts_estimates():
@@ -126,36 +126,6 @@ def test_history_adapts_estimates():
         )
     assert acc.estimated_tuples() == 100
     assert acc.average_keys() == 25
-
-
-def test_data_rate_property():
-    acc = MicroBatchAccumulator()
-    batch = _feed(acc, make_tuples({"a": 100}, spacing=1e-4), _info(t1=2.0))
-    assert batch.data_rate == pytest.approx(50.0)
-
-
-def test_data_rate_non_positive_interval_is_zero():
-    # accumulate_batch rejects empty intervals, but AccumulatedBatch can be
-    # constructed directly (e.g. by replay tooling); a degenerate interval
-    # must not report tuple_count as if the interval were one second.
-    from repro.core.buffering import AccumulatedBatch
-
-    zero = AccumulatedBatch(
-        info=BatchInfo(0, 1.0, 1.0),
-        key_groups=[],
-        tuple_count=100,
-        total_weight=100,
-        tree_updates=0,
-    )
-    assert zero.data_rate == 0.0
-    negative = AccumulatedBatch(
-        info=BatchInfo(0, 2.0, 1.0),
-        key_groups=[],
-        tuple_count=100,
-        total_weight=100,
-        tree_updates=0,
-    )
-    assert negative.data_rate == 0.0
 
 
 def test_total_weight_tracked():
@@ -172,7 +142,7 @@ def test_consecutive_intervals_are_independent():
     first = _feed(acc, make_tuples({"a": 10}), _info(index=0))
     second = _feed(acc, make_tuples({"b": 5}, start=1.0), _info(index=1, t0=1.0, t1=2.0))
     assert first.key_count == 1 and second.key_count == 1
-    assert {g.key for g in second.key_groups} == {"b"}
+    assert second.keys == ["b"]
 
 
 def test_sort_quality_of_single_key_batch_is_one():

@@ -41,13 +41,14 @@ def test_property_accumulator_conserves_everything(tuples, budget, exact):
                           expected_keys=41),
         exact_updates=exact,
     )
-    batch = accumulate_batch(tuples, INFO, acc).batch
+    batch = accumulate_batch(tuples, INFO, acc)
     truth = Counter(t.key for t in tuples)
-    got = {g.key: g.count for g in batch.key_groups}
+    got = dict(zip(batch.keys, batch.counts.tolist()))
     assert got == dict(truth)
     assert batch.tuple_count == len(tuples)
-    # one group per key, never duplicates
-    assert len(batch.key_groups) == len(truth)
+    assert sum(map(len, batch.chains)) == len(tuples)
+    # one entry per key, never duplicates
+    assert batch.key_count == len(truth)
 
 
 @given(tuples=streams(), budget=st.integers(1, 8))
@@ -58,7 +59,7 @@ def test_property_tree_updates_bounded_by_budget(tuples, budget):
         AccumulatorConfig(budget=budget, expected_tuples=max(1, len(tuples)),
                           expected_keys=41)
     )
-    batch = accumulate_batch(tuples, INFO, acc).batch
+    batch = accumulate_batch(tuples, INFO, acc)
     assert batch.tree_updates <= budget * batch.key_count
 
 
@@ -70,10 +71,10 @@ def test_property_exact_mode_fully_sorted(tuples):
     reads 1.0."""
     batch = accumulate_batch(
         tuples, INFO, MicroBatchAccumulator(exact_updates=True)
-    ).batch
-    counts = [g.count for g in batch.key_groups]
+    )
+    counts = batch.counts.tolist()
     assert counts == sorted(counts, reverse=True)
-    assert all(g.tracked_count == g.count for g in batch.key_groups)
+    assert batch.tracked.tolist() == counts
     assert batch.sort_quality() == 1.0
 
 
@@ -81,7 +82,7 @@ def test_property_exact_mode_fully_sorted(tuples):
 @settings(max_examples=60, deadline=None)
 def test_property_sketch_accumulator_conserves_everything(tuples, capacity):
     acc = SketchMicroBatchAccumulator(capacity=capacity)
-    batch = accumulate_batch(tuples, INFO, acc).batch
+    batch = accumulate_batch(tuples, INFO, acc)
     truth = Counter(t.key for t in tuples)
-    got = {g.key: g.count for g in batch.key_groups}
+    got = dict(zip(batch.keys, batch.counts.tolist()))
     assert got == dict(truth)

@@ -39,7 +39,7 @@ def _random_stream(rng: random.Random, *, num_keys: int, n: int, t_end: float):
 
 
 def _assert_traversal_order(batch) -> None:
-    tracked = [g.tracked_count for g in batch.key_groups]
+    tracked = batch.tracked.tolist()
     assert tracked == sorted(tracked, reverse=True)
 
 
@@ -56,14 +56,17 @@ def test_accumulator_budget_invariants(budget, seed):
     exact: dict[str, list[StreamTuple]] = {}
     for t in stream:
         exact.setdefault(t.key, []).append(t)
-    batch = accumulate_batch(stream, info, acc).batch
+    batch = accumulate_batch(stream, info, acc)
     assert batch.tree_updates <= budget * len(exact)
     # every key exactly once, with its exact tuple chain
-    assert len(batch.key_groups) == len(exact)
-    assert {g.key for g in batch.key_groups} == set(exact)
-    for group in batch.key_groups:
-        assert group.tuples == exact[group.key]
-        assert 1 <= group.tracked_count <= len(group.tuples)
+    assert batch.key_count == len(exact)
+    assert set(batch.keys) == set(exact)
+    for key, chain, count, tracked in zip(
+        batch.keys, batch.chains, batch.counts.tolist(), batch.tracked.tolist()
+    ):
+        assert chain == exact[key]
+        assert count == len(chain)
+        assert 1 <= tracked <= count
     _assert_traversal_order(batch)
     assert batch.tuple_count == len(stream)
 
@@ -77,12 +80,11 @@ def test_accumulator_exact_updates_disable_budget(seed):
         exact_updates=True,
     )
     stream = _random_stream(rng, num_keys=15, n=300, t_end=1.0)
-    batch = accumulate_batch(stream, BatchInfo(index=0, t_start=0.0, t_end=1.0), acc).batch
+    batch = accumulate_batch(stream, BatchInfo(index=0, t_start=0.0, t_end=1.0), acc)
     # one repositioning per non-first tuple of each key
     assert batch.tree_updates == len(stream) - batch.key_count
     assert batch.sort_quality() == 1.0
-    for group in batch.key_groups:
-        assert group.tracked_count == len(group.tuples)
+    assert batch.tracked.tolist() == list(map(len, batch.chains))
 
 
 @pytest.mark.parametrize("budget", [2, 5])
@@ -100,10 +102,10 @@ def test_accumulator_time_step_refreshes_rare_keys(budget):
     # initial f.step = 10_000 / (2 * budget) >> 12, so only time triggers
     assert config.initial_frequency_step > 12
     rare = [StreamTuple(ts=i * 0.08, key="rare", value=i) for i in range(12)]
-    batch = accumulate_batch(rare, BatchInfo(index=0, t_start=0.0, t_end=1.0), acc).batch
+    batch = accumulate_batch(rare, BatchInfo(index=0, t_start=0.0, t_end=1.0), acc)
     # the heartbeat still spent budget repositioning the key
     assert 1 <= batch.tree_updates <= budget
-    assert batch.key_groups[0].tracked_count >= 2  # refreshed past insert
+    assert batch.tracked[0] >= 2  # refreshed past insert
 
 
 @pytest.mark.parametrize("seed", [4, 13, 77])
@@ -126,10 +128,10 @@ def test_accumulator_multi_interval_fuzz(seed):
             for i in range(n)
         ]
         info = BatchInfo(index=index, t_start=t0, t_end=t0 + 1.0)
-        batch = accumulate_batch(stream, info, acc).batch
+        batch = accumulate_batch(stream, info, acc)
         sizes.append((n, batch.key_count))
         assert batch.tuple_count == n
-        assert sum(g.count for g in batch.key_groups) == n
+        assert int(batch.counts.sum()) == n
         assert batch.tree_updates <= 4 * batch.key_count
         _assert_traversal_order(batch)
         # N_est / K_avg are the running means of the intervals so far

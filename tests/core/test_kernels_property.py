@@ -17,11 +17,10 @@ suite hammers that promise with >1000 seeded random instances:
   agreement.
 
 Every instance compares the full decision surface: quasi-sort order,
-tracked counts, tree-update totals, per-block fragment contents *and
-insertion order*, split-key reference tables (including dict order),
-and chain object identity (kernels must not copy tuples; blocks adopt
-the kernel's own chain lists, never a list of the lazily built
-``key_groups`` view).
+tracked counts, exact counts, tree-update totals, per-block fragment
+contents *and insertion order*, split-key reference tables (including
+dict order), and chain object identity (kernels must not copy tuples;
+blocks adopt the kernel's own chain lists).
 
 The batched budget recurrence is also cross-checked directly against
 the spec's dense per-arrival recurrence, key by key over whole batches,
@@ -42,12 +41,12 @@ from repro.core.batch import BatchInfo
 from repro.core.batch_partitioner import PromptBatchPartitioner
 from repro.core.buffering import MicroBatchAccumulator
 from repro.core.sketches import SpaceSavingSketch
-from repro.core.tuples import KeyGroup, StreamTuple, group_by_key, sorted_key_groups
+from repro.core.tuples import StreamTuple, group_by_key
 from repro.partitioners import make_partitioner
 from repro.partitioners.prompt import PromptPartitioner
 
 from ..oracle import prompt_spec
-from ..oracle.prompt_spec import SpecPromptPartitioner
+from ..oracle.prompt_spec import SpecBatch, SpecGroup, SpecPromptPartitioner
 
 #: scenarios x batches = instances; the accept gate is >= 1000
 NUM_SCENARIOS = 250
@@ -94,13 +93,31 @@ def _blocks(batch):
     return pickle.dumps((blocks, list(batch.split_keys.items())))
 
 
+def _rows(accumulated):
+    """Algorithm 1's list as ``(key, tracked count, exact count)`` rows,
+    from the spec's groups or from the kernel's columns."""
+    if isinstance(accumulated, SpecBatch):
+        return [(g.key, g.tracked_count, len(g.tuples)) for g in accumulated.groups]
+    return list(
+        zip(
+            accumulated.keys,
+            accumulated.tracked.tolist(),
+            accumulated.counts.tolist(),
+        )
+    )
+
+
 def _snapshot(partitioner, batch):
     accumulated = partitioner.last_batch
     return pickle.dumps(
         (
             _blocks(batch),
-            [(g.key, g.tracked_count, len(g.tuples)) for g in accumulated.key_groups],
-            (accumulated.tree_updates, accumulated.total_weight),
+            _rows(accumulated),
+            (
+                accumulated.key_count,
+                accumulated.tree_updates,
+                accumulated.total_weight,
+            ),
         )
     )
 
@@ -139,19 +156,10 @@ def test_kernel_matches_oracle_property(chunk):
             assert _snapshot(oracle, oracle_batch) == _snapshot(
                 kernel, kernel_batch
             ), f"scenario={scenario} batch={index}"
-            # chains must hold the *same* tuple objects, not copies
-            for og, kg in zip(
-                oracle.last_batch.key_groups, kernel.last_batch.key_groups
-            ):
-                assert all(a is b for a, b in zip(og.tuples, kg.tuples))
-            # ... but no block fragment may be a list of the view: the
-            # rebalance pass extends fragments in place
-            chains = {id(g.tuples) for g in kernel.last_batch.key_groups}
-            assert not any(
-                id(b.fragment(k)) in chains
-                for b in kernel_batch.blocks
-                for k in b.keys
-            ), f"scenario={scenario} batch={index}"
+            # chains must hold the *same* tuple objects, not copies (the
+            # blocks own the chains now and may have extended them)
+            for og, chain in zip(oracle.last_batch.groups, kernel.last_batch.chains):
+                assert all(a is b for a, b in zip(og.tuples, chain))
 
 
 def _mixed_batch(rng, index, num_blocks, weight_mode):
@@ -213,40 +221,17 @@ def test_kernel_matches_oracle_on_mixed_phase1_keys(chunk):
             ), f"scenario={scenario} batch={index}"
 
 
-def _groups(accumulated):
-    return [
-        (g.key, g.tracked_count, list(map(id, g.tuples)))
-        for g in accumulated.key_groups
-    ]
-
-
-def test_key_count_builds_no_view_and_a_late_view_equals_the_oracle():
-    """``key_count`` is stored; the ``key_groups`` view is built on first
-    read, and read after placement it still equals the oracle's groups,
-    tuple object for tuple object."""
-    for _, num_blocks, batches in _replays(range(60)):
-        oracle = SpecPromptPartitioner()
-        kernel = PromptPartitioner()
-        for tuples, info in batches:
-            oracle.partition(tuples, num_blocks, info)
-            kernel.partition(tuples, num_blocks, info)
-            accumulated = kernel.last_batch
-            assert accumulated.key_count == oracle.last_batch.key_count
-            assert accumulated._key_groups is None, "key_count built the view"
-            assert _groups(accumulated) == _groups(oracle.last_batch)
-
-
 def test_unsplit_keys_keep_the_kernels_own_chain_lists():
-    """Every key the plan leaves unsplit holds the list the ingest sliced
+    """Every key the plan leaves unsplit holds the list Algorithm 1 sliced
     for it: adopted, not copied."""
     adopted = 0
     for _, num_blocks, batches in _replays(range(NUM_SCENARIOS)):
         accumulator = MicroBatchAccumulator()
         planner = PromptBatchPartitioner()
         for tuples, info in batches:
-            ingest = kernels.accumulate_batch(tuples, info, accumulator)
-            own = dict(zip(ingest.keys, ingest.chains))
-            batch = kernels.plan_greedy(planner, ingest, num_blocks)
+            accumulated = kernels.accumulate_batch(tuples, info, accumulator)
+            own = dict(zip(accumulated.keys, accumulated.chains))
+            batch = planner.partition(accumulated, num_blocks)
             for block in batch.blocks:
                 for key, fragment in zip(block.keys, block.fragments):
                     if key not in batch.split_keys:
@@ -273,8 +258,9 @@ def test_kernel_matches_oracle_exact_updates():
 
 
 def test_kernel_buffering_feeds_the_zigzag_planner_identically():
-    """``strategy="zigzag"`` keeps its Python planner and buffers
-    through the Algorithm 1 kernel: same groups in, same blocks out."""
+    """``strategy="zigzag"`` buffers through the Algorithm 1 kernel and
+    runs its three passes over the batch's columns: fed the spec's list,
+    it places every key as it does fed the kernel's."""
     for scenario in range(25):
         rng = random.Random(5500 + scenario)
         oracle = SpecPromptPartitioner(strategy="zigzag")
@@ -373,19 +359,20 @@ def _sketch_order(tuples, capacity):
     # first arrival's, and the snapshots pickle identity
     first = dict(zip(chains, chains))
     head = [
-        KeyGroup(first[k], chains.pop(k), estimate) for k, estimate in sketch.items()
+        SpecGroup(first[k], chains.pop(k), estimate) for k, estimate in sketch.items()
     ]
-    return head + [KeyGroup(k, chain, len(chain)) for k, chain in chains.items()]
+    return head + [SpecGroup(k, chain, len(chain)) for k, chain in chains.items()]
 
 
 @pytest.mark.parametrize("variant", ["prompt-postsort", "prompt-sketch"])
 def test_variants_match_the_spec_plan_on_their_own_order(variant):
     """Each variant's blocks are the spec's Algorithm 2 over the key order
-    the variant defines: the exact sort for ``prompt-postsort``, the
-    sketch order for ``prompt-sketch`` (whose ``last_batch`` must list
-    that order, with the sketch's tracked counts).  The registry's
-    sketch holds 256 counters, more than a replay has keys, so most
-    scenarios shrink it to 1-32 counters to give the order a tail."""
+    the variant defines, and its ``last_batch`` lists that order with its
+    tracked counts: the exact sort at exact counts for
+    ``prompt-postsort``, the sketch order at the sketch's estimates for
+    ``prompt-sketch``.  The registry's sketch holds 256 counters, more
+    than a replay has keys, so most scenarios shrink it to 1-32 counters
+    to give the order a tail."""
     for scenario, num_blocks, batches in _replays(range(NUM_SCENARIOS)):
         kernel = make_partitioner(variant)
         if variant == "prompt-sketch" and scenario % 8:
@@ -393,14 +380,12 @@ def test_variants_match_the_spec_plan_on_their_own_order(variant):
         planner = PromptBatchPartitioner()
         for index, (tuples, info) in enumerate(batches):
             if variant == "prompt-postsort":
-                groups = sorted_key_groups(tuples, descending=True)
+                groups = prompt_spec.sorted_key_groups(tuples, descending=True)
             else:
                 groups = _sketch_order(tuples, kernel.sketch_capacity)
             batch = kernel.partition(tuples, num_blocks, info)
             expected = prompt_spec.plan_greedy(planner, groups, num_blocks, info)
             assert _blocks(batch) == _blocks(expected), (scenario, index)
-            if variant == "prompt-sketch":
-                assert [(g.key, g.tracked_count, g.tuples) for g in groups] == [
-                    (g.key, g.tracked_count, g.tuples)
-                    for g in kernel.last_batch.key_groups
-                ], (scenario, index)
+            assert [(g.key, g.tracked_count, len(g.tuples)) for g in groups] == _rows(
+                kernel.last_batch
+            ), (scenario, index)

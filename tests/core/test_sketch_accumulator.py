@@ -15,7 +15,7 @@ INFO = BatchInfo(0, 0.0, 1.0)
 
 
 def _fill(acc, freqs, **kw):
-    return accumulate_batch(make_tuples(freqs, **kw), INFO, acc).batch
+    return accumulate_batch(make_tuples(freqs, **kw), INFO, acc)
 
 
 def test_rejects_bad_capacity_and_interval():
@@ -31,18 +31,17 @@ def test_all_tuples_preserved():
     batch = _fill(acc, freqs, shuffle_seed=3)
     assert batch.tuple_count == sum(freqs.values())
     assert batch.key_count == 30
-    assert {g.key for g in batch.key_groups} == set(freqs)
-    for g in batch.key_groups:
-        assert g.count == freqs[g.key]
+    assert set(batch.keys) == set(freqs)
+    for key, count in zip(batch.keys, batch.counts.tolist()):
+        assert count == freqs[key]
 
 
 def test_heavy_head_is_ordered():
     acc = SketchMicroBatchAccumulator(capacity=8)
     batch = _fill(acc, zipfish_freqs(40, 1000), shuffle_seed=5)
-    head = batch.key_groups[:4]
-    sizes = [g.size for g in head]
+    sizes = batch.sizes[:4].tolist()
     assert sizes == sorted(sizes, reverse=True)
-    assert head[0].key == "k0"  # the hottest key leads
+    assert batch.keys[0] == "k0"  # the hottest key leads
 
 
 def test_small_capacity_still_total():
@@ -57,22 +56,20 @@ def test_finalize_resets():
     acc = SketchMicroBatchAccumulator()
     _fill(acc, {"a": 3})
     batch = _fill(acc, {"b": 2})
-    assert {g.key for g in batch.key_groups} == {"b"}
-    assert [(g.key, g.tracked_count) for g in batch.key_groups] == [("b", 2)]
+    assert batch.keys == ["b"]
+    assert batch.tracked.tolist() == [2]
 
 
 def test_tracked_counts_upper_bound_exact():
     acc = SketchMicroBatchAccumulator(capacity=4)
     freqs = zipfish_freqs(20, 400)
     batch = _fill(acc, freqs, shuffle_seed=9)
-    for g in batch.key_groups:
-        assert g.tracked_count >= 0
+    assert (batch.tracked >= 0).all()
     # head estimates never undercount the true size
-    for g in batch.key_groups[:2]:
-        assert g.tracked_count >= g.count
+    assert (batch.tracked[:2] >= batch.counts[:2]).all()
 
 
 def test_weight_tracked():
     acc = SketchMicroBatchAccumulator()
-    batch = accumulate_batch([StreamTuple(ts=0.0, key="a", weight=4)], INFO, acc).batch
+    batch = accumulate_batch([StreamTuple(ts=0.0, key="a", weight=4)], INFO, acc)
     assert batch.total_weight == 4

@@ -1,16 +1,19 @@
-"""Tuple model: StreamTuple, KeyGroup, grouping helpers."""
+"""Tuple model: StreamTuple, grouping, and the post-sort reference order."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.tuples import (
-    KeyGroup,
-    StreamTuple,
-    group_by_key,
-    sorted_key_groups,
-    total_weight,
-)
+from repro.core.batch import BatchInfo
+from repro.core.kernels import accumulate_batch
+from repro.core.tuples import StreamTuple, group_by_key
+
+from ..oracle.prompt_spec import sorted_key_groups
+
+
+def _post_sort(tuples):
+    """The kernel's post-sort batch: ``accumulate_batch`` with no accumulator."""
+    return accumulate_batch(tuples, BatchInfo(0, 0.0, 1.0), None)
 
 
 def test_stream_tuple_fields():
@@ -46,23 +49,6 @@ def test_group_by_key_preserves_order_within_key():
     assert [t.value for t in groups["b"]] == [2]
 
 
-def test_total_weight():
-    tuples = [StreamTuple(ts=0.0, key=k, weight=w) for k, w in [("a", 1), ("b", 4)]]
-    assert total_weight(tuples) == 5
-
-
-def test_key_group_size_and_count():
-    g = KeyGroup(
-        key="a",
-        tuples=[StreamTuple(ts=0.0, key="a", weight=2) for _ in range(3)],
-        tracked_count=2,
-    )
-    assert g.size == 6
-    assert g.count == 3
-    assert len(g) == 3
-    assert g.tracked_count == 2
-
-
 def test_sorted_key_groups_descending():
     tuples = (
         [StreamTuple(ts=0.0, key="small")]
@@ -72,6 +58,10 @@ def test_sorted_key_groups_descending():
     groups = sorted_key_groups(tuples)
     assert [g.key for g in groups] == ["big", "mid", "small"]
     assert [g.size for g in groups] == [5, 3, 1]
+    batch = _post_sort(tuples)
+    assert batch.keys == ["big", "mid", "small"]
+    assert batch.sizes.tolist() == batch.tracked.tolist() == [5, 3, 1]
+    assert batch.tree_updates == 0
 
 
 def test_sorted_key_groups_ascending():
@@ -83,6 +73,15 @@ def test_sorted_key_groups_ascending():
 
 
 def test_sorted_key_groups_handles_mixed_key_types():
-    tuples = [StreamTuple(ts=0.0, key=1), StreamTuple(ts=0.0, key="1")]
+    tuples = [
+        StreamTuple(ts=0.0, key=k, weight=w)
+        for k, w in ((1, 2), ("1", 1), (2.5, 2), ("b", 1), ((1, 2), 2), (1, 1))
+    ]
     groups = sorted_key_groups(tuples)
-    assert len(groups) == 2
+    assert len(groups) == 5
+    # the kernel's post-sort order is the reference order: weights
+    # first, then the order token across key types
+    batch = _post_sort(tuples)
+    assert batch.keys == [g.key for g in groups]
+    assert batch.sizes.tolist() == [g.size for g in groups]
+    assert batch.counts.tolist() == [len(g.tuples) for g in groups]

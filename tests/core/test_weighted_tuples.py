@@ -17,40 +17,41 @@ from hypothesis import strategies as st
 
 from repro.core.batch import BatchInfo
 from repro.core.batch_partitioner import PromptBatchPartitioner
+from repro.core.buffering import AccumulatedBatch
 from repro.core.metrics import evaluate_partition
-from repro.core.tuples import KeyGroup, StreamTuple
+from repro.core.tuples import StreamTuple
 from repro.partitioners import HashPartitioner, ShufflePartitioner
 
 INFO = BatchInfo(0, 0.0, 1.0)
 
 
-def _weighted_groups(spec: dict) -> list[KeyGroup]:
-    """spec: key -> list of tuple weights."""
-    groups = [
-        KeyGroup(
-            key=k,
-            tuples=[StreamTuple(ts=0.0, key=k, weight=w) for w in weights],
-            tracked_count=sum(weights),
-        )
-        for k, weights in spec.items()
-    ]
-    groups.sort(key=lambda g: -g.size)
-    return groups
+def _weighted_batch(spec: dict) -> AccumulatedBatch:
+    """spec: key -> list of tuple weights; keys heaviest first."""
+    items = sorted(spec.items(), key=lambda kv: -sum(kv[1]))
+    return AccumulatedBatch.from_chains(
+        INFO,
+        [k for k, _ in items],
+        [[StreamTuple(ts=0.0, key=k, weight=w) for w in weights] for k, weights in items],
+    )
 
 
 def test_key_group_size_uses_weights():
-    [group] = _weighted_groups({"a": [3, 2, 5]})
-    assert group.size == 10
-    assert group.count == 3
+    """A key's size is its tuples' total weight; its count, their number."""
+    batch = _weighted_batch({"a": [3, 2, 5], "b": [1]})
+    assert batch.sizes.tolist() == [10, 1]
+    assert batch.counts.tolist() == batch.tracked.tolist() == [3, 1]
+    assert (batch.tuple_count, batch.total_weight) == (4, 11)
+    assert not batch.unit_weights
+    assert [w.tolist() for w in batch.chain_weights] == [[3, 2, 5], [1]]
 
 
 def test_partitioner_balances_by_weight_not_count():
     # one key with few heavy tuples vs many keys with light tuples
     spec = {"heavy": [10] * 6}
     spec.update({f"light{i}": [1] * 4 for i in range(14)})  # 56 light weight
-    groups = _weighted_groups(spec)
-    batch = PromptBatchPartitioner().partition(groups, 4, INFO)
-    total = sum(g.size for g in groups)
+    accumulated = _weighted_batch(spec)
+    total = accumulated.total_weight
+    batch = PromptBatchPartitioner().partition(accumulated, 4)
     capacity = math.ceil(total / 4)
     # Indivisible tuple weights bound any heuristic at one max-weight
     # tuple of overshoot per block.
@@ -61,8 +62,8 @@ def test_partitioner_balances_by_weight_not_count():
 
 
 def test_heavy_key_splits_on_weight_boundaries():
-    groups = _weighted_groups({"whale": [7] * 20, "krill": [1] * 4})
-    batch = PromptBatchPartitioner().partition(groups, 4, INFO)
+    accumulated = _weighted_batch({"whale": [7] * 20, "krill": [1] * 4})
+    batch = PromptBatchPartitioner().partition(accumulated, 4)
     batch.validate(expected_tuples=24)
     # the whale (140 of 144 weight) cannot fit one block of ~36
     assert "whale" in batch.split_keys
@@ -94,9 +95,9 @@ def test_streaming_partitioners_track_weights_in_block_sizes():
 @settings(max_examples=60, deadline=None)
 def test_property_weighted_conservation(spec, num_blocks):
     """No weight is created or destroyed by partitioning."""
-    groups = _weighted_groups(spec)
-    total = sum(g.size for g in groups)
-    batch = PromptBatchPartitioner().partition(groups, num_blocks, INFO)
+    accumulated = _weighted_batch(spec)
+    total = accumulated.total_weight
+    batch = PromptBatchPartitioner().partition(accumulated, num_blocks)
     assert batch.total_size == total
     for key, weights in spec.items():
         placed = sum(

@@ -15,10 +15,7 @@ from __future__ import annotations
 import zlib
 from typing import Any
 
-from ..queries.base import Query, SumAggregator, WindowSpec
-
-__all__ = ["VocabWeightTable", "broadcast_wordcount_query"]
-
+from repro.queries.base import Query, SumAggregator, WindowSpec
 
 class VocabWeightTable:
     """Broadcast-style lookup table: key rank -> small integer weight.

@@ -24,7 +24,6 @@ import pickle
 
 import pytest
 
-from repro.bench.payload import broadcast_wordcount_query
 from repro.core.batch import BatchInfo
 from repro.core.tuples import StreamTuple
 from repro.engine.engine import EngineConfig, MicroBatchEngine
@@ -39,6 +38,8 @@ from repro.queries.base import Query, SumAggregator
 from repro.queries.wordcount import count_one
 from repro.workloads.arrival import ConstantRate
 from repro.workloads.synd import synd_source
+
+from .payload import broadcast_wordcount_query
 
 INFO = BatchInfo(0, 0.0, 1.0)
 

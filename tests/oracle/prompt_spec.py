@@ -14,20 +14,70 @@ tested against.  It is written for the reader, not for speed:
   LPT over the split keys' chunks (``min`` over the blocks per chunk),
   the capacity-aware zigzag deal of the other keys, and the shared
   rebalance pass of :class:`~repro.core.batch_partitioner.PromptBatchPartitioner`.
+- :func:`sorted_key_groups` is the post-sort ablation's order: every
+  key exactly sorted at the heartbeat, the reference for
+  ``accumulate_batch(..., None)``.
 - :func:`simulate_key_dense` is Algorithm 1's update mechanism for a
   single key, the reference for the kernels' batched recurrence.
+
+Algorithm 1 hands Algorithm 2 a list of :class:`SpecGroup` records,
+``<k, count, tupleList>`` as printed, packed in a :class:`SpecBatch`.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass
 
 from repro.core.batch import BatchInfo, DataBlock, PartitionedBatch
 from repro.core.buffering import AccumulatedBatch
 from repro.core.config import AccumulatorConfig
-from repro.core.tuples import KeyGroup, _order_token
+from repro.core.tuples import Key, StreamTuple, _order_token, group_by_key
 from repro.partitioners.prompt import PromptPartitioner
+
+
+@dataclass
+class SpecGroup:
+    """One entry of the heartbeat's list: a key, its tuple chain, and the
+    (possibly stale) tracked count that placed it."""
+
+    key: Key
+    tuples: list[StreamTuple]
+    tracked_count: int
+
+    @property
+    def size(self) -> int:
+        """Exact total weight of the key's tuples."""
+        return sum(t.weight for t in self.tuples)
+
+
+@dataclass
+class SpecBatch:
+    """One interval's heartbeat output."""
+
+    info: BatchInfo
+    groups: list[SpecGroup]
+    tuple_count: int
+    total_weight: int
+    tree_updates: int
+
+    @property
+    def key_count(self) -> int:
+        return len(self.groups)
+
+
+def sorted_key_groups(tuples, *, descending: bool = True) -> list[SpecGroup]:
+    """Exactly sorted key groups: the *post-sort* ablation's order.
+
+    This is what a system without frequency-aware buffering must do at
+    the heartbeat: a dedicated sorting step over all keys, on (exact
+    size, order token), each key tracked at its exact count (Figure 14a
+    compares Prompt against this).
+    """
+    out = [SpecGroup(k, v, len(v)) for k, v in group_by_key(tuples).items()]
+    out.sort(key=lambda g: (g.size, _order_token(g.key)), reverse=descending)
+    return out
 
 
 class SpecAccumulator:
@@ -51,7 +101,7 @@ class SpecAccumulator:
             return self.config.expected_keys
         return max(1, sum(self.key_history) // len(self.key_history))
 
-    def buffer(self, tuples, info: BatchInfo) -> AccumulatedBatch:
+    def buffer(self, tuples, info: BatchInfo) -> SpecBatch:
         """Buffer one interval's tuples; the heartbeat returns the batch."""
         if info.t_end <= info.t_start:
             raise ValueError(f"empty batch interval: {info}")
@@ -105,10 +155,10 @@ class SpecAccumulator:
             key=lambda kr: (kr[1]["freq_updated"], _order_token(kr[0])),
             reverse=True,
         )
-        groups = [KeyGroup(k, r["chain"], r["freq_updated"]) for k, r in traversal]
+        groups = [SpecGroup(k, r["chain"], r["freq_updated"]) for k, r in traversal]
         self.tuple_history.append(n_c)
         self.key_history.append(len(htable))
-        return AccumulatedBatch(info, groups, n_c, weight, updates)
+        return SpecBatch(info, groups, n_c, weight, updates)
 
 
 def plan_greedy(planner, key_groups, num_blocks: int, info: BatchInfo) -> PartitionedBatch:
@@ -177,12 +227,6 @@ class SpecPromptPartitioner(PromptPartitioner):
     and ``prompt-zigzag`` (whose Algorithm 2 is the ``zigzag`` planner).
     """
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.spec = SpecAccumulator(
-            self.config.accumulator, exact_updates=self.exact_updates
-        )
-
     def reset(self) -> None:
         super().reset()
         self.spec = SpecAccumulator(
@@ -191,13 +235,15 @@ class SpecPromptPartitioner(PromptPartitioner):
 
     def partition(self, tuples, num_blocks: int, info: BatchInfo) -> PartitionedBatch:
         accumulated = self.spec.buffer(tuples, info)
+        groups = accumulated.groups
         if self.batch_partitioner.strategy == "greedy":
-            batch = plan_greedy(
-                self.batch_partitioner, accumulated.key_groups, num_blocks, info
-            )
-        else:
+            batch = plan_greedy(self.batch_partitioner, groups, num_blocks, info)
+        else:  # the zigzag planner reads the one record Algorithm 2 takes
             batch = self.batch_partitioner.partition(
-                accumulated.key_groups, num_blocks, info
+                AccumulatedBatch.from_chains(
+                    info, [g.key for g in groups], [g.tuples for g in groups]
+                ),
+                num_blocks,
             )
         self.last_batch = accumulated
         return batch

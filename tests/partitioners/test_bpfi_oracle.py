@@ -30,8 +30,9 @@ from hypothesis import strategies as st
 
 from repro.core.batch import BatchInfo
 from repro.core.batch_partitioner import PromptBatchPartitioner
+from repro.core.buffering import AccumulatedBatch
 from repro.core.metrics import evaluate_partition
-from repro.core.tuples import KeyGroup, StreamTuple
+from repro.core.tuples import StreamTuple
 from repro.partitioners.bpfi import exact_min_fragments, fragment_lower_bound
 
 INFO = BatchInfo(0, 0.0, 1.0)
@@ -43,25 +44,25 @@ bin_counts = st.integers(min_value=2, max_value=4)
 
 
 def _instance(freqs: list[int]):
-    """(items, key_groups) for one frequency vector, largest first."""
+    """(items, batch) for one frequency vector, largest first."""
     named = {f"k{i}": n for i, n in enumerate(freqs)}
     items = sorted(named.items(), key=lambda kv: (-kv[1], kv[0]))
-    groups = [
-        KeyGroup(
-            key=k,
-            tuples=[StreamTuple(ts=j * 1e-3, key=k, value=None) for j in range(n)],
-            tracked_count=n,
-        )
-        for k, n in items
-    ]
-    return items, groups
+    batch = AccumulatedBatch.from_chains(
+        INFO,
+        [k for k, _ in items],
+        [
+            [StreamTuple(ts=j * 1e-3, key=k, value=None) for j in range(n)]
+            for k, n in items
+        ],
+    )
+    return items, batch
 
 
 def _solve(freqs: list[int], num_blocks: int):
-    items, groups = _instance(freqs)
+    items, accumulated = _instance(freqs)
     total = sum(freqs)
     p_size = math.ceil(total / num_blocks)
-    batch = PromptBatchPartitioner().partition(groups, num_blocks, INFO)
+    batch = PromptBatchPartitioner().partition(accumulated, num_blocks)
     exact = exact_min_fragments(items, num_blocks, p_size, node_limit=500_000)
     return batch, items, p_size, exact
 
@@ -69,8 +70,8 @@ def _solve(freqs: list[int], num_blocks: int):
 @settings(max_examples=120, deadline=None)
 @given(freqs=frequency_vectors, num_blocks=bin_counts)
 def test_no_tuple_is_lost_or_duplicated(freqs, num_blocks):
-    _, groups = _instance(freqs)
-    batch = PromptBatchPartitioner().partition(groups, num_blocks, INFO)
+    _, accumulated = _instance(freqs)
+    batch = PromptBatchPartitioner().partition(accumulated, num_blocks)
     placed: dict[str, int] = {}
     for block in batch.blocks:
         for key, size in block.fragment_sizes().items():

@@ -50,6 +50,30 @@ def test_post_sort_variant_produces_same_quality():
     assert postsort.partitioner_name == "prompt-postsort"
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"exact_updates": True}, {"stats": "sketch"}],
+    ids=["exact_updates", "sketch"],
+)
+def test_post_sort_rejects_statistics_settings(kwargs):
+    """Post-sort keeps no statistics, so a setting for them is an error,
+    not silently ignored."""
+    with pytest.raises(ValueError, match="post_sort"):
+        PromptPartitioner(post_sort=True, **kwargs)
+
+
+def test_post_sort_charges_the_sort_to_the_plan():
+    """The exact sort runs at the heartbeat: nothing is buffering time."""
+    part = PromptPartitioner(post_sort=True)
+    batch = part.partition(make_tuples(zipfish_freqs(30, 300), shuffle_seed=6), 4, INFO)
+    assert part.accumulator is None
+    assert batch.buffer_elapsed == 0.0
+    assert batch.plan_elapsed > 0.0
+    assert part.last_batch.tree_updates == 0
+    counts = part.last_batch.counts.tolist()
+    assert counts == sorted(counts, reverse=True)
+
+
 def test_post_sort_pays_heartbeat_overhead():
     tuples = make_tuples({f"k{i}": 2 for i in range(200)}, shuffle_seed=4)
     fast = PromptPartitioner()

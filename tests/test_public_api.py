@@ -288,10 +288,8 @@ def test_bench_surface_is_pinned():
         "ShootoutScenario",
         "ThroughputResult",
         "ThroughputSearch",
-        "VocabWeightTable",
         "bench_parallel_speedup",
         "bench_sharding_scaleout",
-        "broadcast_wordcount_query",
         "fig10_partition_metrics",
         "fig11_throughput_vs_interval",
         "fig11d_skew_sweep",
